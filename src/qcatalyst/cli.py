@@ -34,6 +34,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the report to this path (atomic)")
     sub.add_argument(
@@ -56,13 +66,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="separation between catalytic and bounded-message protocols",
         parents=[],
     )
-    p.add_argument("--n", type=int, required=True, help="separation parameter")
+    p.add_argument(
+        "--n", type=_positive_int, required=True, help="separation parameter"
+    )
     _add_common(p)
 
     p = subs.add_parser("lemma1", help="exact catalytic mixing of n copies")
     p.add_argument("--rho", help="state JSON file for the entangled input")
     p.add_argument("--sigma", help="state JSON file for the product state")
-    p.add_argument("--n", type=int, default=2, help="number of output copies")
+    p.add_argument(
+        "--n", type=_positive_int, default=2, help="number of output copies"
+    )
     p.add_argument(
         "--mode",
         choices=("auto", "explicit-flags", "support-measurement"),
@@ -73,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "obs1", help="simulate a catalytic protocol with one quantum message"
     )
-    p.add_argument("--n", type=int, default=2, help="number of output copies")
+    p.add_argument(
+        "--n", type=_positive_int, default=2, help="number of output copies"
+    )
     p.add_argument(
         "--product-rho",
         action="store_true",
@@ -84,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "obs3", help="classical-bit task: one broadcast bit vs no communication"
     )
-    p.add_argument("--seeds", type=int, default=10, help="random catalysts to try")
+    p.add_argument(
+        "--seeds", type=_positive_int, default=10, help="random catalysts to try"
+    )
     _add_common(p)
 
     p = subs.add_parser("schmidt", help="Schmidt analysis of a stored state")

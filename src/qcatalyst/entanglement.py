@@ -21,10 +21,11 @@ from .registers import (
     BOB,
     MultipartiteOperator,
     eig_hermitian,
+    eigh_descending,
     resolve_cut,
     svd_across_cut,
 )
-from .states import QuantumState, fidelity
+from .states import QuantumState, fidelity, signed_gram_core
 
 RANK_RTOL = 1e-9
 ENTROPY_EIG_FLOOR = 1e-14
@@ -116,9 +117,7 @@ def _local_support_dims(
     left, right = resolve_cut(state.layout, cut)
     dims = []
     for side in (left, right):
-        marg = state.marginal(side).densify()
-        vals = np.linalg.eigvalsh((marg.entries + marg.entries.conj().T) / 2)
-        dims.append(_support_rank(vals))
+        dims.append(_support_rank(state.marginal(side).eigenvalues()))
     return dims[0], dims[1]
 
 
@@ -270,9 +269,38 @@ def sn_orthogonal_mixture(
     contributions and the minimum over decompositions is attained by the
     structural one: the Schmidt number equals the rank of the non-product
     component.
+
+    An ensemble is analysed through the QR of its branch kets: the support
+    eigenpairs come from the k x k core, the component weights from the
+    branch overlaps, and the decomposition defect from the core of
+    ``[x, y, kets]`` with weights ``(w_x, w_y, -p)``. A dense state takes the
+    dense route.
     """
-    op = state.densify()
-    spec = eig_hermitian(op)
+    if state.is_dense:
+        rho = state.dense.entries
+        spec = eig_hermitian(state.dense)
+
+        def weight(x):
+            return float(np.real(x.conj() @ rho @ x))
+
+        def defect_of(x, y, w_x, w_y):
+            rebuilt = w_x * np.outer(x, x.conj()) + w_y * np.outer(y, y.conj())
+            return float(np.linalg.norm(rebuilt - rho))
+
+    else:
+        kets, probs = state.branch_kets()
+        q, core = signed_gram_core(kets, probs)
+        spec = eigh_descending(core, basis=q)
+
+        def weight(x):
+            return float(np.sum(probs * np.abs(kets.conj().T @ x) ** 2))
+
+        def defect_of(x, y, w_x, w_y):
+            # a Gram-sum difference would cancel to noise of the bound's size
+            stacked = np.column_stack([x, y, kets])
+            signed = np.concatenate([[w_x, w_y], -probs])
+            return float(np.linalg.norm(signed_gram_core(stacked, signed)[1]))
+
     vals = spec.eigenvalues
     if vals.size < 2 or vals[1] <= WEIGHT_FLOOR:
         raise OracleRefusal("not a rank-2 mixture: second eigenvalue vanishes")
@@ -288,7 +316,6 @@ def sn_orthogonal_mixture(
 
     v1 = spec.eigenvectors[:, 0]
     v2 = spec.eigenvectors[:, 1]
-    rho = op.entries
 
     # candidate orthogonal pairs inside the support span: the eigenvectors
     # (the only valid pair when the spectrum is not degenerate) and, for the
@@ -320,15 +347,14 @@ def sn_orthogonal_mixture(
 
     reasons = []
     for x, y in pairs:
-        w_x = float(np.real(x.conj() @ rho @ x))
-        w_y = float(np.real(y.conj() @ rho @ y))
+        w_x = weight(x)
+        w_y = weight(y)
         if min(w_x, w_y) < WEIGHT_FLOOR:
             reasons.append("a component carries no weight")
             continue
         # the pair must actually decompose the state, not merely span it
-        rebuilt = w_x * np.outer(x, x.conj()) + w_y * np.outer(y, y.conj())
-        defect = float(np.linalg.norm(rebuilt - rho))
-        if defect > 1e-8:
+        defect = defect_of(x, y, w_x, w_y)
+        if not defect <= 1e-8:
             reasons.append(f"pair is not a decomposition (defect {defect:.2e})")
             continue
         overlap_bad = None
@@ -473,9 +499,7 @@ def _entropy_from_eigenvalues(vals: np.ndarray) -> float:
 
 def von_neumann_entropy(state: QuantumState) -> float:
     """Entropy in bits; eigenvalues below the floor are treated as zero."""
-    op = state.densify()
-    vals = np.linalg.eigvalsh((op.entries + op.entries.conj().T) / 2)
-    return _entropy_from_eigenvalues(vals)
+    return _entropy_from_eigenvalues(state.eigenvalues())
 
 
 def conditional_entropy(state: QuantumState, condition_on: Sequence[str]) -> float:

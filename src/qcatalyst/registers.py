@@ -234,14 +234,6 @@ def tensor_product(x: MultipartiteOperator, y: MultipartiteOperator) -> Multipar
     )
 
 
-def _as_axes(op: MultipartiteOperator) -> np.ndarray:
-    """Reshape entries to one axis per register: out axes first, then in axes."""
-    dims = op.layout_out.dims + op.layout_in.dims
-    if not dims:
-        dims = ()
-    return op.entries.reshape(dims or (1, 1))
-
-
 def partial_trace(x: MultipartiteOperator, discard: Sequence[str]) -> MultipartiteOperator:
     """Trace out the named registers of a square operator."""
     if not x.is_square:
@@ -254,7 +246,6 @@ def partial_trace(x: MultipartiteOperator, discard: Sequence[str]) -> Multiparti
     if len(set(discard)) != len(discard):
         raise LayoutError(f"repeated labels in discard list: {discard}")
     keep = [lab for lab in layout.labels if lab not in set(discard)]
-    n = len(layout)
     arr = x.entries.reshape(layout.dims + layout.dims)
     # einsum with integer axis ids: traced registers share an id on both sides.
     out_ids = []
@@ -263,11 +254,11 @@ def partial_trace(x: MultipartiteOperator, discard: Sequence[str]) -> Multiparti
     keep_in_ids = []
     next_id = 0
     ids_out = {}
-    for i, lab in enumerate(layout.labels):
+    for lab in layout.labels:
         ids_out[lab] = next_id
         out_ids.append(next_id)
         next_id += 1
-    for i, lab in enumerate(layout.labels):
+    for lab in layout.labels:
         if lab in set(discard):
             in_ids.append(ids_out[lab])
         else:
@@ -329,6 +320,27 @@ def _canonical_phases(columns: np.ndarray) -> np.ndarray:
     return out
 
 
+def eigh_descending(sym: np.ndarray, basis: np.ndarray | None = None) -> SpectralResult:
+    """Descending eigendecomposition of a Hermitian array, checked by
+    reconstructing ``sym``.
+
+    With ``basis`` (orthonormal columns) the eigenvectors are mapped through
+    it, giving the eigenpairs of ``basis @ sym @ basis^dagger`` on its support.
+    Eigenvectors carry canonical phases.
+    """
+    vals, vecs = np.linalg.eigh(sym)
+    order = np.argsort(vals)[::-1]
+    vals = vals[order]
+    vecs = vecs[:, order]
+    recon = (vecs * vals) @ vecs.conj().T
+    err = float(np.max(np.abs(recon - sym), initial=0.0))
+    if not err <= RECONSTRUCTION_ATOL:
+        raise ValidationError(f"eigendecomposition reconstruction error {err:.2e}")
+    if basis is not None:
+        vecs = basis @ vecs
+    return SpectralResult(vals, _canonical_phases(vecs))
+
+
 def eig_hermitian(x: MultipartiteOperator) -> SpectralResult:
     """Descending eigendecomposition with a reconstruction guarantee."""
     if not x.is_square:
@@ -336,16 +348,7 @@ def eig_hermitian(x: MultipartiteOperator) -> SpectralResult:
     defect = x.max_hermiticity_defect()
     if defect > HERMITICITY_ATOL:
         raise ValidationError(f"operator is not Hermitian (defect {defect:.2e})")
-    sym = (x.entries + x.entries.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = _canonical_phases(vecs[:, order])
-    recon = (vecs * vals) @ vecs.conj().T
-    err = float(np.max(np.abs(recon - sym), initial=0.0))
-    if err > RECONSTRUCTION_ATOL:
-        raise ValidationError(f"eigendecomposition reconstruction error {err:.2e}")
-    return SpectralResult(vals, vecs)
+    return eigh_descending((x.entries + x.entries.conj().T) / 2.0)
 
 
 @dataclasses.dataclass(frozen=True)

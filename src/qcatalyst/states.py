@@ -9,6 +9,16 @@ Two state representations coexist:
   simulations whose joint dimension is far beyond the dense cap; channels act
   branch by branch (a Kraus operator maps a pure product branch to another
   pure branch on the merged register group).
+
+Spectral metrics of ensembles (trace distance, entropy, purity, support
+spectra) never form a D x D matrix. An ensemble with branch kets ``V`` (D x k)
+and weights ``w`` has density matrix ``V diag(w) V^dagger``; with the reduced
+QR factorization ``V = Q R`` its nonzero spectrum is the spectrum of the k x k
+core ``R diag(w) R^dagger``, and its eigenvectors are ``Q`` times those of the
+core (``signed_gram_core``). Signed weights give differences of states. The
+dense route, through ``densify``, is kept for dense-represented operands and
+for mixed dense/ensemble pairs, and serves as the independent cross-check of
+the low-rank route. Both routes refuse dimensions above ``DENSE_CAP``.
 """
 
 from __future__ import annotations
@@ -81,14 +91,16 @@ class QuantumState:
     def from_dense(cls, op: MultipartiteOperator) -> "QuantumState":
         if not op.is_square:
             raise ValidationError("a dense state must be a square operator")
+        if not np.all(np.isfinite(op.entries)):
+            raise ValidationError("density matrix has non-finite entries")
         defect = op.max_hermiticity_defect()
-        if defect > HERMITICITY_ATOL:
+        if not defect <= HERMITICITY_ATOL:
             raise ValidationError(f"density matrix not Hermitian (defect {defect:.2e})")
         tr = op.trace()
-        if abs(tr - 1.0) > HERMITICITY_ATOL:
+        if not abs(tr - 1.0) <= HERMITICITY_ATOL:
             raise ValidationError(f"density matrix trace {tr!r} is not 1")
         lo = float(np.min(np.linalg.eigvalsh((op.entries + op.entries.conj().T) / 2)))
-        if lo < -HERMITICITY_ATOL:
+        if not lo >= -HERMITICITY_ATOL:
             raise ValidationError(f"density matrix has negative eigenvalue {lo:.2e}")
         return cls(op.layout_out, dense=op)
 
@@ -105,8 +117,10 @@ class QuantumState:
             raise ValidationError("ensemble needs at least one branch")
         total = 0.0
         for br in branches:
-            if br.probability <= 0:
-                raise ValidationError(f"branch probability {br.probability} <= 0")
+            if not (np.isfinite(br.probability) and br.probability > 0):
+                raise ValidationError(
+                    f"branch probability {br.probability} is not a positive number"
+                )
             total += br.probability
             seen: list[str] = []
             for f in br.factors:
@@ -120,8 +134,12 @@ class QuantumState:
                         f"factor on {f.labels} has {f.vector.size} amplitudes, "
                         f"expected {want}"
                     )
+                if not np.all(np.isfinite(f.vector)):
+                    raise ValidationError(
+                        f"factor on {f.labels} has non-finite amplitudes"
+                    )
                 nrm = float(np.linalg.norm(f.vector))
-                if abs(nrm - 1.0) > NORM_ATOL:
+                if not abs(nrm - 1.0) <= NORM_ATOL:
                     raise ValidationError(
                         f"factor on {f.labels} is not normalized (norm {nrm!r})"
                     )
@@ -130,7 +148,7 @@ class QuantumState:
                     f"branch factors cover {sorted(seen)}, layout has "
                     f"{sorted(layout.labels)}"
                 )
-        if abs(total - 1.0) > PROB_SUM_ATOL:
+        if not abs(total - 1.0) <= PROB_SUM_ATOL:
             raise ValidationError(f"branch probabilities sum to {total!r}")
         return cls(layout, branches=branches)
 
@@ -175,20 +193,39 @@ class QuantumState:
         order = [labels.index(lab) for lab in self.layout.labels if lab in labels]
         return vec.reshape(dims).transpose(order).reshape(-1)
 
-    def densify(self) -> MultipartiteOperator:
-        if self.is_dense:
-            return self.dense
+    def _check_dense_cap(self) -> None:
         if self.layout.total_dim > DENSE_CAP:
             raise ValidationError(
                 f"refusing to densify dimension {self.layout.total_dim} "
                 f"(cap {DENSE_CAP})"
             )
+
+    def densify(self) -> MultipartiteOperator:
+        if self.is_dense:
+            return self.dense
+        self._check_dense_cap()
         d = self.layout.total_dim
         acc = np.zeros((d, d), dtype=np.complex128)
         for br in self.branches:
             v = self.branch_vector(br)
             acc += br.probability * np.outer(v, v.conj())
         return MultipartiteOperator.square(acc, self.layout)
+
+    def branch_kets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Branch kets of an ensemble as the columns of a D x k matrix, and
+        the branch probabilities; the density matrix is kets diag(p) kets^dagger."""
+        self._check_dense_cap()
+        kets = np.stack([self.branch_vector(br) for br in self.branches], axis=1)
+        return kets, np.array([br.probability for br in self.branches])
+
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of the density matrix: from the QR core of the branch kets
+        for ensembles (only the at most k nonzero eigenvalues), from the dense
+        matrix otherwise."""
+        if self.is_dense:
+            op = self.dense.entries
+            return np.linalg.eigvalsh((op + op.conj().T) / 2)
+        return np.linalg.eigvalsh(signed_gram_core(*self.branch_kets())[1])
 
     def as_dense_state(self) -> "QuantumState":
         return QuantumState(self.layout, dense=self.densify())
@@ -220,13 +257,17 @@ class QuantumState:
         return spec.eigenvectors[:, 0].copy()
 
     def is_approx_pure(self, tol: float = 1e-9) -> bool:
-        if not self.is_dense:
+        if self.is_dense:
+            op = self.dense.entries
+            purity = float(np.real(np.trace(op @ op)))
+        else:
             if len(self.branches) == 1:
                 return True
             if self.layout.total_dim > DENSE_CAP:
                 return False
-        op = self.densify()
-        purity = float(np.real(np.trace(op.entries @ op.entries)))
+            # tr(rho^2) is the squared Frobenius norm of the Hermitian core
+            core = signed_gram_core(*self.branch_kets())[1]
+            purity = float(np.linalg.norm(core) ** 2)
         return purity >= 1.0 - tol
 
     # -- reshaping ---------------------------------------------------------
@@ -448,10 +489,6 @@ def basis_product(layout: RegisterLayout, indices: Sequence[int]) -> QuantumStat
     return QuantumState.from_branches(layout, (EnsembleBranch(1.0, tuple(factors)),))
 
 
-def embed_local_dims(state: QuantumState, new_dims: Mapping[str, int]) -> QuantumState:
-    return state.embed(new_dims)
-
-
 def tensor_states(a: QuantumState, b: QuantumState) -> QuantumState:
     """Product of two states on disjoint registers."""
     shared = set(a.layout.labels) & set(b.layout.labels)
@@ -499,6 +536,8 @@ class KrausChannel:
                 raise ValidationError(
                     f"Kraus operator shape {arr.shape}, expected {shape}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError("Kraus operator has non-finite entries")
             arr.setflags(write=False)
             ops.append(arr)
         if not ops:
@@ -507,7 +546,7 @@ class KrausChannel:
         self.layout_in = layout_in
         self.layout_out = layout_out
         defect = self.trace_preservation_defect()
-        if defect > TRACE_PRESERVATION_ATOL:
+        if not defect <= TRACE_PRESERVATION_ATOL:
             raise ValidationError(
                 f"channel is not trace preserving (defect {defect:.2e})"
             )
@@ -567,6 +606,11 @@ class Instrument:
                         f"instrument branch {label!r}: Kraus shape {arr.shape}, "
                         f"expected {shape}"
                     )
+                if not np.all(np.isfinite(arr)):
+                    raise ValidationError(
+                        f"instrument branch {label!r}: Kraus operator has "
+                        f"non-finite entries"
+                    )
                 arr.setflags(write=False)
                 ops.append(arr)
             if not ops:
@@ -584,7 +628,7 @@ class Instrument:
             k.conj().T @ k for _, kraus in self.branches for k in kraus
         )
         defect = float(np.max(np.abs(acc - np.eye(layout_in.total_dim))))
-        if defect > TRACE_PRESERVATION_ATOL:
+        if not defect <= TRACE_PRESERVATION_ATOL:
             raise ValidationError(
                 f"instrument branches do not sum to a TP map (defect {defect:.2e})"
             )
@@ -822,10 +866,38 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     return acc
 
 
+def signed_gram_core(
+    kets: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Low-rank form of ``kets @ diag(weights) @ kets^dagger``.
+
+    ``kets`` is D x k and ``weights`` are k real (possibly negative) numbers.
+    With the reduced QR factorization ``kets = Q R`` the operator equals
+    ``Q C Q^dagger`` for the Hermitian r x r core ``C = R diag(weights)
+    R^dagger`` (r = min(D, k)). ``Q`` has orthonormal columns, so ``C`` carries
+    the operator's nonzero spectrum and Frobenius norm, and its eigenvectors
+    map to the operator's through ``Q``. Returns ``(Q, C)`` with ``C``
+    symmetrized.
+    """
+    q, r = np.linalg.qr(kets)
+    core = (r * weights) @ r.conj().T
+    return q, (core + core.conj().T) / 2
+
+
 def trace_distance(a: QuantumState, b: QuantumState) -> float:
-    """Half the trace norm of the difference of the two density matrices."""
+    """Half the trace norm of the difference of the two density matrices.
+
+    Two ensembles go through the QR core of their stacked branch kets with
+    weights ``[p, -q]``; any dense operand takes the dense route.
+    """
     _require_same_layout(a, b)
-    diff = a.densify().entries - b.densify().entries
-    diff = (diff + diff.conj().T) / 2
+    if a.is_dense or b.is_dense:
+        diff = a.densify().entries - b.densify().entries
+        diff = (diff + diff.conj().T) / 2
+    else:
+        kets_a, p = a.branch_kets()
+        kets_b, q = b.branch_kets()
+        kets = np.hstack([kets_a, kets_b])
+        diff = signed_gram_core(kets, np.concatenate([p, -q]))[1]
     vals = np.linalg.eigvalsh(diff)
     return float(0.5 * np.sum(np.abs(vals)))

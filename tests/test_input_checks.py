@@ -1,0 +1,89 @@
+"""Non-finite amplitudes and out-of-range CLI arguments are rejected with a
+documented exit code and a one-line reason."""
+
+import json
+
+import numpy as np
+import pytest
+
+from qcatalyst import (
+    EnsembleBranch,
+    Factor,
+    KrausChannel,
+    MultipartiteOperator,
+    QuantumState,
+    ValidationError,
+    max_entangled,
+)
+from qcatalyst.cli import main
+
+
+def _pair_layout():
+    return max_entangled(2, ("A", "B")).layout
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ensemble_rejects_non_finite_amplitude(bad):
+    vec = np.array([bad, 0.0, 0.0, 1.0], dtype=np.complex128)
+    layout = _pair_layout()
+    branch = EnsembleBranch(1.0, (Factor(layout.labels, vec),))
+    with pytest.raises(ValidationError, match="non-finite"):
+        QuantumState.from_branches(layout, [branch])
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, -0.5])
+def test_ensemble_rejects_bad_probability(p):
+    layout = _pair_layout()
+    vec = np.array([1.0, 0.0, 0.0, 0.0])
+    branch = EnsembleBranch(p, (Factor(layout.labels, vec),))
+    with pytest.raises(ValidationError, match="not a positive number"):
+        QuantumState.from_branches(layout, [branch])
+
+
+def test_dense_state_rejects_nan():
+    entries = np.eye(4, dtype=np.complex128) / 4
+    entries[1, 1] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        QuantumState.from_dense(MultipartiteOperator.square(entries, _pair_layout()))
+
+
+def test_channel_rejects_nan():
+    layout = _pair_layout()
+    k = np.eye(4, dtype=np.complex128)
+    k[0, 0] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        KrausChannel([k], layout, layout)
+
+
+def test_schmidt_on_nan_document_exits_two(tmp_path, capsys):
+    doc = max_entangled(2, ("A", "B")).to_json()
+    doc["ensemble"][0]["factors"][0]["vector"][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # writes the bare NaN token json.load accepts
+    code = main(["schmidt", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("qcatalyst: refused:") and "non-finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["obs3", "--seeds", "-2"],
+        ["obs3", "--seeds", "0"],
+        ["theorem", "--n", "0"],
+        ["lemma1", "--n", "-1"],
+        ["obs1", "--n", "0"],
+        ["obs1", "--n", "two"],
+    ],
+)
+def test_out_of_range_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert f"argument {argv[1]}:" in message

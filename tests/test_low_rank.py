@@ -1,0 +1,144 @@
+"""The low-rank route for ensemble metrics (QR of the branch kets), checked
+against the dense route as the oracle."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from qcatalyst import (
+    ALICE,
+    BOB,
+    EnsembleBranch,
+    Factor,
+    QuantumState,
+    Register,
+    RegisterLayout,
+    build_protocol,
+    construct_converse,
+    eig_hermitian,
+    final_state,
+    run_clo,
+    run_protocol,
+    sn_orthogonal_mixture,
+    trace_distance,
+    von_neumann_entropy,
+)
+from qcatalyst.pipelines import (
+    _mixture_components,
+    perturbed_channel,
+    pipeline_lemma1,
+    pipeline_theorem,
+    qutrit_pair_states,
+    separation_family,
+)
+from qcatalyst.sampling import random_pure_vector, rng
+from qcatalyst.registers import eigh_descending
+from qcatalyst.states import signed_gram_core
+
+AGREE_ATOL = 1e-12
+
+
+def _first_branch(state):
+    """One branch of an ensemble as a pure state, a nonzero distance away."""
+    branch = EnsembleBranch(1.0, state.branches[0].factors)
+    return QuantumState(state.layout, branches=(branch,))
+
+
+def _assert_routes_agree(state, others, label):
+    """Distances from ``state`` to each of ``others``, and every entropy, agree
+    between the ensemble (low-rank) and dense routes."""
+    dense = state.as_dense_state()
+    for i, other in enumerate(others):
+        assert not (state.is_dense or other.is_dense), label
+        low = trace_distance(state, other)
+        ref = trace_distance(dense, other.as_dense_state())
+        assert abs(low - ref) <= AGREE_ATOL, f"{label} [{i}]: {low!r} vs {ref!r}"
+    for i, st in enumerate((state, *others)):
+        ref = dense if i == 0 else st.as_dense_state()
+        s_low, s_ref = von_neumann_entropy(st), von_neumann_entropy(ref)
+        assert abs(s_low - s_ref) <= AGREE_ATOL, f"{label} [{i}]: entropy"
+
+
+@pytest.mark.parametrize("corruption", [0.0, 1e-3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["explicit-flags", "support-measurement"])
+def test_clo_outputs_and_catalysts_agree_with_dense(mode, n, corruption):
+    rho, sigma = qutrit_pair_states()
+    protocol = build_protocol(rho, sigma, n, mode)
+    if corruption:
+        protocol = dataclasses.replace(
+            protocol,
+            alice_channel=perturbed_channel(protocol.alice_channel, corruption),
+        )
+    clo = run_clo(protocol, rho)
+    label = f"{mode} n={n} corruption={corruption}"
+    target = clo.target_state
+    _assert_routes_agree(
+        clo.output_state, [target, _first_branch(target)], f"{label} output"
+    )
+    if protocol.catalyst_labels:
+        catalyst = protocol.catalyst
+        _assert_routes_agree(
+            clo.catalyst_state, [catalyst, _first_branch(catalyst)], f"{label} catalyst"
+        )
+    if corruption:
+        assert clo.output_distance > 1e-6  # the comparison saw a nonzero distance
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_theorem_converse_agrees_with_dense(n):
+    family = separation_family(n)
+    converse = construct_converse(
+        family.rho, _mixture_components(family), family.d_enough
+    )
+    tree = run_protocol(converse.protocol, family.rho)
+    achieved, _ = final_state(tree, converse.postselect)
+    target = converse.target
+    _assert_routes_agree(achieved, [target, _first_branch(target)], f"converse n={n}")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_orthogonal_mixture_certificate_matches_dense(n):
+    tau = separation_family(n).tau
+    low = sn_orthogonal_mixture(tau)
+    dense = sn_orthogonal_mixture(tau.as_dense_state())
+    assert (low.lower, low.upper) == (dense.lower, dense.upper) == (2 ** (n + 1),) * 2
+    assert low.details["component_ranks"] == dense.details["component_ranks"]
+    assert np.allclose(low.details["weights"], dense.details["weights"], atol=AGREE_ATOL)
+    assert low.details["decomposition_defect"] <= 1e-12
+
+
+def test_qr_core_spectrum_matches_dense_eigendecomposition():
+    gen = rng(20261017)
+    layout = RegisterLayout((Register("A", 4, ALICE), Register("B", 5, BOB)))
+    state = QuantumState.from_branches(
+        layout,
+        [
+            EnsembleBranch(p, (Factor(layout.labels, random_pure_vector(20, gen)),))
+            for p in (0.5, 0.3, 0.2)
+        ],
+    )
+    q, core = signed_gram_core(*state.branch_kets())
+    low = eigh_descending(core, basis=q)
+    dense = eig_hermitian(state.densify())
+    assert low.eigenvalues.shape == (3,)
+    assert np.allclose(low.eigenvalues, dense.eigenvalues[:3], atol=AGREE_ATOL)
+    assert np.allclose(low.eigenvectors, dense.eigenvectors[:, :3], atol=1e-10)
+    assert state.is_approx_pure() is False
+    assert state.as_dense_state().is_approx_pure() is False
+
+
+def test_metrics_never_densify_ensembles(monkeypatch):
+    def refuse(self):
+        raise AssertionError("densify called on the low-rank route")
+
+    monkeypatch.setattr(QuantumState, "densify", refuse)
+    assert pipeline_theorem(2).verdict == "verified"
+    assert pipeline_lemma1(n=3).verdict == "verified"
+
+
+def test_theorem_three_still_refused_at_the_dense_cap():
+    report = pipeline_theorem(3)
+    assert report.verdict == "refused"
+    assert report.reason == "refusing to densify dimension 6561 (cap 2000)"
