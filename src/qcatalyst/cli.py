@@ -165,6 +165,8 @@ def main(argv=None) -> int:
         else:
             state = _load_state(args.input)
             cut = json.loads(args.cut) if args.cut else None
+            if cut is not None and not isinstance(cut, dict):
+                parser.error('--cut must be a JSON object, e.g. {"R": "left"}')
             report = pipeline_schmidt(state, cut)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"qcatalyst: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from .registers import (
     MultipartiteOperator,
     eig_hermitian,
     eigh_descending,
+    matricize,
     resolve_cut,
     svd_across_cut,
 )
@@ -173,13 +174,10 @@ def _branch_rank(state: QuantumState, branch, left, right) -> int:
     return _support_rank(dec.singular_values**2)
 
 
-def _branch_side_basis(state: QuantumState, branch, side, other) -> np.ndarray:
+def _branch_side_basis(state: QuantumState, branch, side) -> np.ndarray:
     """Orthonormal basis (columns) of a branch's local support on ``side``."""
-    vec = state.branch_vector(branch)
-    dims = [state.layout[lab].dim for lab in state.layout.labels]
-    order = [state.layout.index_of(lab) for lab in side + other]
-    d_side = int(np.prod([state.layout[lab].dim for lab in side]))
-    mat = vec.reshape(dims).transpose(order).reshape(d_side, -1)
+    rows = [state.layout.index_of(lab) for lab in side]
+    mat = matricize(state.branch_vector(branch), state.layout.dims, rows)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     keep = s > RANK_RTOL * s[0]
     return u[:, keep]
@@ -306,13 +304,11 @@ def sn_orthogonal_mixture(
         raise OracleRefusal("not a rank-2 mixture: second eigenvalue vanishes")
     if vals.size > 2 and vals[2] > RANK_RTOL * vals[0]:
         raise OracleRefusal(f"not a rank-2 mixture: third eigenvalue {vals[2]:.2e}")
-    left, right = resolve_cut(state.layout, cut)
-    order = [state.layout.index_of(lab) for lab in left + right]
-    dims = list(state.layout.dims)
-    dL = int(np.prod([state.layout[lab].dim for lab in left]))
+    left, _ = resolve_cut(state.layout, cut)
+    rows = [state.layout.index_of(lab) for lab in left]
 
     def as_matrix(vec):
-        return vec.reshape(dims).transpose(order).reshape(dL, -1)
+        return matricize(vec, state.layout.dims, rows)
 
     v1 = spec.eigenvectors[:, 0]
     v2 = spec.eigenvectors[:, 1]
@@ -451,8 +447,8 @@ def sn_flagged_blocks(
             )
     else:
         left, right = resolve_cut(state.layout, cut)
-        bases_l = [_branch_side_basis(state, br, list(left), list(right)) for br in state.branches]
-        bases_r = [_branch_side_basis(state, br, list(right), list(left)) for br in state.branches]
+        bases_l = [_branch_side_basis(state, br, left) for br in state.branches]
+        bases_r = [_branch_side_basis(state, br, right) for br in state.branches]
         for i in range(len(state.branches)):
             for j in range(i + 1, len(state.branches)):
                 for bases, name in ((bases_l, "left"), (bases_r, "right")):

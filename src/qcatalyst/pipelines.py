@@ -28,6 +28,7 @@ from .registers import (
     RegisterLayout,
 )
 from .states import (
+    EnsembleBranch,
     Instrument,
     KrausChannel,
     QuantumState,
@@ -201,20 +202,18 @@ def _local_rotation(dim: int, epsilon: float, seed: int = 7) -> np.ndarray:
 def perturbed_channel(
     channel: KrausChannel, epsilon: float, seed: int = 7
 ) -> KrausChannel:
-    """Compose a small rotation of the first input register into the channel."""
+    """The one-outcome case of ``perturbed_instrument``."""
     if not epsilon:
         return channel
-    d0 = channel.layout_in.registers[0].dim
-    rest = channel.layout_in.total_dim // d0
-    big = np.kron(_local_rotation(d0, epsilon, seed), np.eye(rest))
-    return KrausChannel(
-        [k @ big for k in channel.kraus], channel.layout_in, channel.layout_out
-    )
+    ((_, kraus),) = perturbed_instrument(channel, epsilon, seed).branches
+    return KrausChannel(kraus, channel.layout_in, channel.layout_out)
 
 
 def perturbed_instrument(
     instrument: Instrument, epsilon: float, seed: int = 7
 ) -> Instrument:
+    """Compose a small rotation of the first input register into every
+    Kraus operator."""
     if not epsilon:
         return instrument
     d0 = instrument.layout_in.registers[0].dim
@@ -496,14 +495,7 @@ def _bit_flip_task():
 
 
 def _product_branch(layout, p, indices):
-    from .states import EnsembleBranch, Factor
-
-    factors = []
-    for reg, idx in zip(layout.registers, indices):
-        v = np.zeros(reg.dim, dtype=np.complex128)
-        v[idx] = 1.0
-        factors.append(Factor((reg.label,), v))
-    return EnsembleBranch(p, tuple(factors))
+    return EnsembleBranch(p, basis_product(layout, indices).branches[0].factors)
 
 
 def _flip_protocol(corruption: float = 0.0) -> SloccqProtocol:

@@ -33,10 +33,12 @@ from .registers import (
 )
 from .states import (
     EnsembleBranch,
+    Factor,
     Instrument,
     KrausChannel,
     QuantumState,
     apply_instrument,
+    max_entangled_vector,
 )
 from .entanglement import SNCertificate
 
@@ -579,9 +581,7 @@ def shift_clock_unitary(dim: int, q: int, p: int) -> np.ndarray:
 
 
 def bell_basis(dim: int) -> list[tuple[str, np.ndarray]]:
-    phi = np.zeros(dim * dim, dtype=np.complex128)
-    for m in range(dim):
-        phi[m * dim + m] = 1.0 / math.sqrt(dim)
+    phi = max_entangled_vector(dim)
     out = []
     for q in range(dim):
         for p in range(dim):
@@ -656,13 +656,10 @@ def _compress_channel(
     d_in = layout_in.total_dim
     k = support.shape[1]
     layout_out = RegisterLayout((Register(out_label, k, party),))
-    iso = support.conj().T  # (k, d_in)
-    kraus = [iso]
-    comp = np.eye(d_in) - support @ support.conj().T
-    vals, vecs = np.linalg.eigh(comp)
-    for idx in np.nonzero(vals > 0.5)[0]:
+    kraus = [support.conj().T]  # (k, d_in)
+    for col in complete_isometry(support, d_in)[:, k:].T:
         k_m = np.zeros((k, d_in), dtype=np.complex128)
-        k_m[0, :] = vecs[:, idx].conj()
+        k_m[0, :] = col.conj()
         kraus.append(k_m)
     return KrausChannel(kraus, layout_in, layout_out)
 
@@ -671,17 +668,10 @@ def _decompress_isometry(
     vectors: np.ndarray, layout_out: RegisterLayout, in_label: str, dim: int, party: str
 ) -> KrausChannel:
     """Isometry sending level m of the input register to the m-th column."""
-    d_out = layout_out.total_dim
-    cols = np.asarray(vectors, dtype=np.complex128).reshape(d_out, -1)
-    k = cols.shape[1]
-    if k < dim:
-        # pad with an orthonormal completion; the extra columns never fire
-        comp = np.eye(d_out) - cols @ cols.conj().T
-        vals, vecs = np.linalg.eigh(comp)
-        extra = vecs[:, vals > 0.5][:, : dim - k]
-        cols = np.hstack([cols, extra])
+    # columns past the given vectors complete the isometry and never fire
+    cols = complete_isometry(vectors, layout_out.total_dim)[:, :dim]
     layout_in = RegisterLayout((Register(in_label, dim, party),))
-    return KrausChannel.from_isometry(cols[:, :dim], layout_in, layout_out)
+    return KrausChannel.from_isometry(cols, layout_in, layout_out)
 
 
 # -- the converse construction ----------------------------------------------
@@ -727,9 +717,6 @@ def construct_converse(
         ),
     ]
     if d > 1:
-        phi = np.zeros(d * d, dtype=np.complex128)
-        for m in range(d):
-            phi[m * d + m] = 1.0 / math.sqrt(d)
         prep_layout = RegisterLayout(
             (Register("E1", d, ALICE), Register("E2", d, ALICE))
         )
@@ -738,36 +725,27 @@ def construct_converse(
                 "prep-link",
                 ALICE,
                 Instrument.from_channel(
-                    KrausChannel.preparation(phi, prep_layout), "done"
+                    KrausChannel.preparation(max_entangled_vector(d), prep_layout),
+                    "done",
                 ),
                 targets=(),
             )
         )
         rounds.append(send_round("send-link", ALICE, "E2", BOB, d))
 
-    # compress (system half, link half) into one register per side
-    da = rho.layout[a_label].dim
-    db = rho.layout[b_label].dim
-    if d > 1:
-        sup_a = np.zeros((da * d, dk), dtype=np.complex128)
-        for a in range(k):
-            for e in range(d):
-                sup_a[a * d + e, a * d + e] = 1.0
-        lay_a = RegisterLayout(
-            (Register(a_label, da, ALICE), Register("E1", d, ALICE))
-        )
-        sup_b = np.zeros((db * d, dk), dtype=np.complex128)
-        for b in range(k):
-            for e in range(d):
-                sup_b[b * d + e, b * d + e] = 1.0
-        lay_b = RegisterLayout(
-            (Register(b_label, db, BOB), Register("E2", d, BOB))
-        )
-    else:
-        sup_a = np.eye(da, dk, dtype=np.complex128)
-        lay_a = RegisterLayout((Register(a_label, da, ALICE),))
-        sup_b = np.eye(db, dk, dtype=np.complex128)
-        lay_b = RegisterLayout((Register(b_label, db, BOB),))
+    # compress (system half, link half) into one register per side: the
+    # filtered pair and the link occupy the leading k*d joint levels
+    link = d > 1
+    lay_a = RegisterLayout(
+        (Register(a_label, rho.layout[a_label].dim, ALICE),)
+        + ((Register("E1", d, ALICE),) if link else ())
+    )
+    lay_b = RegisterLayout(
+        (Register(b_label, rho.layout[b_label].dim, BOB),)
+        + ((Register("E2", d, BOB),) if link else ())
+    )
+    sup_a = np.eye(lay_a.total_dim, dk, dtype=np.complex128)
+    sup_b = np.eye(lay_b.total_dim, dk, dtype=np.complex128)
     rounds.append(
         local_round(
             "compress-a",
@@ -828,12 +806,7 @@ def construct_converse(
                 f"teleportable dimension {dk}"
             )
         # prepared state: component with its far half replaced by levels of S
-        da_out = math.prod(comp.layout[lab].dim for lab in out_a)
-        vec = np.zeros(da_out * dk, dtype=np.complex128)
-        for m in range(rank):
-            vec += dec.singular_values[m] * np.kron(
-                dec.left_basis[:, m], _basis(dk, m)
-            )
+        vec = _far_half_on_levels(dec, rank, dk)
         prep_regs = tuple(
             Register(lab, comp.layout[lab].dim, ALICE) for lab in out_a
         ) + (Register("S", dk, ALICE),)
@@ -870,11 +843,19 @@ def construct_converse(
     )
 
 
+def _far_half_on_levels(dec, rank: int, dim: int) -> np.ndarray:
+    """The ket sum_m s_m |left_m>|m> of a cut decomposition: its leading
+    ``rank`` Schmidt terms with the far half moved onto the first levels of a
+    ``dim``-level message register."""
+    vec = np.zeros(dec.left_basis.shape[0] * dim, dtype=np.complex128)
+    for m in range(rank):
+        vec += dec.singular_values[m] * np.kron(dec.left_basis[:, m], _basis(dim, m))
+    return vec
+
+
 def _mixture_of_components(
     layout: RegisterLayout, components: Sequence[tuple[float, QuantumState]]
 ) -> QuantumState:
-    from .states import Factor
-
     branches = []
     for p, comp in components:
         ordered = comp.permuted(layout.labels)
@@ -908,6 +889,9 @@ def compile_catalyst_prep(catalyst: QuantumState) -> CatalystPrepPlan:
     quantum communication than its Schmidt number.
     """
     cat = catalyst.as_ensemble()
+    if len(cat.layout) == 0:
+        # a single-stage cycle shares nothing: no rounds, no message
+        return CatalystPrepPlan(SloccqProtocol((), 1), 1, cat)
     labels_a = cat.layout.party_labels(ALICE)
     labels_b = cat.layout.party_labels(BOB)
     if not labels_a or not labels_b:
@@ -926,8 +910,6 @@ def compile_catalyst_prep(catalyst: QuantumState) -> CatalystPrepPlan:
         dim_msg = max(dim_msg, rank)
         branch_data.append((br.probability, dec, rank))
 
-    from .registers import EMPTY_LAYOUT
-
     sampler = Instrument(
         [
             (f"s{i}", [np.array([[math.sqrt(p)]], dtype=np.complex128)])
@@ -945,16 +927,11 @@ def compile_catalyst_prep(catalyst: QuantumState) -> CatalystPrepPlan:
     deco_layout = RegisterLayout(
         tuple(Register(lab, cat.layout[lab].dim, BOB) for lab in labels_b)
     )
-    da_tot = math.prod(r.dim for r in prep_regs)
     preps = {}
     decos = {}
     for i, (p, dec, rank) in enumerate(branch_data):
         if dim_msg > 1:
-            vec = np.zeros(da_tot * dim_msg, dtype=np.complex128)
-            for m in range(rank):
-                vec += dec.singular_values[m] * np.kron(
-                    dec.left_basis[:, m], _basis(dim_msg, m)
-                )
+            vec = _far_half_on_levels(dec, rank, dim_msg)
             layout = RegisterLayout(
                 prep_regs + (Register("S", dim_msg, ALICE),)
             )

@@ -9,6 +9,7 @@ never allowed to grow beyond ``DENSE_CAP`` per side).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -140,7 +141,7 @@ class RegisterLayout:
     def from_json(cls, data: list) -> "RegisterLayout":
         try:
             return cls.build((d["label"], int(d["dim"]), d["party"]) for d in data)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise LayoutError(f"malformed layout JSON: {exc}") from exc
 
 
@@ -272,6 +273,19 @@ def partial_trace(x: MultipartiteOperator, discard: Sequence[str]) -> Multiparti
     return MultipartiteOperator(reduced.reshape(d, d), new_layout, new_layout)
 
 
+def matricize(vec: np.ndarray, dims: Sequence[int], row_axes: Sequence[int]) -> np.ndarray:
+    """Flat tensor over ``dims`` as a matrix: the axes ``row_axes``, in that
+    order, index the rows and the other axes, in their own order, the columns.
+
+    A reshape/transpose view; numpy copies only when the transpose leaves the
+    data non-contiguous.
+    """
+    rows = list(row_axes)
+    cols = [a for a in range(len(dims)) if a not in rows]
+    d_rows = math.prod(dims[a] for a in rows)
+    return vec.reshape(tuple(dims)).transpose(rows + cols).reshape(d_rows, -1)
+
+
 def permute_registers(x: MultipartiteOperator, new_order: Sequence[str]) -> MultipartiteOperator:
     """Reorder registers of a square operator or a ket.
 
@@ -287,8 +301,7 @@ def permute_registers(x: MultipartiteOperator, new_order: Sequence[str]) -> Mult
     if n == 0:
         return x
     if len(x.layout_in) == 0:
-        vec = x.entries[:, 0].reshape(layout.dims)
-        vec = vec.transpose(perm).reshape(-1, 1)
+        vec = matricize(x.entries[:, 0], layout.dims, perm)
         return MultipartiteOperator(vec, new_layout, EMPTY_LAYOUT)
     arr = x.entries.reshape(layout.dims + layout.dims)
     arr = arr.transpose(perm + [n + p for p in perm])
@@ -405,10 +418,7 @@ def svd_across_cut(
         raise ValidationError(f"ket is not normalized (norm {norm!r})")
     layout = v.layout_out
     left, right = resolve_cut(layout, cut)
-    ordered = permute_registers(v, left + right)
-    d_left = layout.subset(left).total_dim
-    d_right = layout.subset(right).total_dim
-    mat = ordered.entries[:, 0].reshape(d_left, d_right)
+    mat = matricize(v.entries[:, 0], layout.dims, [layout.index_of(lab) for lab in left])
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     # Fix phases on the left factors, compensate on the right so the
     # reconstruction sum_k s_k |l_k>|r_k> is untouched.

@@ -6,9 +6,15 @@ Two state representations coexist:
   matrix side.
 * Ensemble: a list of branches, each a probability together with a product of
   pure factors over register groups. This is the carrier for protocol
-  simulations whose joint dimension is far beyond the dense cap; channels act
-  branch by branch (a Kraus operator maps a pure product branch to another
-  pure branch on the merged register group).
+  simulations whose joint dimension is far beyond the dense cap.
+
+Maps are instruments: labelled lists of Kraus operators, checked once in the
+``Instrument`` constructor; a ``KrausChannel`` is the one-outcome instrument.
+``apply_instrument`` is the single application path and ``apply_channel`` its
+one-outcome case. On an ensemble a Kraus operator maps each pure product
+branch to another pure branch on the merged register group; on a dense state
+it is contracted with the target axes on both sides (O(D^2 d), no D x D
+Kronecker embedding).
 
 Spectral metrics of ensembles (trace distance, entropy, purity, support
 spectra) never form a D x D matrix. An ensemble with branch kets ``V`` (D x k)
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,6 +47,7 @@ from .registers import (
     Register,
     RegisterLayout,
     eig_hermitian,
+    matricize,
     partial_trace,
     permute_registers,
 )
@@ -191,7 +199,7 @@ class QuantumState:
             labels.extend(f.labels)
         dims = [self.layout[lab].dim for lab in labels]
         order = [labels.index(lab) for lab in self.layout.labels if lab in labels]
-        return vec.reshape(dims).transpose(order).reshape(-1)
+        return matricize(vec, dims, order).reshape(-1)
 
     def _check_dense_cap(self) -> None:
         if self.layout.total_dim > DENSE_CAP:
@@ -313,7 +321,7 @@ class QuantumState:
                 elif not f_keep:
                     continue  # traced out entirely; factor is normalized
                 else:
-                    splits.append(self._split_factor(f, f_keep, f_drop))
+                    splits.append(self._split_factor(f, f_keep))
             combos: list[tuple[float, tuple[Factor, ...]]] = [(1.0, ())]
             for options in splits:
                 combos = [
@@ -328,12 +336,10 @@ class QuantumState:
             raise ValidationError("marginal lost all probability mass")
         return QuantumState(new_layout, branches=tuple(out))
 
-    def _split_factor(self, f: Factor, keep: list[str], drop: list[str]):
+    def _split_factor(self, f: Factor, keep: list[str]):
         """Marginal of one pure factor: returns weighted pure sub-factors."""
         dims = [self.layout[lab].dim for lab in f.labels]
-        perm = [f.labels.index(lab) for lab in keep + drop]
-        d_keep = int(np.prod([self.layout[lab].dim for lab in keep]))
-        mat = f.vector.reshape(dims).transpose(perm).reshape(d_keep, -1)
+        mat = matricize(f.vector, dims, [f.labels.index(lab) for lab in keep])
         u, s, _ = np.linalg.svd(mat, full_matrices=False)
         options = []
         for j in range(s.size):
@@ -413,27 +419,30 @@ class QuantumState:
         layout = RegisterLayout.from_json(doc["layout"])
         if ("dense" in doc) == ("ensemble" in doc):
             raise ValidationError("state JSON needs exactly one of 'dense'/'ensemble'")
-        if "dense" in doc:
-            d = layout.total_dim
-            flat = np.array(
-                [complex(re, im) for re, im in doc["dense"]], dtype=np.complex128
-            )
-            if flat.size != d * d:
-                raise ValidationError(
-                    f"dense payload has {flat.size} entries, expected {d * d}"
-                )
-            return cls.from_dense_matrix(flat.reshape(d, d), layout)
-        branches = []
-        for item in doc["ensemble"]:
-            factors = tuple(
-                Factor(
-                    tuple(f["labels"]),
-                    np.array([complex(re, im) for re, im in f["vector"]]),
-                )
-                for f in item["factors"]
-            )
-            branches.append(EnsembleBranch(float(item["p"]), factors))
-        return cls.from_branches(layout, branches)
+        try:
+            if "dense" in doc:
+                flat = _vector_from_json(doc["dense"])
+            else:
+                branches = [
+                    EnsembleBranch(
+                        float(item["p"]),
+                        tuple(
+                            Factor(tuple(f["labels"]), _vector_from_json(f["vector"]))
+                            for f in item["factors"]
+                        ),
+                    )
+                    for item in doc["ensemble"]
+                ]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(
+                f"malformed state JSON: {type(exc).__name__}: {exc}"
+            ) from exc
+        if "ensemble" in doc:
+            return cls.from_branches(layout, branches)
+        d = layout.total_dim
+        if flat.size != d * d:
+            raise ValidationError(f"dense payload has {flat.size} entries, expected {d * d}")
+        return cls.from_dense_matrix(flat.reshape(d, d), layout)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -452,6 +461,12 @@ class QuantumState:
 # -- canonical constructors ------------------------------------------------
 
 
+def max_entangled_vector(d: int) -> np.ndarray:
+    """The ket sum_k |k>|k> / sqrt(d), flattened with the first register as
+    the most significant index."""
+    return np.eye(d, dtype=np.complex128).reshape(-1) / np.sqrt(d)
+
+
 def max_entangled(
     d: int,
     labels: tuple[str, str] = ("A", "B"),
@@ -463,12 +478,7 @@ def max_entangled(
     layout = RegisterLayout.build(
         [(labels[0], d, parties[0]), (labels[1], d, parties[1])]
     )
-    vec = np.zeros(d * d, dtype=np.complex128)
-    for k in range(d):
-        vec[k * d + k] = 1.0 / np.sqrt(d)
-    return QuantumState.from_branches(
-        layout, (EnsembleBranch(1.0, (Factor(layout.labels, vec),)),)
-    )
+    return QuantumState.pure(layout, max_entangled_vector(d))
 
 
 def basis_product(layout: RegisterLayout, indices: Sequence[int]) -> QuantumState:
@@ -518,42 +528,113 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _vector_from_json(pairs: list) -> np.ndarray:
+    """Complex entries from a list of ``[re, im]`` pairs."""
+    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+
+
 def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
-    )
+    return np.array([_vector_from_json(row) for row in rows])
 
 
-class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+class Instrument:
+    """A finite list of labelled CP branches that together preserve trace.
 
-    def __init__(self, kraus: Iterable, layout_in: RegisterLayout, layout_out: RegisterLayout):
-        ops = []
+    This constructor is the one place Kraus operators are checked (shape,
+    finite entries, trace preservation) and made read-only; a channel is the
+    one-outcome case (``KrausChannel``).
+    """
+
+    def __init__(
+        self,
+        branches: Iterable[tuple[str, Iterable]],
+        layout_in: RegisterLayout,
+        layout_out: RegisterLayout,
+    ):
         shape = (layout_out.total_dim, layout_in.total_dim)
-        for k in kraus:
-            arr = np.array(k, dtype=np.complex128)
-            if arr.shape != shape:
-                raise ValidationError(
-                    f"Kraus operator shape {arr.shape}, expected {shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError("Kraus operator has non-finite entries")
-            arr.setflags(write=False)
-            ops.append(arr)
-        if not ops:
-            raise ValidationError("channel needs at least one Kraus operator")
-        self.kraus = tuple(ops)
+        parsed = []
+        for label, kraus in branches:
+            ops = []
+            for k in kraus:
+                arr = np.array(k, dtype=np.complex128)
+                if arr.shape != shape:
+                    raise ValidationError(
+                        f"outcome {label!r}: Kraus operator shape {arr.shape}, "
+                        f"expected {shape}"
+                    )
+                if not np.all(np.isfinite(arr)):
+                    raise ValidationError(
+                        f"outcome {label!r}: Kraus operator has non-finite entries"
+                    )
+                arr.setflags(write=False)
+                ops.append(arr)
+            if not ops:
+                raise ValidationError(f"outcome {label!r} has no Kraus operator")
+            parsed.append((str(label), tuple(ops)))
+        labels = [lab for lab, _ in parsed]
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"duplicate instrument outcome labels: {labels}")
+        if not parsed:
+            raise ValidationError("instrument needs at least one branch")
+        self.branches = tuple(parsed)
         self.layout_in = layout_in
         self.layout_out = layout_out
         defect = self.trace_preservation_defect()
         if not defect <= TRACE_PRESERVATION_ATOL:
             raise ValidationError(
-                f"channel is not trace preserving (defect {defect:.2e})"
+                f"Kraus operators are not trace preserving (defect {defect:.2e})"
             )
 
     def trace_preservation_defect(self) -> float:
-        acc = sum(k.conj().T @ k for k in self.kraus)
+        acc = sum(k.conj().T @ k for _, kraus in self.branches for k in kraus)
         return float(np.max(np.abs(acc - np.eye(self.layout_in.total_dim))))
+
+    @property
+    def outcome_labels(self) -> tuple[str, ...]:
+        return tuple(lab for lab, _ in self.branches)
+
+    @classmethod
+    def from_channel(cls, channel: KrausChannel, outcome: str = "ok") -> Instrument:
+        """The channel under an outcome label, sharing its already checked
+        read-only Kraus operators."""
+        inst = cls.__new__(cls)
+        inst.branches = ((str(outcome), channel.kraus),)
+        inst.layout_in = channel.layout_in
+        inst.layout_out = channel.layout_out
+        return inst
+
+    def to_json(self) -> dict:
+        return {
+            "layout_in": self.layout_in.to_json(),
+            "layout_out": self.layout_out.to_json(),
+            "branches": [
+                {"outcome": label, "kraus": [_matrix_to_json(k) for k in kraus]}
+                for label, kraus in self.branches
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "Instrument":
+        return cls(
+            [
+                (b["outcome"], [_matrix_from_json(k) for k in b["kraus"]])
+                for b in doc["branches"]
+            ],
+            RegisterLayout.from_json(doc["layout_in"]),
+            RegisterLayout.from_json(doc["layout_out"]),
+        )
+
+
+class KrausChannel(Instrument):
+    """Completely positive trace-preserving map given by Kraus operators: the
+    instrument with the single outcome ``"ok"``."""
+
+    def __init__(self, kraus: Iterable, layout_in: RegisterLayout, layout_out: RegisterLayout):
+        super().__init__([("ok", kraus)], layout_in, layout_out)
+
+    @property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        return self.branches[0][1]
 
     @classmethod
     def from_unitary(cls, u, layout: RegisterLayout) -> "KrausChannel":
@@ -581,83 +662,6 @@ class KrausChannel:
     def from_json(cls, doc: dict) -> "KrausChannel":
         return cls(
             [_matrix_from_json(k) for k in doc["kraus"]],
-            RegisterLayout.from_json(doc["layout_in"]),
-            RegisterLayout.from_json(doc["layout_out"]),
-        )
-
-
-class Instrument:
-    """A finite list of labelled CP branches that together preserve trace."""
-
-    def __init__(
-        self,
-        branches: Iterable[tuple[str, Iterable]],
-        layout_in: RegisterLayout,
-        layout_out: RegisterLayout,
-    ):
-        shape = (layout_out.total_dim, layout_in.total_dim)
-        parsed = []
-        for label, kraus in branches:
-            ops = []
-            for k in kraus:
-                arr = np.array(k, dtype=np.complex128)
-                if arr.shape != shape:
-                    raise ValidationError(
-                        f"instrument branch {label!r}: Kraus shape {arr.shape}, "
-                        f"expected {shape}"
-                    )
-                if not np.all(np.isfinite(arr)):
-                    raise ValidationError(
-                        f"instrument branch {label!r}: Kraus operator has "
-                        f"non-finite entries"
-                    )
-                arr.setflags(write=False)
-                ops.append(arr)
-            if not ops:
-                raise ValidationError(f"instrument branch {label!r} has no Kraus")
-            parsed.append((str(label), tuple(ops)))
-        labels = [lab for lab, _ in parsed]
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"duplicate instrument outcome labels: {labels}")
-        if not parsed:
-            raise ValidationError("instrument needs at least one branch")
-        self.branches = tuple(parsed)
-        self.layout_in = layout_in
-        self.layout_out = layout_out
-        acc = sum(
-            k.conj().T @ k for _, kraus in self.branches for k in kraus
-        )
-        defect = float(np.max(np.abs(acc - np.eye(layout_in.total_dim))))
-        if not defect <= TRACE_PRESERVATION_ATOL:
-            raise ValidationError(
-                f"instrument branches do not sum to a TP map (defect {defect:.2e})"
-            )
-
-    @property
-    def outcome_labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.branches)
-
-    @classmethod
-    def from_channel(cls, channel: KrausChannel, outcome: str = "ok") -> "Instrument":
-        return cls([(outcome, channel.kraus)], channel.layout_in, channel.layout_out)
-
-    def to_json(self) -> dict:
-        return {
-            "layout_in": self.layout_in.to_json(),
-            "layout_out": self.layout_out.to_json(),
-            "branches": [
-                {"outcome": label, "kraus": [_matrix_to_json(k) for k in kraus]}
-                for label, kraus in self.branches
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Instrument":
-        return cls(
-            [
-                (b["outcome"], [_matrix_from_json(k) for k in b["kraus"]])
-                for b in doc["branches"]
-            ],
             RegisterLayout.from_json(doc["layout_in"]),
             RegisterLayout.from_json(doc["layout_out"]),
         )
@@ -707,23 +711,14 @@ def _branch_kraus_action(
     target_set = set(targets)
     overlapping = [f for f in branch.factors if set(f.labels) & target_set]
     rest = tuple(f for f in branch.factors if not (set(f.labels) & target_set))
-    if overlapping:
-        merged = overlapping[0].vector
-        labels = list(overlapping[0].labels)
-        for f in overlapping[1:]:
-            merged = np.kron(merged, f.vector)
-            labels.extend(f.labels)
-    else:
-        merged = np.ones(1, dtype=np.complex128)
-        labels = []
+    merged = np.ones(1, dtype=np.complex128)
+    labels: list[str] = []
+    for f in overlapping:
+        merged = np.kron(merged, f.vector) if labels else f.vector
+        labels.extend(f.labels)
     extras = [lab for lab in labels if lab not in target_set]
     dims = [state.layout[lab].dim for lab in labels]
-    if labels:
-        perm = [labels.index(lab) for lab in targets + extras]
-        merged = merged.reshape(dims).transpose(perm)
-    d_t = int(np.prod([state.layout[lab].dim for lab in targets])) if targets else 1
-    mat = merged.reshape(d_t, -1)
-    out = kraus @ mat
+    out = kraus @ matricize(merged, dims, [labels.index(lab) for lab in targets])
     weight = float(np.linalg.norm(out) ** 2)
     if weight < BRANCH_PROB_FLOOR:
         return None
@@ -736,109 +731,84 @@ def _branch_kraus_action(
     return weight, factors
 
 
-def apply_channel(
-    channel: KrausChannel, state: QuantumState, targets: Sequence[str] | None = None
-) -> QuantumState:
-    """Apply a channel to the named registers.
+def _dense_kraus_action(rho: np.ndarray, pos: list[int], kraus: np.ndarray) -> np.ndarray:
+    """``K rho K^dagger`` with ``K`` contracted on the register axes ``pos``.
 
-    Output layout: untouched registers in their original order, then the
-    channel's output registers.
+    ``rho`` is a density matrix reshaped to one ket axis then one bra axis per
+    register. The result is a matrix over the untouched registers, in order,
+    then ``K``'s output; the cost is O(D^2 d) for d the output dimension of K.
     """
-    targets = _resolve_targets(state, channel.layout_in, targets)
-    new_layout = _output_layout(state, targets, channel.layout_out)
-    if state.is_dense:
-        if new_layout.total_dim > DENSE_CAP:
-            raise ValidationError(
-                f"dense channel application would need dimension "
-                f"{new_layout.total_dim} (cap {DENSE_CAP}); convert the state "
-                f"with as_ensemble() first"
-            )
-        rest = [lab for lab in state.layout.labels if lab not in set(targets)]
-        ordered = state.permuted(rest + targets)
-        d_rest = state.layout.subset(rest).total_dim
-        eye = np.eye(d_rest)
-        acc = np.zeros((new_layout.total_dim, new_layout.total_dim), dtype=np.complex128)
-        rho = ordered.dense.entries
-        for k in channel.kraus:
-            big = np.kron(eye, k)
-            acc += big @ rho @ big.conj().T
-        tr = float(np.real(np.trace(acc)))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValidationError(f"channel application lost trace ({tr!r})")
-        return QuantumState(new_layout, dense=MultipartiteOperator.square(acc, new_layout))
-    branches = []
-    for br in state.branches:
-        for k in channel.kraus:
-            hit = _branch_kraus_action(state, br, targets, k, channel.layout_out)
-            if hit is None:
-                continue
-            weight, factors = hit
-            p = br.probability * weight
-            if p >= BRANCH_PROB_FLOOR:
-                branches.append(EnsembleBranch(p, factors))
-    total = sum(br.probability for br in branches)
-    if abs(total - 1.0) > 1e-10:
-        raise ValidationError(f"channel application lost trace ({total!r})")
-    return QuantumState(new_layout, branches=tuple(branches))
+    m = rho.ndim // 2 - len(pos)
+    k = kraus.reshape((kraus.shape[0],) + tuple(rho.shape[p] for p in pos))
+    k_in = list(range(1, len(pos) + 1))
+    # axes (out, untouched kets, all bras), then (..., untouched bras, out bra)
+    left = np.tensordot(k, rho, axes=(k_in, pos))
+    both = np.tensordot(left, k.conj(), axes=([1 + m + p for p in pos], k_in))
+    both = np.moveaxis(both, 0, m)
+    return both.reshape(math.prod(both.shape[: m + 1]), -1)
 
 
 def apply_instrument(
     instrument: Instrument, state: QuantumState, targets: Sequence[str] | None = None
 ) -> list[tuple[str, float, QuantumState]]:
     """Apply an instrument; returns (outcome, probability, normalized state) per
-    outcome with probability above the branch floor."""
+    outcome with probability above the branch floor.
+
+    An ensemble is updated branch by branch, each Kraus operator acting on the
+    factors that touch the targets; a dense state has each Kraus operator
+    contracted with its target axes on both sides. Output layout: untouched
+    registers in their original order, then the instrument's output registers.
+    """
     targets = _resolve_targets(state, instrument.layout_in, targets)
     new_layout = _output_layout(state, targets, instrument.layout_out)
-    results = []
     if state.is_dense:
-        rest = [lab for lab in state.layout.labels if lab not in set(targets)]
-        ordered = state.permuted(rest + targets)
-        d_rest = state.layout.subset(rest).total_dim
-        eye = np.eye(d_rest)
-        rho = ordered.dense.entries
-        for label, kraus in instrument.branches:
-            acc = np.zeros(
-                (new_layout.total_dim, new_layout.total_dim), dtype=np.complex128
+        if new_layout.total_dim > DENSE_CAP:
+            raise ValidationError(
+                f"dense map application would need dimension "
+                f"{new_layout.total_dim} (cap {DENSE_CAP}); convert the state "
+                f"with as_ensemble() first"
             )
-            for k in kraus:
-                big = np.kron(eye, k)
-                acc += big @ rho @ big.conj().T
+        rho = state.dense.entries.reshape(state.layout.dims * 2)
+        pos = [state.layout.index_of(lab) for lab in targets]
+    results = []
+    for label, kraus in instrument.branches:
+        if state.is_dense:
+            acc = sum(_dense_kraus_action(rho, pos, k) for k in kraus)
             p = float(np.real(np.trace(acc)))
             if p < BRANCH_PROB_FLOOR:
                 continue
-            results.append(
-                (
-                    label,
-                    p,
-                    QuantumState(
-                        new_layout, dense=MultipartiteOperator.square(acc / p, new_layout)
-                    ),
-                )
-            )
-    else:
-        for label, kraus in instrument.branches:
-            collected = []
-            p_out = 0.0
-            for br in state.branches:
-                for k in kraus:
-                    hit = _branch_kraus_action(state, br, targets, k, instrument.layout_out)
-                    if hit is None:
-                        continue
-                    weight, factors = hit
-                    w = br.probability * weight
-                    if w >= BRANCH_PROB_FLOOR:
-                        collected.append((w, factors))
-                        p_out += w
-            if p_out < BRANCH_PROB_FLOOR:
-                continue
-            branches = tuple(
-                EnsembleBranch(w / p_out, factors) for w, factors in collected
-            )
-            results.append((label, p_out, QuantumState(new_layout, branches=branches)))
+            op = MultipartiteOperator.square(acc / p, new_layout)
+            results.append((label, p, QuantumState(new_layout, dense=op)))
+            continue
+        collected = []
+        for br in state.branches:
+            for k in kraus:
+                hit = _branch_kraus_action(state, br, targets, k, instrument.layout_out)
+                if hit is None:
+                    continue
+                w = br.probability * hit[0]
+                if w >= BRANCH_PROB_FLOOR:
+                    collected.append((w, hit[1]))
+        p = sum(w for w, _ in collected)
+        if p < BRANCH_PROB_FLOOR:
+            continue
+        branches = tuple(EnsembleBranch(w / p, factors) for w, factors in collected)
+        results.append((label, p, QuantumState(new_layout, branches=branches)))
     total = sum(p for _, p, _ in results)
-    if abs(total - 1.0) > OUTCOME_SUM_ATOL:
+    if not abs(total - 1.0) <= OUTCOME_SUM_ATOL:
         raise ValidationError(f"instrument outcome probabilities sum to {total!r}")
     return results
+
+
+def apply_channel(
+    channel: KrausChannel, state: QuantumState, targets: Sequence[str] | None = None
+) -> QuantumState:
+    """Apply a channel to the named registers: the one-outcome case of
+    ``apply_instrument``, held to a tighter trace check."""
+    ((_, p, out),) = apply_instrument(channel, state, targets)
+    if not abs(p - 1.0) <= 1e-10:
+        raise ValidationError(f"channel application lost trace ({p!r})")
+    return out
 
 
 # -- comparisons -----------------------------------------------------------

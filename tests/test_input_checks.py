@@ -87,3 +87,65 @@ def test_out_of_range_counts_are_usage_errors(argv, capsys):
     assert err.value.code == 1
     message = capsys.readouterr().err
     assert f"argument {argv[1]}:" in message
+
+
+def _drop_factors(doc):
+    del doc["ensemble"][0]["factors"]
+
+
+def _set(path, value):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop_factors,
+        _set(("ensemble",), "x"),
+        _set(("ensemble", 0, "factors", 0, "vector", 0), [0.7071]),
+        _set(("ensemble", 0, "p"), "abc"),
+        _set(("layout", 0, "dim"), "x"),
+        _set(("ensemble", 0, "p"), 10**400),
+        _set(("layout", 0, "dim"), float("inf")),
+    ],
+    ids=[
+        "no-factors",
+        "ensemble-string",
+        "one-element-pair",
+        "p-string",
+        "dim-string",
+        "p-overflow",
+        "dim-infinite",
+    ],
+)
+def test_malformed_state_document_is_refused(edit, tmp_path, capsys):
+    doc = max_entangled(2, ("A", "B")).to_json()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["schmidt", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("qcatalyst: refused:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cut", ["[1]", '"x"'])
+def test_cut_must_be_a_json_object(cut, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(max_entangled(2, ("A", "B")).to_json()))
+    with pytest.raises(SystemExit) as err:
+        main(["schmidt", "--input", str(path), "--cut", cut])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert "--cut must be a JSON object" in message
+    assert "Traceback" not in message

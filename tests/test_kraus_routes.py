@@ -1,0 +1,149 @@
+"""One Kraus-application path: the dense and ensemble routes of
+``apply_instrument`` agree outcome by outcome on targets given out of layout
+order, and a channel is the one-outcome instrument."""
+
+import numpy as np
+import pytest
+
+from qcatalyst import (
+    ALICE,
+    BOB,
+    EnsembleBranch,
+    Factor,
+    Instrument,
+    KrausChannel,
+    QuantumState,
+    Register,
+    RegisterLayout,
+    ValidationError,
+    apply_channel,
+    apply_instrument,
+    permute_registers,
+)
+from qcatalyst.registers import EMPTY_LAYOUT
+from qcatalyst.sampling import random_channel, random_pure_vector, random_unitary, rng
+
+TARGETS = ("C", "A")  # out of layout order, and not the trailing registers
+
+
+def abc_state(gen):
+    """Two-branch ensemble on A, B, C whose factors straddle the targets and
+    list their labels out of layout order."""
+    layout = RegisterLayout(
+        (Register("A", 2, ALICE), Register("B", 3, BOB), Register("C", 2, ALICE))
+    )
+    first = (
+        Factor(("A", "B"), random_pure_vector(6, gen)),
+        Factor(("C",), random_pure_vector(2, gen)),
+    )
+    second = (
+        Factor(("C", "A"), random_pure_vector(4, gen)),
+        Factor(("B",), random_pure_vector(3, gen)),
+    )
+    return QuantumState.from_branches(
+        layout, (EnsembleBranch(0.35, first), EnsembleBranch(0.65, second))
+    )
+
+
+def target_layout():
+    return RegisterLayout((Register("tC", 2, ALICE), Register("tA", 2, ALICE)))
+
+
+def reference(state, kraus_ops, targets):
+    """sum_k (1 (x) K) rho (1 (x) K)^dagger after moving the targets last."""
+    rest = [lab for lab in state.layout.labels if lab not in targets]
+    rho = permute_registers(state.densify(), rest + list(targets)).entries
+    eye = np.eye(state.layout.subset(rest).total_dim)
+    return sum(np.kron(eye, k) @ rho @ np.kron(eye, k).conj().T for k in kraus_ops)
+
+
+def assert_routes_agree(instrument, state):
+    ens = apply_instrument(instrument, state, TARGETS)
+    den = apply_instrument(instrument, state.as_dense_state(), TARGETS)
+    assert [o for o, _, _ in ens] == [o for o, _, _ in den]
+    for (label, p_e, s_e), (_, p_d, s_d), (_, kraus) in zip(ens, den, instrument.branches):
+        assert s_e.layout == s_d.layout
+        assert p_e == pytest.approx(p_d, abs=1e-12)
+        want = reference(state, kraus, TARGETS)
+        np.testing.assert_allclose(p_d * s_d.densify().entries, want, atol=1e-12)
+        np.testing.assert_allclose(
+            s_e.densify().entries, s_d.densify().entries, atol=1e-12
+        )
+    return ens
+
+
+def test_rectangular_instrument_routes_agree():
+    gen = rng(41)
+    state = abc_state(gen)
+    out = RegisterLayout((Register("X", 3, ALICE),))
+    k0, k1, k2 = random_channel(target_layout(), out, gen, kraus_count=3).kraus
+    inst = Instrument([("one", [k0]), ("two", [k1, k2])], target_layout(), out)
+    results = assert_routes_agree(inst, state)
+    assert results[0][2].layout.labels == ("B", "X")
+
+
+def test_instrument_into_empty_layout_routes_agree():
+    gen = rng(42)
+    state = abc_state(gen)
+    u = random_unitary(4, gen)
+    inst = Instrument(
+        [(f"m{j}", [u[j : j + 1, :]]) for j in range(4)], target_layout(), EMPTY_LAYOUT
+    )
+    results = assert_routes_agree(inst, state)
+    assert results[0][2].layout.labels == ("B",)
+
+
+@pytest.mark.parametrize("out_dims", [(3,), ()])
+def test_channel_routes_agree(out_dims):
+    gen = rng(43)
+    state = abc_state(gen)
+    out = RegisterLayout(tuple(Register(f"X{i}", d, ALICE) for i, d in enumerate(out_dims)))
+    ch = random_channel(target_layout(), out, gen, kraus_count=4)
+    ens = apply_channel(ch, state, TARGETS)
+    den = apply_channel(ch, state.as_dense_state(), TARGETS)
+    assert ens.layout == den.layout == RegisterLayout((state.layout["B"],) + out.registers)
+    want = reference(state, ch.kraus, TARGETS)
+    np.testing.assert_allclose(den.densify().entries, want, atol=1e-12)
+    np.testing.assert_allclose(ens.densify().entries, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_channel_is_the_sole_outcome_of_its_instrument(dense):
+    gen = rng(44)
+    state = abc_state(gen)
+    if dense:
+        state = state.as_dense_state()
+    out = RegisterLayout((Register("X", 3, ALICE),))
+    ch = random_channel(target_layout(), out, gen, kraus_count=2)
+    direct = apply_channel(ch, state, TARGETS)
+    ((label, p, via),) = apply_instrument(Instrument.from_channel(ch), state, TARGETS)
+    assert label == "ok"
+    assert p == pytest.approx(1.0, abs=1e-12)
+    assert via.layout == direct.layout
+    np.testing.assert_allclose(
+        via.densify().entries, direct.densify().entries, atol=1e-12
+    )
+
+
+def test_from_channel_shares_the_kraus_arrays():
+    gen = rng(45)
+    lay = target_layout()
+    ch = random_channel(lay, lay, gen, kraus_count=3)
+    inst = Instrument.from_channel(ch, "done")
+    assert isinstance(ch, Instrument) and ch.outcome_labels == ("ok",)
+    assert inst.outcome_labels == ("done",)
+    assert inst.layout_in is ch.layout_in and inst.layout_out is ch.layout_out
+    shared = inst.branches[0][1]
+    assert len(shared) == len(ch.kraus)
+    for mine, theirs in zip(shared, ch.kraus):
+        assert mine is theirs and not mine.flags.writeable
+
+
+def test_channel_checks_run_in_the_instrument_constructor():
+    lay = RegisterLayout((Register("A", 2, ALICE),))
+    for bad in ([np.eye(2) * 0.5], [np.eye(3)], [np.full((2, 2), np.nan)], []):
+        with pytest.raises(ValidationError) as chan_err:
+            KrausChannel(bad, lay, lay)
+        with pytest.raises(ValidationError) as inst_err:
+            Instrument([("ok", bad)], lay, lay)
+        assert str(chan_err.value) == str(inst_err.value)

@@ -255,3 +255,19 @@ class TestCli:
         assert main(["obs3", "--seeds", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "verified"
+
+
+class TestTrivialCatalyst:
+    """At n=1 the catalyst is empty: its preparation is a zero-round protocol
+    with message dimension 1, so obs1 is decided, not refused."""
+
+    def test_obs1_single_copy_verified(self):
+        report = pipeline_obs1(1)
+        assert report.verdict == "verified"
+        assert quantity(report, "message-dimension").value == 1
+        assert quantity(report, "output-distance").value < 1e-12
+
+    def test_obs1_single_copy_corruption_falsifies(self):
+        report = pipeline_obs1(1, corruption=0.3)
+        assert report.verdict == "falsified"
+        assert not quantity(report, "output-distance").ok
