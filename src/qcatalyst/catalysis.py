@@ -30,6 +30,8 @@ from .registers import (
     MultipartiteOperator,
     Register,
     RegisterLayout,
+    TOL,
+    numerical_rank,
     svd_across_cut,
 )
 from .states import (
@@ -45,8 +47,6 @@ from .entanglement import SNCertificate, sn_flagged_blocks
 
 EXPLICIT_FLAGS = "explicit-flags"
 SUPPORT_MEASUREMENT = "support-measurement"
-INPUT_MATCH_ATOL = 1e-9
-ORTHOGONALITY_ATOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,20 +74,19 @@ def _analyze(rho: QuantumState, sigma: QuantumState, n: int, mode: str) -> _Sche
         parties = {r.party for r in st.layout.registers}
         if parties != {ALICE, BOB}:
             raise ValidationError(f"{name} needs one register per party")
-        if not st.is_approx_pure(1e-9):
+        if not st.is_approx_pure():
             raise ValidationError(f"{name} must be pure for the copy-cycling protocol")
     if rho.layout != sigma.layout:
         raise ValidationError("rho and sigma must share a register layout")
 
     rho_dec = svd_across_cut(MultipartiteOperator.ket(rho.to_vector(), rho.layout))
     sig_dec = svd_across_cut(MultipartiteOperator.ket(sigma.to_vector(), sigma.layout))
-    top = sig_dec.singular_values[0]
-    if sig_dec.singular_values.size > 1 and sig_dec.singular_values[1] > 1e-9 * top:
+    if numerical_rank(sig_dec.singular_values, TOL.rank_rtol) > 1:
         raise ValidationError("sigma must be a product state across the party cut")
-    keep = rho_dec.singular_values > 1e-9 * rho_dec.singular_values[0]
+    rank = numerical_rank(rho_dec.singular_values, TOL.rank_rtol)
     rho_basis = {
-        ALICE: rho_dec.left_basis[:, keep],
-        BOB: rho_dec.right_basis[:, keep],
+        ALICE: rho_dec.left_basis[:, :rank],
+        BOB: rho_dec.right_basis[:, :rank],
     }
     sigma_local = {ALICE: sig_dec.left_basis[:, 0], BOB: sig_dec.right_basis[:, 0]}
 
@@ -98,7 +97,7 @@ def _analyze(rho: QuantumState, sigma: QuantumState, n: int, mode: str) -> _Sche
 
     orthogonal = all(
         float(np.max(np.abs(rho_basis[p].conj().T @ sigma_local[p]), initial=0.0))
-        <= ORTHOGONALITY_ATOL
+        <= TOL.orthogonality_atol
         for p in (ALICE, BOB)
     )
     if mode == "auto":
@@ -270,7 +269,7 @@ def _party_channel(scheme: _Scheme, party: str) -> KrausChannel:
         kraus.append(k)
     total = sum(g for g in gates)
     residual = np.eye(layout_in.total_dim) - total
-    if float(np.max(np.abs(residual))) > 1e-12:
+    if float(np.max(np.abs(residual))) > TOL.gate_residual_atol:
         # complete to a channel; this Kraus never fires on protocol states
         embed = np.zeros((layout_out.total_dim, layout_in.total_dim))
         embed[: layout_in.total_dim, :] = np.eye(layout_in.total_dim)
@@ -406,7 +405,7 @@ def run_clo(
     """Run both local channels on input (x) catalyst and audit the result."""
     if enforce_input:
         dist = trace_distance(input_state, protocol.rho)
-        if dist > INPUT_MATCH_ATOL:
+        if dist > TOL.input_match_atol:
             raise ProtocolError(
                 f"input is {dist:.3e} away from the protocol's rho; the catalyst "
                 f"is only guaranteed for the declared input"

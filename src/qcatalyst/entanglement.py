@@ -20,25 +20,21 @@ from .registers import (
     ALICE,
     BOB,
     MultipartiteOperator,
+    TOL,
     eig_hermitian,
     eigh_descending,
     matricize,
+    numerical_rank,
     resolve_cut,
     svd_across_cut,
 )
 from .states import QuantumState, fidelity, signed_gram_core
-
-RANK_RTOL = 1e-9
-ENTROPY_EIG_FLOOR = 1e-14
-SUPPORT_OVERLAP_ATOL = 1e-8
-WEIGHT_FLOOR = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
 class SchmidtReport:
     coefficients: np.ndarray
     rank: int
-    rank_tolerance: float
     left_labels: tuple[str, ...]
     right_labels: tuple[str, ...]
 
@@ -69,57 +65,44 @@ def _pure_ket(state: QuantumState) -> MultipartiteOperator:
 
 
 def schmidt_rank(
-    state: QuantumState,
-    cut: Mapping[str, str] | None = None,
-    tolerance: float = RANK_RTOL,
+    state: QuantumState, cut: Mapping[str, str] | None = None
 ) -> SchmidtReport:
     """Schmidt coefficients and rank of a pure state across a party cut.
 
-    Rank counts singular values above ``tolerance`` times the largest one.
+    Rank counts singular values above ``TOL.rank_rtol`` times the largest one.
     """
     dec = svd_across_cut(_pure_ket(state), cut)
     s = dec.singular_values
-    top = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tolerance * top)) if top > 0 else 0
+    rank = numerical_rank(s, TOL.rank_rtol)
     if rank < 1:
         raise ValidationError("pure state has vanishing Schmidt spectrum")
     total = float(np.sum(s**2))
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > TOL.norm_atol:
         raise ValidationError(f"Schmidt coefficients squared sum to {total!r}")
     return SchmidtReport(
         coefficients=s,
         rank=rank,
-        rank_tolerance=tolerance,
         left_labels=dec.left_labels,
         right_labels=dec.right_labels,
     )
 
 
 def sn_pure(
-    state: QuantumState,
-    cut: Mapping[str, str] | None = None,
-    tolerance: float = RANK_RTOL,
+    state: QuantumState, cut: Mapping[str, str] | None = None
 ) -> SNCertificate:
     """For pure states the Schmidt number is the Schmidt rank."""
-    rep = schmidt_rank(state, cut, tolerance)
+    rep = schmidt_rank(state, cut)
     return SNCertificate(rep.rank, rep.rank, "pure-rank", {"coefficients_len": rep.coefficients.size})
-
-
-def _support_rank(vals: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    top = float(np.max(vals, initial=0.0))
-    if top <= 0:
-        return 0
-    return int(np.sum(vals > rtol * top))
 
 
 def _local_support_dims(
     state: QuantumState, cut: Mapping[str, str] | None
 ) -> tuple[int, int]:
-    left, right = resolve_cut(state.layout, cut)
-    dims = []
-    for side in (left, right):
-        dims.append(_support_rank(state.marginal(side).eigenvalues()))
-    return dims[0], dims[1]
+    left, right = (
+        numerical_rank(state.marginal(side).eigenvalues(), TOL.rank_rtol)
+        for side in resolve_cut(state.layout, cut)
+    )
+    return left, right
 
 
 def sn_lower_fidelity(
@@ -132,12 +115,13 @@ def sn_lower_fidelity(
     wrep = schmidt_rank(witness, cut)
     d = wrep.rank
     target = 1.0 / math.sqrt(d)
-    if float(np.max(np.abs(wrep.coefficients[:d] - target))) > 1e-9:
+    spread = float(np.max(np.abs(wrep.coefficients[:d] - target)))
+    if spread > TOL.witness_uniform_atol:
         raise ValidationError(
             "witness is not maximally entangled (non-uniform Schmidt coefficients)"
         )
     f = fidelity(state, witness)
-    lower = max(1, math.ceil(d * f - 1e-9))
+    lower = max(1, math.ceil(d * f - TOL.witness_ceil_slack))
     la, lb = _local_support_dims(state, cut)
     upper = min(la, lb)
     if upper < lower:
@@ -171,16 +155,16 @@ def _branch_rank(state: QuantumState, branch, left, right) -> int:
     cut = {lab: "left" for lab in left}
     cut.update({lab: "right" for lab in right})
     dec = svd_across_cut(ket, cut)
-    return _support_rank(dec.singular_values**2)
+    return numerical_rank(dec.singular_values**2, TOL.rank_rtol)
 
 
-def _branch_side_basis(state: QuantumState, branch, side) -> np.ndarray:
-    """Orthonormal basis (columns) of a branch's local support on ``side``."""
+def _side_basis(state: QuantumState, vec: np.ndarray, side) -> np.ndarray:
+    """Orthonormal basis (columns) of the local support of the ket ``vec`` on
+    the registers ``side``."""
     rows = [state.layout.index_of(lab) for lab in side]
-    mat = matricize(state.branch_vector(branch), state.layout.dims, rows)
+    mat = matricize(vec, state.layout.dims, rows)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    keep = s > RANK_RTOL * s[0]
-    return u[:, keep]
+    return u[:, : numerical_rank(s, TOL.rank_rtol)]
 
 
 # -- exact oracle for rank-2 mixtures with a product component -------------
@@ -215,7 +199,7 @@ def _pencil_rank_one_elements(M1: np.ndarray, M2: np.ndarray):
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
     if s[0] <= 0:
         return None
-    null = [vh[i].conj() for i in range(3) if s[i] <= 1e-9 * s[0]]
+    null = [vh[i].conj() for i in range(numerical_rank(s, TOL.rank_rtol), 3)]
     candidates: list[tuple[complex, complex]] = []
 
     def from_veronese(vec):
@@ -243,12 +227,13 @@ def _pencil_rank_one_elements(M1: np.ndarray, M2: np.ndarray):
         scale = float(np.max(np.abs(coeffs)))
         if scale == 0.0:
             return None
-        roots = np.roots(coeffs) if abs(a) > 1e-12 * scale else []
+        cutoff = TOL.pencil_coeff_rtol * scale
+        roots = np.roots(coeffs) if abs(a) > cutoff else []
         for t in roots:
             from_veronese(t * n1 + n2)
-        if abs(a) <= 1e-12 * scale:
+        if abs(a) <= cutoff:
             from_veronese(n1)
-            if abs(c) > 1e-12 * scale and abs(b) > 1e-12 * scale:
+            if abs(c) > cutoff and abs(b) > cutoff:
                 from_veronese((-c / b) * n1 + n2)
     else:
         return None  # the whole pencil is rank one; preconditions cannot hold
@@ -300,11 +285,11 @@ def sn_orthogonal_mixture(
             return float(np.linalg.norm(signed_gram_core(stacked, signed)[1]))
 
     vals = spec.eigenvalues
-    if vals.size < 2 or vals[1] <= WEIGHT_FLOOR:
+    if vals.size < 2 or vals[1] <= TOL.prob_floor:
         raise OracleRefusal("not a rank-2 mixture: second eigenvalue vanishes")
-    if vals.size > 2 and vals[2] > RANK_RTOL * vals[0]:
+    if numerical_rank(vals, TOL.rank_rtol) > 2:
         raise OracleRefusal(f"not a rank-2 mixture: third eigenvalue {vals[2]:.2e}")
-    left, _ = resolve_cut(state.layout, cut)
+    left, right = resolve_cut(state.layout, cut)
     rows = [state.layout.index_of(lab) for lab in left]
 
     def as_matrix(vec):
@@ -322,43 +307,36 @@ def sn_orthogonal_mixture(
     for a, b in candidates or ():
         w = a * v1 + b * v2
         nrm = np.linalg.norm(w)
-        if nrm < 1e-9:
+        if nrm < TOL.pencil_norm_floor:
             continue
         w = w / nrm
         sv = np.linalg.svd(as_matrix(w), compute_uv=False)
-        if sv[0] <= 0 or sv[1] > 1e-8 * sv[0]:
+        if numerical_rank(sv, TOL.product_rtol) != 1:
             continue
         comp = v1 - (w.conj() @ v1) * w
-        if np.linalg.norm(comp) < 1e-6:
+        if np.linalg.norm(comp) < TOL.complement_floor:
             comp = v2 - (w.conj() @ v2) * w
         pairs.append((w, comp / np.linalg.norm(comp)))
     pairs.append((v1, v2))
-
-    def side_basis(vec, transpose=False):
-        m = as_matrix(vec)
-        if transpose:
-            m = m.T
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        return u[:, s > RANK_RTOL * s[0]]
 
     reasons = []
     for x, y in pairs:
         w_x = weight(x)
         w_y = weight(y)
-        if min(w_x, w_y) < WEIGHT_FLOOR:
+        if min(w_x, w_y) < TOL.prob_floor:
             reasons.append("a component carries no weight")
             continue
         # the pair must actually decompose the state, not merely span it
         defect = defect_of(x, y, w_x, w_y)
-        if not defect <= 1e-8:
+        if not defect <= TOL.decomposition_atol:
             reasons.append(f"pair is not a decomposition (defect {defect:.2e})")
             continue
         overlap_bad = None
-        for transpose, name in ((False, "left"), (True, "right")):
-            bx = side_basis(x, transpose)
-            by = side_basis(y, transpose)
+        for side, name in ((left, "left"), (right, "right")):
+            bx = _side_basis(state, x, side)
+            by = _side_basis(state, y, side)
             overlap = float(np.linalg.norm(bx.conj().T @ by, 2))
-            if overlap > SUPPORT_OVERLAP_ATOL:
+            if overlap > TOL.support_overlap_atol:
                 overlap_bad = f"{name} local supports overlap ({overlap:.2e})"
                 break
         if overlap_bad:
@@ -367,7 +345,7 @@ def sn_orthogonal_mixture(
         ranks = []
         for vec in (x, y):
             sv = np.linalg.svd(as_matrix(vec), compute_uv=False)
-            ranks.append(_support_rank(sv**2))
+            ranks.append(numerical_rank(sv**2, TOL.rank_rtol))
         rank = max(ranks)
         return SNCertificate(
             rank,
@@ -391,9 +369,9 @@ def sn_orthogonal_mixture(
 def _basis_index(factor) -> int | None:
     v = factor.vector
     k = int(np.argmax(np.abs(v)))
-    if abs(abs(v[k]) - 1.0) > 1e-9:
+    if abs(abs(v[k]) - 1.0) > TOL.basis_vector_atol:
         return None
-    if np.sum(np.abs(v) > 1e-9) != 1:
+    if np.sum(np.abs(v) > TOL.basis_vector_atol) != 1:
         return None
     return k
 
@@ -447,13 +425,14 @@ def sn_flagged_blocks(
             )
     else:
         left, right = resolve_cut(state.layout, cut)
-        bases_l = [_branch_side_basis(state, br, left) for br in state.branches]
-        bases_r = [_branch_side_basis(state, br, right) for br in state.branches]
+        kets = [state.branch_vector(br) for br in state.branches]
+        bases_l = [_side_basis(state, v, left) for v in kets]
+        bases_r = [_side_basis(state, v, right) for v in kets]
         for i in range(len(state.branches)):
             for j in range(i + 1, len(state.branches)):
                 for bases, name in ((bases_l, "left"), (bases_r, "right")):
                     ov = float(np.linalg.norm(bases[i].conj().T @ bases[j], 2))
-                    if ov > SUPPORT_OVERLAP_ATOL:
+                    if ov > TOL.support_overlap_atol:
                         raise OracleRefusal(
                             f"branches {i} and {j} have overlapping {name} supports "
                             f"({ov:.2e}); blocks are not classically readable"
@@ -489,7 +468,7 @@ def sn_flagged_blocks(
 
 def _entropy_from_eigenvalues(vals: np.ndarray) -> float:
     vals = np.real(vals)
-    vals = vals[vals > ENTROPY_EIG_FLOOR]
+    vals = vals[vals > TOL.entropy_eig_floor]
     return float(-np.sum(vals * np.log2(vals)))
 
 

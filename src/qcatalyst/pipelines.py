@@ -26,6 +26,7 @@ from .registers import (
     MultipartiteOperator,
     Register,
     RegisterLayout,
+    TOL,
 )
 from .states import (
     EnsembleBranch,
@@ -65,10 +66,6 @@ from .sampling import random_density_matrix, rng
 VERIFIED = "verified"
 FALSIFIED = "falsified"
 REFUSED = "refused"
-
-DISTANCE_TOL_EXACT = 1e-10
-DISTANCE_TOL_COMPILED = 1e-8
-ENTROPY_TOL = 1e-9
 
 
 # -- report documents -------------------------------------------------------
@@ -325,7 +322,7 @@ def pipeline_lemma1(
             q_le(
                 "output-distance",
                 report.output_distance,
-                DISTANCE_TOL_EXACT,
+                TOL.distance_exact_atol,
                 "trace distance to the analytic mixture",
             )
         )
@@ -333,7 +330,7 @@ def pipeline_lemma1(
             q_le(
                 "catalyst-restoration-distance",
                 report.restoration_distance,
-                DISTANCE_TOL_EXACT,
+                TOL.distance_exact_atol,
                 "trace distance catalyst out vs in",
             )
         )
@@ -396,13 +393,13 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
             )
         clo = run_clo(protocol, family.rho)
         quantities.append(
-            q_le("clo-output-distance", clo.output_distance, DISTANCE_TOL_EXACT)
+            q_le("clo-output-distance", clo.output_distance, TOL.distance_exact_atol)
         )
         quantities.append(
             q_le(
                 "clo-catalyst-restoration",
                 clo.restoration_distance,
-                DISTANCE_TOL_EXACT,
+                TOL.distance_exact_atol,
             )
         )
         quantities.append(
@@ -437,12 +434,12 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
             q_le(
                 "converse-distance",
                 trace_distance(achieved, converse.target),
-                DISTANCE_TOL_COMPILED,
+                TOL.distance_compiled_atol,
                 f"explicit protocol with one message of dimension {family.d_enough}",
             )
         )
         quantities.append(
-            q_approx("converse-success-probability", prob, 1.0, 1e-9)
+            q_approx("converse-success-probability", prob, 1.0, TOL.success_prob_atol)
         )
         quantities.append(
             q_eq(
@@ -541,7 +538,7 @@ def pipeline_obs3(seeds: int = 10, corruption: float = 0.0) -> ReportDocument:
             q_le(
                 "locc-distance",
                 trace_distance(achieved, goal),
-                DISTANCE_TOL_EXACT,
+                TOL.distance_exact_atol,
                 "one broadcast bit plus conditioned flips",
             )
         )
@@ -564,7 +561,7 @@ def pipeline_obs3(seeds: int = 10, corruption: float = 0.0) -> ReportDocument:
                 "target-conditional-entropy",
                 target_cond,
                 0.0,
-                ENTROPY_TOL,
+                TOL.entropy_atol,
                 "analytic: referee copies the receiver",
             )
         )
@@ -598,7 +595,7 @@ def pipeline_obs3(seeds: int = 10, corruption: float = 0.0) -> ReportDocument:
                     f"conditional-entropy[{label}]",
                     value,
                     1.0,
-                    ENTROPY_TOL,
+                    TOL.entropy_atol,
                     "referee vs receiver-plus-catalyst",
                 )
             )
@@ -609,7 +606,7 @@ def pipeline_obs3(seeds: int = 10, corruption: float = 0.0) -> ReportDocument:
                 "entropy-gap",
                 worst_gap,
                 1.0,
-                1e-6,
+                TOL.entropy_gap_atol,
                 "local processing cannot close a conditional-entropy gap",
             )
         )
@@ -679,7 +676,7 @@ def pipeline_obs1(
             q_le(
                 "prepared-catalyst-distance",
                 cat_dist,
-                DISTANCE_TOL_COMPILED,
+                TOL.distance_compiled_atol,
                 "compiled preparation vs catalyst",
             )
         )
@@ -707,7 +704,7 @@ def pipeline_obs1(
             q_le(
                 "output-distance",
                 out_dist,
-                DISTANCE_TOL_COMPILED,
+                TOL.distance_compiled_atol,
                 "simulated catalytic protocol vs analytic mixture",
             )
         )
@@ -716,7 +713,7 @@ def pipeline_obs1(
             q_le(
                 "catalyst-restoration-distance",
                 trace_distance(restored, plan.catalyst),
-                DISTANCE_TOL_COMPILED,
+                TOL.distance_compiled_atol,
                 "catalyst after the simulated run",
             )
         )
@@ -747,7 +744,7 @@ def pipeline_schmidt(
                 )
             )
         else:
-            cert = sn_flagged_blocks(state, cut=cut)
+            cert = sn_flagged_blocks(state.as_ensemble(), cut=cut)
             quantities.append(q_info("kind", "mixed"))
             quantities.append(q_info("sn-lower", cert.lower, cert.method))
             quantities.append(q_info("sn-upper", cert.upper, cert.method))

@@ -29,6 +29,8 @@ from .registers import (
     MultipartiteOperator,
     Register,
     RegisterLayout,
+    TOL,
+    numerical_rank,
     svd_across_cut,
 )
 from .states import (
@@ -269,12 +271,6 @@ class BranchLeaf:
     probability: float
     state: QuantumState
 
-    def outcome_of(self, round_name: str) -> str:
-        for name, outcome in self.path:
-            if name == round_name:
-                return outcome
-        raise ProtocolError(f"no outcome recorded for round {round_name!r}")
-
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolLedger:
@@ -499,9 +495,7 @@ class FiltrationPlan:
     success_probability: float
 
 
-def filter_to_max_entangled(
-    state: QuantumState, tolerance: float = 1e-12
-) -> FiltrationPlan:
+def filter_to_max_entangled(state: QuantumState) -> FiltrationPlan:
     """Two-outcome local filter taking a bipartite pure state to the uniform
     maximally entangled state on its Schmidt rank.
 
@@ -521,7 +515,7 @@ def filter_to_max_entangled(
         labels = state.layout.labels
     dec = svd_across_cut(MultipartiteOperator.ket(state.to_vector(), state.layout))
     coeffs = dec.singular_values
-    rank = int(np.sum(coeffs > tolerance * coeffs[0]))
+    rank = numerical_rank(coeffs, TOL.protocol_rank_rtol)
     lam_min = float(coeffs[rank - 1] ** 2)
     da = state.layout[labels[0]].dim
     db = state.layout[labels[1]].dim
@@ -763,7 +757,7 @@ def construct_converse(
 
     # sample the mixture component, then build it with the far half compressed
     probs = [float(p) for p, _ in components]
-    if abs(sum(probs) - 1.0) > 1e-9 or min(probs) <= 0:
+    if abs(sum(probs) - 1.0) > TOL.outcome_sum_atol or min(probs) <= 0:
         raise ValidationError("component weights must be positive and sum to 1")
     sampler = Instrument(
         [
@@ -798,8 +792,7 @@ def construct_converse(
         dec = svd_across_cut(
             MultipartiteOperator.ket(comp.to_vector(), comp.layout)
         )
-        keep = dec.singular_values > 1e-12 * dec.singular_values[0]
-        rank = int(np.sum(keep))
+        rank = numerical_rank(dec.singular_values, TOL.protocol_rank_rtol)
         if rank > dk:
             raise ProtocolError(
                 f"component {i} has Schmidt rank {rank}, beyond the "
@@ -905,8 +898,7 @@ def compile_catalyst_prep(catalyst: QuantumState) -> CatalystPrepPlan:
         dec = svd_across_cut(
             MultipartiteOperator.ket(ordered.to_vector(), ordered.layout)
         )
-        keep = dec.singular_values > 1e-12 * dec.singular_values[0]
-        rank = int(np.sum(keep))
+        rank = numerical_rank(dec.singular_values, TOL.protocol_rank_rtol)
         dim_msg = max(dim_msg, rank)
         branch_data.append((br.probability, dec, rank))
 

@@ -1,9 +1,11 @@
-"""Register-labelled dense linear algebra.
+"""Register-labelled dense linear algebra, and the package's numerical contract.
 
 Operators carry an ordered list of named registers on each side; the leftmost
 register is the most significant index of the row-major matrix. Everything in
 here is dense numpy and is meant for desk-scale dimensions (a global matrix is
-never allowed to grow beyond ``DENSE_CAP`` per side).
+never allowed to grow beyond ``DENSE_CAP`` per side). ``TOL`` holds every
+tolerance, floor and relative rank cutoff the package compares against, and
+``numerical_rank`` is the one place a relative rank cutoff is applied.
 """
 
 from __future__ import annotations
@@ -21,10 +23,64 @@ BOB = "Bob"
 REFEREE = "Referee"
 PARTIES = (ALICE, BOB, REFEREE)
 
-# Numerical contract knobs, shared by the rest of the package.
-HERMITICITY_ATOL = 1e-10
-RECONSTRUCTION_ATOL = 1e-9
 DENSE_CAP = 2000
+
+
+@dataclasses.dataclass(frozen=True)
+class Tolerances:
+    """Every numerical cutoff of the package, each written once: ``*_atol``
+    bounds an absolute defect, ``*_floor`` drops what lies below it, and
+    ``*_rtol`` is relative to the largest value (see ``numerical_rank``)."""
+
+    # validity of states, kets and maps
+    hermiticity_atol: float = 1e-10  # dense operator Hermitian, unit trace, PSD
+    norm_atol: float = 1e-10  # a ket or factor has unit norm
+    prob_sum_atol: float = 1e-12  # ensemble branch probabilities sum to 1
+    trace_preservation_atol: float = 1e-9  # sum of K^dagger K is the identity
+    outcome_sum_atol: float = 1e-9  # outcome or component probabilities sum to 1
+    channel_trace_atol: float = 1e-10  # a channel keeps the trace
+    gate_residual_atol: float = 1e-12  # catalytic stage gates cover the input
+    reconstruction_atol: float = 1e-9  # a decomposition rebuilds its input
+    imag_residue_atol: float = 1e-12  # a fidelity is real
+    purity_atol: float = 1e-9  # a state counts as pure
+    basis_vector_atol: float = 1e-9  # a flag factor is a basis vector
+    # floors
+    prob_floor: float = 1e-12  # a branch, outcome or mixture weight below is zero
+    entropy_eig_floor: float = 1e-14  # eigenvalues below count as zero in an entropy
+    # relative rank cutoffs; a certificate must not count round-off as Schmidt
+    # rank, a protocol compiler must keep every coefficient it reproduces
+    rank_rtol: float = 1e-9  # Schmidt and support ranks in certificates
+    protocol_rank_rtol: float = 1e-12  # Schmidt ranks in protocol compilers
+    product_rtol: float = 1e-8  # a pencil element is a product vector
+    # Schmidt-number certificates
+    pencil_coeff_rtol: float = 1e-12  # a pencil quadratic's coefficient vanishes
+    pencil_norm_floor: float = 1e-9  # a pencil element vanishes
+    complement_floor: float = 1e-6  # an eigenvector is parallel to the product
+    decomposition_atol: float = 1e-8  # a candidate pair rebuilds the state
+    support_overlap_atol: float = 1e-8  # local supports are orthogonal
+    witness_uniform_atol: float = 1e-9  # witness Schmidt coefficients are uniform
+    witness_ceil_slack: float = 1e-9  # round-off allowed below ceil(d F)
+    # catalytic protocol set-up
+    input_match_atol: float = 1e-9  # the input equals the protocol's rho
+    orthogonality_atol: float = 1e-9  # rho and sigma have orthogonal local supports
+    # report checks
+    distance_exact_atol: float = 1e-10  # distance of an exact construction
+    distance_compiled_atol: float = 1e-8  # distance of a compiled protocol
+    entropy_atol: float = 1e-9  # a conditional entropy
+    entropy_gap_atol: float = 1e-6  # the conditional-entropy gap
+    success_prob_atol: float = 1e-9  # a deterministic protocol succeeds
+
+
+TOL = Tolerances()
+
+
+def numerical_rank(values: np.ndarray, rtol: float) -> int:
+    """Number of ``values`` above ``rtol`` times the largest one; 0 when none
+    is positive."""
+    top = float(np.max(values, initial=0.0))
+    if not top > 0:
+        return 0
+    return int(np.sum(values > rtol * top))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,8 +94,9 @@ class Register:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise LayoutError("register label must be a non-empty string")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise LayoutError(f"register {self.label!r} has invalid dim {self.dim!r}")
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise LayoutError(f"register {self.label!r} has invalid dim {dim!r}")
         if self.party not in PARTIES:
             raise LayoutError(
                 f"register {self.label!r} has unknown party {self.party!r}; "
@@ -140,8 +197,8 @@ class RegisterLayout:
     @classmethod
     def from_json(cls, data: list) -> "RegisterLayout":
         try:
-            return cls.build((d["label"], int(d["dim"]), d["party"]) for d in data)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return cls.build((d["label"], d["dim"], d["party"]) for d in data)
+        except (KeyError, TypeError) as exc:
             raise LayoutError(f"malformed layout JSON: {exc}") from exc
 
 
@@ -173,10 +230,6 @@ class MultipartiteOperator:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, layout: RegisterLayout) -> "MultipartiteOperator":
-        return cls(np.eye(layout.total_dim), layout, layout)
-
-    @classmethod
     def square(cls, entries, layout: RegisterLayout) -> "MultipartiteOperator":
         return cls(entries, layout, layout)
 
@@ -191,34 +244,15 @@ class MultipartiteOperator:
     def is_square(self) -> bool:
         return self.layout_in == self.layout_out
 
-    @property
-    def is_ket(self) -> bool:
-        return len(self.layout_in) == 0 and len(self.layout_out) > 0
-
-    def dagger(self) -> "MultipartiteOperator":
-        return MultipartiteOperator(self.entries.conj().T, self.layout_in, self.layout_out)
-
     def trace(self) -> complex:
         if not self.is_square:
             raise ValidationError("trace requires matching input/output layouts")
         return complex(np.trace(self.entries))
 
-    def vector(self) -> np.ndarray:
-        if len(self.layout_in) != 0:
-            raise ValidationError("vector() requires an empty input layout")
-        return self.entries[:, 0].copy()
-
     def max_hermiticity_defect(self) -> float:
         if not self.is_square:
             raise ValidationError("hermiticity defect requires a square operator")
         return float(np.max(np.abs(self.entries - self.entries.conj().T), initial=0.0))
-
-    def __matmul__(self, other: "MultipartiteOperator") -> "MultipartiteOperator":
-        if self.layout_in != other.layout_out:
-            raise LayoutError("operator composition: inner layouts do not match")
-        return MultipartiteOperator(
-            self.entries @ other.entries, self.layout_out, other.layout_in
-        )
 
 
 def tensor_product(x: MultipartiteOperator, y: MultipartiteOperator) -> MultipartiteOperator:
@@ -316,10 +350,6 @@ class SpectralResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, matching eigenvalue order
 
-    def reconstruction(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def _canonical_phases(columns: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
@@ -347,7 +377,7 @@ def eigh_descending(sym: np.ndarray, basis: np.ndarray | None = None) -> Spectra
     vecs = vecs[:, order]
     recon = (vecs * vals) @ vecs.conj().T
     err = float(np.max(np.abs(recon - sym), initial=0.0))
-    if not err <= RECONSTRUCTION_ATOL:
+    if not err <= TOL.reconstruction_atol:
         raise ValidationError(f"eigendecomposition reconstruction error {err:.2e}")
     if basis is not None:
         vecs = basis @ vecs
@@ -359,7 +389,7 @@ def eig_hermitian(x: MultipartiteOperator) -> SpectralResult:
     if not x.is_square:
         raise ValidationError("eig_hermitian requires a square operator")
     defect = x.max_hermiticity_defect()
-    if defect > HERMITICITY_ATOL:
+    if defect > TOL.hermiticity_atol:
         raise ValidationError(f"operator is not Hermitian (defect {defect:.2e})")
     return eigh_descending((x.entries + x.entries.conj().T) / 2.0)
 
@@ -414,7 +444,7 @@ def svd_across_cut(
     if len(v.layout_in) != 0:
         raise ValidationError("svd_across_cut expects a ket")
     norm = float(np.linalg.norm(v.entries))
-    if abs(norm - 1.0) > HERMITICITY_ATOL:
+    if abs(norm - 1.0) > TOL.norm_atol:
         raise ValidationError(f"ket is not normalized (norm {norm!r})")
     layout = v.layout_out
     left, right = resolve_cut(layout, cut)
@@ -432,7 +462,7 @@ def svd_across_cut(
             vh[j, :] = vh[j, :] / ph
     recon = (u * s) @ vh
     err = float(np.max(np.abs(recon - mat), initial=0.0))
-    if err > RECONSTRUCTION_ATOL:
+    if err > TOL.reconstruction_atol:
         raise ValidationError(f"SVD reconstruction error {err:.2e}")
     # Right Schmidt vectors are the rows of vh taken as kets (no conjugate):
     # v = sum_k s_k u[:,k] (x) vh[k,:].

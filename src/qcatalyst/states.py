@@ -24,7 +24,9 @@ core ``R diag(w) R^dagger``, and its eigenvectors are ``Q`` times those of the
 core (``signed_gram_core``). Signed weights give differences of states. The
 dense route, through ``densify``, is kept for dense-represented operands and
 for mixed dense/ensemble pairs, and serves as the independent cross-check of
-the low-rank route. Both routes refuse dimensions above ``DENSE_CAP``.
+the low-rank route. Both routes refuse dimensions above ``DENSE_CAP``. Every
+cutoff used here (norms, probability sums, trace preservation, purity, the
+floor below which a branch or outcome is dropped) is an entry of ``TOL``.
 """
 
 from __future__ import annotations
@@ -42,22 +44,15 @@ from .registers import (
     BOB,
     DENSE_CAP,
     EMPTY_LAYOUT,
-    HERMITICITY_ATOL,
     MultipartiteOperator,
     Register,
     RegisterLayout,
+    TOL,
     eig_hermitian,
     matricize,
     partial_trace,
     permute_registers,
 )
-
-TRACE_PRESERVATION_ATOL = 1e-9
-NORM_ATOL = 1e-10
-PROB_SUM_ATOL = 1e-12
-BRANCH_PROB_FLOOR = 1e-12
-OUTCOME_SUM_ATOL = 1e-9
-
 
 @dataclasses.dataclass(frozen=True)
 class Factor:
@@ -102,13 +97,13 @@ class QuantumState:
         if not np.all(np.isfinite(op.entries)):
             raise ValidationError("density matrix has non-finite entries")
         defect = op.max_hermiticity_defect()
-        if not defect <= HERMITICITY_ATOL:
+        if not defect <= TOL.hermiticity_atol:
             raise ValidationError(f"density matrix not Hermitian (defect {defect:.2e})")
         tr = op.trace()
-        if not abs(tr - 1.0) <= HERMITICITY_ATOL:
+        if not abs(tr - 1.0) <= TOL.hermiticity_atol:
             raise ValidationError(f"density matrix trace {tr!r} is not 1")
         lo = float(np.min(np.linalg.eigvalsh((op.entries + op.entries.conj().T) / 2)))
-        if not lo >= -HERMITICITY_ATOL:
+        if not lo >= -TOL.hermiticity_atol:
             raise ValidationError(f"density matrix has negative eigenvalue {lo:.2e}")
         return cls(op.layout_out, dense=op)
 
@@ -147,7 +142,7 @@ class QuantumState:
                         f"factor on {f.labels} has non-finite amplitudes"
                     )
                 nrm = float(np.linalg.norm(f.vector))
-                if not abs(nrm - 1.0) <= NORM_ATOL:
+                if not abs(nrm - 1.0) <= TOL.norm_atol:
                     raise ValidationError(
                         f"factor on {f.labels} is not normalized (norm {nrm!r})"
                     )
@@ -156,7 +151,7 @@ class QuantumState:
                     f"branch factors cover {sorted(seen)}, layout has "
                     f"{sorted(layout.labels)}"
                 )
-        if not abs(total - 1.0) <= PROB_SUM_ATOL:
+        if not abs(total - 1.0) <= TOL.prob_sum_atol:
             raise ValidationError(f"branch probabilities sum to {total!r}")
         return cls(layout, branches=branches)
 
@@ -247,7 +242,7 @@ class QuantumState:
         branches = tuple(
             EnsembleBranch(float(p), (Factor(labels, spec.eigenvectors[:, k]),))
             for k, p in enumerate(spec.eigenvalues)
-            if p > BRANCH_PROB_FLOOR
+            if p > TOL.prob_floor
         )
         return QuantumState(self.layout, branches=branches)
 
@@ -258,13 +253,13 @@ class QuantumState:
                 return self.branch_vector(self.branches[0])
             return self.as_dense_state().to_vector()
         spec = eig_hermitian(self.dense)
-        if spec.eigenvalues[0] < 1.0 - 1e-9:
+        if spec.eigenvalues[0] < 1.0 - TOL.purity_atol:
             raise ValidationError(
                 f"state is not pure (top eigenvalue {spec.eigenvalues[0]!r})"
             )
         return spec.eigenvectors[:, 0].copy()
 
-    def is_approx_pure(self, tol: float = 1e-9) -> bool:
+    def is_approx_pure(self) -> bool:
         if self.is_dense:
             op = self.dense.entries
             purity = float(np.real(np.trace(op @ op)))
@@ -276,7 +271,7 @@ class QuantumState:
             # tr(rho^2) is the squared Frobenius norm of the Hermitian core
             core = signed_gram_core(*self.branch_kets())[1]
             purity = float(np.linalg.norm(core) ** 2)
-        return purity >= 1.0 - tol
+        return purity >= 1.0 - TOL.purity_atol
 
     # -- reshaping ---------------------------------------------------------
 
@@ -329,7 +324,7 @@ class QuantumState:
                 ]
             for w, fs in combos:
                 p = br.probability * w
-                if p < BRANCH_PROB_FLOOR:
+                if p < TOL.prob_floor:
                     continue
                 out.append(EnsembleBranch(p, tuple(kept_whole) + fs))
         if not out:
@@ -344,7 +339,7 @@ class QuantumState:
         options = []
         for j in range(s.size):
             w = float(s[j] ** 2)
-            if w < BRANCH_PROB_FLOOR:
+            if w < TOL.prob_floor:
                 continue
             options.append((w, Factor(tuple(keep), u[:, j])))
         return options
@@ -426,10 +421,7 @@ class QuantumState:
                 branches = [
                     EnsembleBranch(
                         float(item["p"]),
-                        tuple(
-                            Factor(tuple(f["labels"]), _vector_from_json(f["vector"]))
-                            for f in item["factors"]
-                        ),
+                        tuple(_factor_from_json(f) for f in item["factors"]),
                     )
                     for item in doc["ensemble"]
                 ]
@@ -515,7 +507,7 @@ def tensor_states(a: QuantumState, b: QuantumState) -> QuantumState:
     for ba in a.branches:
         for bb in b.branches:
             p = ba.probability * bb.probability
-            if p < BRANCH_PROB_FLOOR:
+            if p < TOL.prob_floor:
                 continue
             branches.append(EnsembleBranch(p, ba.factors + bb.factors))
     return QuantumState(layout, branches=tuple(branches))
@@ -531,6 +523,13 @@ def _matrix_to_json(m: np.ndarray) -> list:
 def _vector_from_json(pairs: list) -> np.ndarray:
     """Complex entries from a list of ``[re, im]`` pairs."""
     return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+
+
+def _factor_from_json(doc: dict) -> Factor:
+    labels = doc["labels"]
+    if not (isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)):
+        raise ValidationError(f"factor labels {labels!r} are not a list of strings")
+    return Factor(tuple(labels), _vector_from_json(doc["vector"]))
 
 
 def _matrix_from_json(rows: list) -> np.ndarray:
@@ -580,7 +579,7 @@ class Instrument:
         self.layout_in = layout_in
         self.layout_out = layout_out
         defect = self.trace_preservation_defect()
-        if not defect <= TRACE_PRESERVATION_ATOL:
+        if not defect <= TOL.trace_preservation_atol:
             raise ValidationError(
                 f"Kraus operators are not trace preserving (defect {defect:.2e})"
             )
@@ -720,7 +719,7 @@ def _branch_kraus_action(
     dims = [state.layout[lab].dim for lab in labels]
     out = kraus @ matricize(merged, dims, [labels.index(lab) for lab in targets])
     weight = float(np.linalg.norm(out) ** 2)
-    if weight < BRANCH_PROB_FLOOR:
+    if weight < TOL.prob_floor:
         return None
     out = out / np.sqrt(weight)
     new_labels = tuple(layout_out.labels) + tuple(extras)
@@ -775,7 +774,7 @@ def apply_instrument(
         if state.is_dense:
             acc = sum(_dense_kraus_action(rho, pos, k) for k in kraus)
             p = float(np.real(np.trace(acc)))
-            if p < BRANCH_PROB_FLOOR:
+            if p < TOL.prob_floor:
                 continue
             op = MultipartiteOperator.square(acc / p, new_layout)
             results.append((label, p, QuantumState(new_layout, dense=op)))
@@ -787,15 +786,15 @@ def apply_instrument(
                 if hit is None:
                     continue
                 w = br.probability * hit[0]
-                if w >= BRANCH_PROB_FLOOR:
+                if w >= TOL.prob_floor:
                     collected.append((w, hit[1]))
         p = sum(w for w, _ in collected)
-        if p < BRANCH_PROB_FLOOR:
+        if p < TOL.prob_floor:
             continue
         branches = tuple(EnsembleBranch(w / p, factors) for w, factors in collected)
         results.append((label, p, QuantumState(new_layout, branches=branches)))
     total = sum(p for _, p, _ in results)
-    if not abs(total - 1.0) <= OUTCOME_SUM_ATOL:
+    if not abs(total - 1.0) <= TOL.outcome_sum_atol:
         raise ValidationError(f"instrument outcome probabilities sum to {total!r}")
     return results
 
@@ -806,7 +805,7 @@ def apply_channel(
     """Apply a channel to the named registers: the one-outcome case of
     ``apply_instrument``, held to a tighter trace check."""
     ((_, p, out),) = apply_instrument(channel, state, targets)
-    if not abs(p - 1.0) <= 1e-10:
+    if not abs(p - 1.0) <= TOL.channel_trace_atol:
         raise ValidationError(f"channel application lost trace ({p!r})")
     return out
 
@@ -827,7 +826,7 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     vec = b.to_vector()
     if a.is_dense:
         val = vec.conj() @ a.dense.entries @ vec
-        if abs(val.imag) > 1e-12:
+        if abs(val.imag) > TOL.imag_residue_atol:
             raise ValidationError(f"fidelity has imaginary residue {val.imag:.2e}")
         return float(val.real)
     acc = 0.0

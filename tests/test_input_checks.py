@@ -149,3 +149,32 @@ def test_cut_must_be_a_json_object(cut, tmp_path, capsys):
     message = capsys.readouterr().err
     assert "--cut must be a JSON object" in message
     assert "Traceback" not in message
+
+
+def _refused_with_one_line(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["schmidt", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("qcatalyst: refused:")
+    return err
+
+
+@pytest.mark.parametrize("dim", [2.7, True, 2.0], ids=["float", "bool", "integral-float"])
+def test_register_dim_must_be_a_json_integer(dim, tmp_path, capsys):
+    doc = max_entangled(2, ("A", "B")).to_json()
+    doc["layout"][0]["dim"] = dim
+    err = _refused_with_one_line(doc, tmp_path, capsys)
+    assert "invalid dim" in err
+
+
+@pytest.mark.parametrize("labels", ["AB", ["A", 1], {"A": 0, "B": 1}])
+def test_factor_labels_must_be_a_list_of_strings(labels, tmp_path, capsys):
+    doc = max_entangled(2, ("A", "B")).to_json()
+    doc["ensemble"][0]["factors"][0]["labels"] = labels
+    err = _refused_with_one_line(doc, tmp_path, capsys)
+    assert "not a list of strings" in err

@@ -3,9 +3,17 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from qcatalyst import ValidationError, max_entangled, tensor_states
+from qcatalyst import (
+    EnsembleBranch,
+    Factor,
+    QuantumState,
+    ValidationError,
+    max_entangled,
+    tensor_states,
+)
 from qcatalyst.cli import main
 from qcatalyst.pipelines import (
     pipeline_lemma1,
@@ -271,3 +279,33 @@ class TestTrivialCatalyst:
         report = pipeline_obs1(1, corruption=0.3)
         assert report.verdict == "falsified"
         assert not quantity(report, "output-distance").ok
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "graded"])
+def test_dense_classically_correlated_schmidt_matches_ensemble(
+    d, uniform, tmp_path, capsys
+):
+    """A dense sum_i p_i |ii><ii| is analysed through its ensemble form, so
+    both documents report Schmidt number 1."""
+    p = np.full(d, 1.0 / d) if uniform else np.arange(1, d + 1) / (d * (d + 1) / 2)
+    layout = max_entangled(d, ("A", "B")).layout
+    diag = np.zeros(d * d)
+    diag[[i * d + i for i in range(d)]] = p
+    dense = QuantumState.from_dense_matrix(np.diag(diag), layout)
+    ensemble = QuantumState.from_branches(
+        layout,
+        [
+            EnsembleBranch(float(p[i]), (Factor(("A", "B"), np.eye(d * d)[i * d + i]),))
+            for i in range(d)
+        ],
+    )
+    reports = []
+    for name, state in (("dense", dense), ("ensemble", ensemble)):
+        path = tmp_path / f"{name}.json"
+        write_state(path, state)
+        assert main(["schmidt", "--input", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        reports.append({q["name"]: q["value"] for q in doc["quantities"]})
+    assert reports[0] == reports[1]
+    assert reports[0]["sn-lower"] == reports[0]["sn-upper"] == 1

@@ -1,0 +1,55 @@
+"""Every numerical cutoff of the package is an entry of ``registers.TOL``.
+
+The source is parsed, not imported: a float literal below 1e-3 anywhere in
+``src/qcatalyst`` outside the ``Tolerances`` class body is a cutoff written
+in place, and a table entry that no module reads is a dead knob.
+"""
+
+import ast
+import dataclasses
+import pathlib
+
+from qcatalyst.registers import TOL
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qcatalyst"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _table_lines(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "Tolerances":
+            return set(range(node.lineno, node.end_lineno + 1))
+    return set()
+
+
+def test_no_small_float_literal_outside_the_table():
+    stray = []
+    for name, tree in _modules().items():
+        table = _table_lines(tree) if name == "registers.py" else set()
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0 < node.value < 1e-3
+                and node.lineno not in table
+            ):
+                stray.append(f"{name}:{node.lineno}: {node.value!r}")
+    assert not stray, "cutoffs written outside registers.TOL:\n" + "\n".join(stray)
+
+
+def test_every_table_entry_is_read():
+    read = {
+        node.attr
+        for tree in _modules().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "TOL"
+    }
+    entries = {field.name for field in dataclasses.fields(TOL)}
+    assert entries, "the tolerance table has no entries"
+    assert not entries - read, f"unread entries: {sorted(entries - read)}"
+    assert not read - entries, f"reads of missing entries: {sorted(read - entries)}"
