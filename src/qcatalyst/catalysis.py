@@ -13,7 +13,11 @@ catalyst.
 
 The stage label is either carried by explicit flag registers on both sides or,
 when rho and sigma have locally orthogonal supports, read off by a local
-support measurement of the catalyst slots.
+support measurement of the catalyst slots. Either way a stage's Kraus operator
+is a gate (the flag value, or the slots' local supports), then the n-1 fresh
+sigma halves, then a relabelling of registers, built as one axis transpose.
+A protocol whose n-copy output is past the dense cap is refused before any
+channel is built.
 """
 
 from __future__ import annotations
@@ -26,12 +30,13 @@ from .errors import ProtocolError, ValidationError
 from .registers import (
     ALICE,
     BOB,
-    DENSE_CAP,
     MultipartiteOperator,
     Register,
     RegisterLayout,
     TOL,
+    fits_dense,
     numerical_rank,
+    require_dense,
     svd_across_cut,
 )
 from .states import (
@@ -177,112 +182,85 @@ def build_catalyst(
     return QuantumState.from_branches(layout, _catalyst_branches(scheme, layout))
 
 
-def _register_move_matrix(layout: RegisterLayout, sources: list[str]) -> np.ndarray:
-    """Permutation matrix sending register ``sources[k]`` to output slot k."""
-    dims_old = layout.dims
-    d = layout.total_dim
-    idx = np.arange(d)
-    digits = np.array(np.unravel_index(idx, dims_old))
-    src_pos = [layout.index_of(lab) for lab in sources]
-    new_dims = [dims_old[p] for p in src_pos]
-    new_flat = np.ravel_multi_index([digits[p] for p in src_pos], new_dims)
-    mat = np.zeros((d, d))
-    mat[new_flat, idx] = 1.0
-    return mat
-
-
 def _party_channel(scheme: _Scheme, party: str) -> KrausChannel:
+    """One party's copy-cycling channel, one Kraus operator per stage.
+
+    Stage k's operator is its gate on the input registers, the n-1 fresh
+    sigma halves appended, and a relabelling of registers: slot k's sigma half
+    and the fresh halves are output and the system half takes slot k, or, at
+    the last stage, the system half and every slot are output and the fresh
+    halves refill the slots. With flags, the flag then advances by one. A
+    completion operator covers the inputs no gate accepts; it never fires on
+    protocol states.
+    """
     n = scheme.n
     d = scheme.dim[party]
     sys = scheme.sys_label[party]
     slots = list(scheme.slot_labels[party])
     outs = list(scheme.out_labels[party])
     flag = scheme.flag_label.get(party)
-
-    in_regs = [Register(sys, d, party)]
-    if flag:
-        in_regs.append(Register(flag, n, party))
-    in_regs += [Register(lab, d, party) for lab in slots]
-    layout_in = RegisterLayout(tuple(in_regs))
-
-    out_regs = [Register(lab, d, party) for lab in outs]
-    if flag:
-        out_regs.append(Register(flag, n, party))
-    out_regs += [Register(lab, d, party) for lab in slots]
-    layout_out = RegisterLayout(tuple(out_regs))
-
+    flags = [flag] if flag else []
     fresh = [f"_fresh{j}" for j in range(1, n)]
-    ext = RegisterLayout(
-        layout_in.registers + tuple(Register(lab, d, party) for lab in fresh)
-    )
 
-    # injection of n-1 freshly prepared local sigma halves
-    sig = scheme.sigma_local[party]
-    inject_col = np.ones((1, 1), dtype=np.complex128)
-    for _ in range(n - 1):
-        inject_col = np.kron(inject_col, sig.reshape(-1, 1))
-    inject = np.kron(np.eye(layout_in.total_dim), inject_col)
-
-    # flag advance, positioned after the move (flag sits between outs and slots)
-    if flag:
-        shift = np.zeros((n, n))
-        for f in range(n):
-            shift[(f + 1) % n, f] = 1.0
-        advance = np.kron(
-            np.kron(np.eye(d**n), shift), np.eye(d ** (n - 1) if n > 1 else 1)
+    def layout(labels):
+        return RegisterLayout(
+            tuple(Register(lab, n if lab == flag else d, party) for lab in labels)
         )
-    else:
-        advance = None
 
-    # stage gates on the input space
+    layout_in = layout([sys] + flags + slots)
+    layout_out = layout(outs + flags + slots)
+    ext_labels = list(layout_in.labels) + fresh
+    ext_dims = list(layout_in.dims) + [d] * len(fresh)
+
+    sig = scheme.sigma_local[party]
+    fresh_col = np.ones((1, 1), dtype=np.complex128)
+    for _ in fresh:
+        fresh_col = np.kron(fresh_col, sig.reshape(-1, 1))
+    rho_proj = scheme.rho_local_basis[party] @ scheme.rho_local_basis[party].conj().T
+    sig_proj = np.outer(sig, sig.conj())
+
     gates = []
-    if flag:
-        for stage in range(n):
-            proj = np.zeros((n, n))
-            proj[stage, stage] = 1.0
-            gates.append(
-                np.kron(np.kron(np.eye(d), proj), np.eye(d ** (n - 1) if n > 1 else 1))
-            )
-    else:
-        rho_proj = scheme.rho_local_basis[party] @ scheme.rho_local_basis[party].conj().T
-        sig_proj = np.outer(sig, sig.conj())
-        for stage in range(n):
-            g = np.eye(d)
-            for j in range(n - 1):
-                g = np.kron(g, rho_proj if j < stage else sig_proj)
-            gates.append(g)
-
     kraus = []
     for stage in range(n):
+        gate = np.eye(d)
+        if flag:
+            gate = np.kron(gate, np.diag(np.eye(n)[stage]))
+        for j in range(n - 1):
+            slot_gate = rho_proj if j < stage else sig_proj
+            gate = np.kron(gate, np.eye(d) if flag else slot_gate)
+        gates.append(gate)
+
         if stage < n - 1:
-            sources = [slots[stage]] + fresh  # displaced sigma half, then fresh
-            sources += ([flag] if flag else [])
+            # displaced sigma half and fresh halves out, system half into the slot
+            sources = [slots[stage]] + fresh + flags
             sources += [slots[j] if j != stage else sys for j in range(n - 1)]
         else:
-            sources = [sys] + slots
-            sources += ([flag] if flag else [])
-            sources += fresh
-        move = _register_move_matrix(ext, sources)
-        k = move @ inject @ gates[stage]
-        if advance is not None:
-            k = advance @ k
-        kraus.append(k)
-    total = sum(g for g in gates)
-    residual = np.eye(layout_in.total_dim) - total
+            sources = [sys] + slots + flags + fresh
+        k = np.kron(gate, fresh_col).reshape(ext_dims + [layout_in.total_dim])
+        k = k.transpose([ext_labels.index(lab) for lab in sources] + [len(ext_dims)])
+        if flag:
+            k = np.roll(k, 1, axis=n)  # the output flag axis follows the n outputs
+        kraus.append(k.reshape(layout_out.total_dim, layout_in.total_dim))
+    residual = np.eye(layout_in.total_dim) - sum(gates)
     if float(np.max(np.abs(residual))) > TOL.gate_residual_atol:
-        # complete to a channel; this Kraus never fires on protocol states
         embed = np.zeros((layout_out.total_dim, layout_in.total_dim))
         embed[: layout_in.total_dim, :] = np.eye(layout_in.total_dim)
         kraus.append(embed @ residual)
     return KrausChannel(kraus, layout_in, layout_out)
 
 
+def _channels(scheme: _Scheme) -> tuple[KrausChannel, KrausChannel]:
+    # every audit measures the n-copy output densely, so a protocol whose
+    # output is past the dense cap is refused before its channels are built
+    require_dense((scheme.dim[ALICE] * scheme.dim[BOB]) ** scheme.n)
+    return _party_channel(scheme, ALICE), _party_channel(scheme, BOB)
+
+
 def build_clo_channels(
     rho: QuantumState, sigma: QuantumState, n: int, mode: str = "auto"
 ) -> tuple[KrausChannel, KrausChannel]:
     """The two local channels of the copy-cycling protocol."""
-    scheme = _analyze(rho, sigma, n, mode)
-    return _party_channel(scheme, ALICE), _party_channel(scheme, BOB)
+    return _channels(_analyze(rho, sigma, n, mode))
 
 
 def mixture_target(rho: QuantumState, sigma: QuantumState, n: int) -> QuantumState:
@@ -331,8 +309,7 @@ def build_protocol(
 ) -> CatalyticProtocol:
     scheme = _analyze(rho, sigma, n, mode)
     catalyst = build_catalyst(rho, sigma, n, scheme.mode)
-    alice = _party_channel(scheme, ALICE)
-    bob = _party_channel(scheme, BOB)
+    alice, bob = _channels(scheme)
     flags = None
     if scheme.flag_label:
         flags = (scheme.flag_label[ALICE], scheme.flag_label[BOB])
@@ -374,17 +351,11 @@ def _execute(protocol: CatalyticProtocol, input_state: QuantumState) -> QuantumS
     joint = tensor_states(input_state.as_ensemble(), protocol.catalyst)
     joint = apply_channel(protocol.alice_channel, joint)
     joint = apply_channel(protocol.bob_channel, joint)
-    n = protocol.n
-    half = len(protocol.output_labels) // 2
-    a_outs = list(protocol.output_labels[:half])
-    b_outs = list(protocol.output_labels[half:])
-    a_cat = [
-        lab
-        for lab in protocol.catalyst_labels
-        if protocol.catalyst.layout.party_of(lab) == ALICE
-    ]
-    b_cat = [lab for lab in protocol.catalyst_labels if lab not in set(a_cat)]
-    return joint.permuted(a_outs + a_cat + b_outs + b_cat)
+    # Alice's outputs then catalyst, then Bob's; the stable sort keeps each order
+    labels = protocol.output_labels + protocol.catalyst_labels
+    return joint.permuted(
+        sorted(labels, key=lambda lab: joint.layout.party_of(lab) != ALICE)
+    )
 
 
 def catalyst_sn_certificate(protocol: CatalyticProtocol, state: QuantumState) -> SNCertificate:
@@ -412,17 +383,11 @@ def run_clo(
             )
     joint = _execute(protocol, input_state)
     output = joint.marginal(list(protocol.output_labels))
-    catalyst_out = (
-        joint.marginal(list(protocol.catalyst_labels))
-        if protocol.catalyst_labels
-        else QuantumState.empty()
-    )
+    catalyst_out, restoration = QuantumState.empty(), 0.0
+    if protocol.catalyst_labels:
+        catalyst_out = joint.marginal(list(protocol.catalyst_labels))
+        restoration = trace_distance(catalyst_out, protocol.catalyst)
     target = mixture_target(protocol.rho, protocol.sigma, protocol.n)
-    restoration = (
-        trace_distance(catalyst_out, protocol.catalyst)
-        if protocol.catalyst_labels
-        else 0.0
-    )
     out_dist = trace_distance(output, target)
     cert = catalyst_sn_certificate(protocol, protocol.catalyst)
     return CloRunReport(
@@ -434,7 +399,7 @@ def run_clo(
         restoration_distance=restoration,
         output_distance=out_dist,
         catalyst_sn=cert,
-        joint_available=joint.layout.total_dim <= DENSE_CAP,
+        joint_available=fits_dense(joint.layout.total_dim),
         joint_state=joint,
     )
 
@@ -444,14 +409,5 @@ def verify_input_sensitivity(
 ) -> SensitivityReport:
     """Run the channels on a non-declared input and report how badly the
     catalyst restoration and the output fail."""
-    joint = _execute(protocol, wrong_input)
-    target = mixture_target(protocol.rho, protocol.sigma, protocol.n)
-    output = joint.marginal(list(protocol.output_labels))
-    restoration = 0.0
-    if protocol.catalyst_labels:
-        catalyst_out = joint.marginal(list(protocol.catalyst_labels))
-        restoration = trace_distance(catalyst_out, protocol.catalyst)
-    return SensitivityReport(
-        restoration_distance=restoration,
-        output_distance=trace_distance(output, target),
-    )
+    report = run_clo(protocol, wrong_input, enforce_input=False)
+    return SensitivityReport(report.restoration_distance, report.output_distance)

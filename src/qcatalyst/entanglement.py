@@ -196,6 +196,9 @@ def _pencil_rank_one_elements(M1: np.ndarray, M2: np.ndarray):
     q22 = cross(M2, M2).ravel()
     q12 = (cross(M1, M2) + cross(M2, M1)).ravel()
     rows = np.stack([q11, q12, q22], axis=1)
+    # fewer than three minors (two qubits): zero rows keep the null space and
+    # give the SVD all three right singular vectors
+    rows = np.vstack([rows, np.zeros((max(0, 3 - len(rows)), 3))])
     u, s, vh = np.linalg.svd(rows, full_matrices=False)
     if s[0] <= 0:
         return None

@@ -45,6 +45,7 @@ from .entanglement import (
     sn_orthogonal_mixture,
 )
 from .catalysis import (
+    CatalyticProtocol,
     build_protocol,
     catalyst_sn_certificate,
     mixture_target,
@@ -206,6 +207,13 @@ def perturbed_channel(
     return KrausChannel(kraus, channel.layout_in, channel.layout_out)
 
 
+def _corrupted(protocol: CatalyticProtocol, epsilon: float) -> CatalyticProtocol:
+    """The protocol with Alice's channel perturbed (the corruption hook)."""
+    return dataclasses.replace(
+        protocol, alice_channel=perturbed_channel(protocol.alice_channel, epsilon)
+    )
+
+
 def perturbed_instrument(
     instrument: Instrument, epsilon: float, seed: int = 7
 ) -> Instrument:
@@ -309,12 +317,7 @@ def pipeline_lemma1(
     }
     quantities: list[Quantity] = []
     try:
-        protocol = build_protocol(rho, sigma, n, mode)
-        if corruption:
-            protocol = dataclasses.replace(
-                protocol,
-                alice_channel=perturbed_channel(protocol.alice_channel, corruption),
-            )
+        protocol = _corrupted(build_protocol(rho, sigma, n, mode), corruption)
         report = run_clo(protocol, rho)
         rank = schmidt_rank(rho).rank
         quantities.append(q_info("mode", report.mode, "construction"))
@@ -385,12 +388,9 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
         )
 
         # the catalytic protocol reaches the target exactly
-        protocol = build_protocol(family.rho, family.sigma, m, "auto")
-        if corruption:
-            protocol = dataclasses.replace(
-                protocol,
-                alice_channel=perturbed_channel(protocol.alice_channel, corruption),
-            )
+        protocol = _corrupted(
+            build_protocol(family.rho, family.sigma, m, "auto"), corruption
+        )
         clo = run_clo(protocol, family.rho)
         quantities.append(
             q_le("clo-output-distance", clo.output_distance, TOL.distance_exact_atol)
@@ -631,12 +631,7 @@ def pipeline_obs1(
         if product_rho:
             layout = rho.layout
             rho = basis_product(layout, (0, 0))
-        protocol = build_protocol(rho, sigma, n, "auto")
-        if corruption:
-            protocol = dataclasses.replace(
-                protocol,
-                alice_channel=perturbed_channel(protocol.alice_channel, corruption),
-            )
+        protocol = _corrupted(build_protocol(rho, sigma, n, "auto"), corruption)
         cert = catalyst_sn_certificate(protocol, protocol.catalyst)
         rank = schmidt_rank(rho).rank if not product_rho else 1
         expected_sn = rank ** (n - 1)

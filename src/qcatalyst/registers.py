@@ -74,6 +74,19 @@ class Tolerances:
 TOL = Tolerances()
 
 
+def fits_dense(dim: int) -> bool:
+    """Whether a dense object of dimension ``dim`` is within ``DENSE_CAP``;
+    the one place the cap is compared."""
+    return dim <= DENSE_CAP
+
+
+def require_dense(dim: int) -> None:
+    """Refuse a dense object of dimension ``dim`` above ``DENSE_CAP`` before
+    anything of that size is allocated."""
+    if not fits_dense(dim):
+        raise ValidationError(f"refusing to densify dimension {dim} (cap {DENSE_CAP})")
+
+
 def numerical_rank(values: np.ndarray, rtol: float) -> int:
     """Number of ``values`` above ``rtol`` times the largest one; 0 when none
     is positive."""

@@ -42,16 +42,17 @@ from .errors import LayoutError, ValidationError
 from .registers import (
     ALICE,
     BOB,
-    DENSE_CAP,
     EMPTY_LAYOUT,
     MultipartiteOperator,
     Register,
     RegisterLayout,
     TOL,
     eig_hermitian,
+    fits_dense,
     matricize,
     partial_trace,
     permute_registers,
+    require_dense,
 )
 
 @dataclasses.dataclass(frozen=True)
@@ -196,18 +197,11 @@ class QuantumState:
         order = [labels.index(lab) for lab in self.layout.labels if lab in labels]
         return matricize(vec, dims, order).reshape(-1)
 
-    def _check_dense_cap(self) -> None:
-        if self.layout.total_dim > DENSE_CAP:
-            raise ValidationError(
-                f"refusing to densify dimension {self.layout.total_dim} "
-                f"(cap {DENSE_CAP})"
-            )
-
     def densify(self) -> MultipartiteOperator:
         if self.is_dense:
             return self.dense
-        self._check_dense_cap()
         d = self.layout.total_dim
+        require_dense(d)
         acc = np.zeros((d, d), dtype=np.complex128)
         for br in self.branches:
             v = self.branch_vector(br)
@@ -217,7 +211,7 @@ class QuantumState:
     def branch_kets(self) -> tuple[np.ndarray, np.ndarray]:
         """Branch kets of an ensemble as the columns of a D x k matrix, and
         the branch probabilities; the density matrix is kets diag(p) kets^dagger."""
-        self._check_dense_cap()
+        require_dense(self.layout.total_dim)
         kets = np.stack([self.branch_vector(br) for br in self.branches], axis=1)
         return kets, np.array([br.probability for br in self.branches])
 
@@ -266,7 +260,7 @@ class QuantumState:
         else:
             if len(self.branches) == 1:
                 return True
-            if self.layout.total_dim > DENSE_CAP:
+            if not fits_dense(self.layout.total_dim):
                 return False
             # tr(rho^2) is the squared Frobenius norm of the Hermitian core
             core = signed_gram_core(*self.branch_kets())[1]
@@ -761,12 +755,7 @@ def apply_instrument(
     targets = _resolve_targets(state, instrument.layout_in, targets)
     new_layout = _output_layout(state, targets, instrument.layout_out)
     if state.is_dense:
-        if new_layout.total_dim > DENSE_CAP:
-            raise ValidationError(
-                f"dense map application would need dimension "
-                f"{new_layout.total_dim} (cap {DENSE_CAP}); convert the state "
-                f"with as_ensemble() first"
-            )
+        require_dense(new_layout.total_dim)
         rho = state.dense.entries.reshape(state.layout.dims * 2)
         pos = [state.layout.index_of(lab) for lab in targets]
     results = []

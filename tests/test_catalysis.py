@@ -97,6 +97,18 @@ class TestChannels:
                 assert alice.trace_preservation_defect() < 1e-12
                 assert bob.trace_preservation_defect() < 1e-12
 
+    def test_flag_advances_by_one_stage(self, pair):
+        # at n=2 a flag stepping back is the same map, so this takes n=3
+        rho, sigma = pair
+        for channel in build_clo_channels(rho, sigma, 3, "explicit-flags"):
+            lin, lout = channel.layout_in, channel.layout_out
+            flag = next(lab for lab in lin.labels if lab.startswith("F"))
+            axes = [lout.index_of(flag), len(lout) + lin.index_of(flag)]
+            for stage, k in enumerate(channel.kraus):
+                t = np.moveaxis(k.reshape(lout.dims + lin.dims), axes, [0, 1])
+                hit = np.abs(t).reshape(3, 3, -1).max(axis=2) > 0
+                assert np.argwhere(hit).tolist() == [[(stage + 1) % 3, stage]]
+
     def test_exactness_all_n_support_mode(self, pair):
         rho, sigma = pair
         for n in (1, 2, 3):
@@ -142,17 +154,29 @@ class TestChannels:
         assert f == pytest.approx(1.0 / n, abs=1e-10)
 
     def test_dense_and_ensemble_routes_agree(self, pair):
-        rho, sigma = pair
-        prot = build_protocol(rho, sigma, 2)
-        joint_e = tensor_states(rho.as_ensemble(), prot.catalyst)
-        joint_d = joint_e.as_dense_state()
-        outs = []
-        for joint in (joint_e, joint_d):
-            x = apply_channel(prot.alice_channel, joint)
-            x = apply_channel(prot.bob_channel, x)
-            outs.append(x)
-        assert outs[1].is_dense
-        assert trace_distance(outs[0], outs[1]) < 1e-9
+        # explicit flags at n=2 cover the flag advance; with flags, both
+        # channels on a qutrit pair output dimension 2916, past the dense cap,
+        # so there each channel is checked on its own
+        cases = [
+            (pair, "auto"),
+            (pair, "explicit-flags"),
+            (random_pair(rng(61)), "explicit-flags"),
+        ]
+        for (rho, sigma), mode in cases:
+            prot = build_protocol(rho, sigma, 2, mode)
+            joint_e = tensor_states(rho.as_ensemble(), prot.catalyst)
+            joint_d = joint_e.as_dense_state()
+            runs = [[prot.alice_channel], [prot.bob_channel]]
+            if mode == "auto":
+                runs.append([prot.alice_channel, prot.bob_channel])
+            for channels in runs:
+                outs = []
+                for x in (joint_e, joint_d):
+                    for channel in channels:
+                        x = apply_channel(channel, x)
+                    outs.append(x)
+                assert outs[1].is_dense
+                assert trace_distance(outs[0], outs[1]) < 1e-9
 
 
 class TestTarget:

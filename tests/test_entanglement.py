@@ -150,6 +150,21 @@ class TestOrthogonalMixtureOracle:
         with pytest.raises(OracleRefusal):
             sn_orthogonal_mixture(mix)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_two_qubit_overlapping_supports_refused(self, dense):
+        # 0.5|00><00| + 0.5|psi+><psi+|: the 2x2 pencil has a single minor
+        lay = RegisterLayout((Register("A", 2, ALICE), Register("B", 2, BOB)))
+        psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
+        mix = QuantumState.from_branches(
+            lay,
+            (
+                EnsembleBranch(0.5, basis_product(lay, (0, 0)).branches[0].factors),
+                EnsembleBranch(0.5, (Factor(("A", "B"), psi),)),
+            ),
+        )
+        with pytest.raises(OracleRefusal):
+            sn_orthogonal_mixture(mix.as_dense_state() if dense else mix)
+
     def test_rank_three_state_refused(self):
         with pytest.raises(OracleRefusal):
             sn_orthogonal_mixture(max_entangled(3))

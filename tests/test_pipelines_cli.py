@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,3 +310,24 @@ def test_dense_classically_correlated_schmidt_matches_ensemble(
         reports.append({q["name"]: q["value"] for q in doc["quantities"]})
     assert reports[0] == reports[1]
     assert reports[0]["sn-lower"] == reports[0]["sn-upper"] == 1
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 12])
+@pytest.mark.parametrize("command", ["lemma1", "obs1", "theorem"])
+def test_over_cap_sizes_are_refused_before_allocating(command, n, capsys):
+    """Past the dense cap a catalytic pipeline is refused with one reason,
+    exit 2, and nothing large allocated (numpy reports to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        code = main([command, "--n", str(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    dim = 9 ** (n + 1 if command == "theorem" else n)
+    assert code == 2
+    assert captured.err == ""
+    assert doc["verdict"] == "refused"
+    assert doc["reason"] == f"refusing to densify dimension {dim} (cap 2000)"
+    assert peak < 16 << 20

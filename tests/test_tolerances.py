@@ -1,8 +1,10 @@
-"""Every numerical cutoff of the package is an entry of ``registers.TOL``.
+"""Every numerical cutoff of the package is an entry of ``registers.TOL``,
+and only ``registers`` compares against the dense cap.
 
 The source is parsed, not imported: a float literal below 1e-3 anywhere in
 ``src/qcatalyst`` outside the ``Tolerances`` class body is a cutoff written
-in place, and a table entry that no module reads is a dead knob.
+in place, a table entry that no module reads is a dead knob, and a module
+other than ``registers.py`` that names ``DENSE_CAP`` is a second cap check.
 """
 
 import ast
@@ -53,3 +55,17 @@ def test_every_table_entry_is_read():
     assert entries, "the tolerance table has no entries"
     assert not entries - read, f"unread entries: {sorted(entries - read)}"
     assert not read - entries, f"reads of missing entries: {sorted(read - entries)}"
+
+
+def test_only_registers_names_the_dense_cap():
+    # every cap decision goes through registers.fits_dense / require_dense
+    stray = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        if name != "registers.py"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "DENSE_CAP")
+        or (isinstance(node, ast.Attribute) and node.attr == "DENSE_CAP")
+        or (isinstance(node, ast.alias) and node.name == "DENSE_CAP")
+    ]
+    assert not stray, "DENSE_CAP named outside registers.py:\n" + "\n".join(stray)
