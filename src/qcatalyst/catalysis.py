@@ -16,13 +16,15 @@ when rho and sigma have locally orthogonal supports, read off by a local
 support measurement of the catalyst slots. Either way a stage's Kraus operator
 is a gate (the flag value, or the slots' local supports), then the n-1 fresh
 sigma halves, then a relabelling of registers, built as one axis transpose.
-A protocol whose n-copy output is past the dense cap is refused before any
-channel is built.
+A protocol is refused before anything that grows with n is built when its
+n-copy output or its catalyst is past the dense cap, or when a stage operator
+would hold more entries than a dense matrix at the cap.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .registers import (
     RegisterLayout,
     TOL,
     fits_dense,
+    matricize,
     numerical_rank,
     require_dense,
     svd_across_cut,
@@ -56,18 +59,33 @@ SUPPORT_MEASUREMENT = "support-measurement"
 
 @dataclasses.dataclass(frozen=True)
 class _Scheme:
-    """Register naming and Schmidt data shared by catalyst and channels."""
+    """Register naming and Schmidt data shared by catalyst and channels.
+
+    The per-copy label tuples are formed on first use, so a size check can
+    run on a scheme before anything that grows with n exists."""
 
     n: int
     mode: str
     sys_label: dict  # party -> system register label
     dim: dict  # party -> local dimension
-    out_labels: dict  # party -> tuple of output labels
-    slot_labels: dict  # party -> tuple of catalyst slot labels
     flag_label: dict  # party -> flag label, or empty dict
     rho_vector: np.ndarray
     rho_local_basis: dict  # party -> orthonormal columns spanning local support
     sigma_local: dict  # party -> local pure vector
+
+    @functools.cached_property
+    def out_labels(self) -> dict:  # party -> tuple of output labels
+        return {
+            p: tuple(f"{self.sys_label[p]}{j}" for j in range(1, self.n + 1))
+            for p in (ALICE, BOB)
+        }
+
+    @functools.cached_property
+    def slot_labels(self) -> dict:  # party -> tuple of catalyst slot labels
+        return {
+            p: tuple(f"C{self.sys_label[p]}{j}" for j in range(1, self.n))
+            for p in (ALICE, BOB)
+        }
 
 
 def _analyze(rho: QuantumState, sigma: QuantumState, n: int, mode: str) -> _Scheme:
@@ -115,12 +133,6 @@ def _analyze(rho: QuantumState, sigma: QuantumState, n: int, mode: str) -> _Sche
     if mode not in (EXPLICIT_FLAGS, SUPPORT_MEASUREMENT):
         raise ValidationError(f"unknown flag mode {mode!r}")
 
-    out_labels = {
-        p: tuple(f"{sys_label[p]}{j}" for j in range(1, n + 1)) for p in (ALICE, BOB)
-    }
-    slot_labels = {
-        p: tuple(f"C{sys_label[p]}{j}" for j in range(1, n)) for p in (ALICE, BOB)
-    }
     flag_label = {}
     if mode == EXPLICIT_FLAGS:
         flag_label = {ALICE: f"F{a_label}", BOB: f"F{b_label}"}
@@ -129,8 +141,6 @@ def _analyze(rho: QuantumState, sigma: QuantumState, n: int, mode: str) -> _Sche
         mode=mode,
         sys_label=sys_label,
         dim=dim,
-        out_labels=out_labels,
-        slot_labels=slot_labels,
         flag_label=flag_label,
         rho_vector=rho.to_vector(),
         rho_local_basis=rho_basis,
@@ -195,6 +205,9 @@ def _party_channel(scheme: _Scheme, party: str) -> KrausChannel:
     """
     n = scheme.n
     d = scheme.dim[party]
+    levels = n if scheme.flag_label else 1
+    # a stage operator maps (system, flag, slots) to (outputs, flag, slots)
+    require_dense(levels * d ** (2 * n - 1), cols=levels * d**n)
     sys = scheme.sys_label[party]
     slots = list(scheme.slot_labels[party])
     outs = list(scheme.out_labels[party])
@@ -236,11 +249,14 @@ def _party_channel(scheme: _Scheme, party: str) -> KrausChannel:
             sources += [slots[j] if j != stage else sys for j in range(n - 1)]
         else:
             sources = [sys] + slots + flags + fresh
-        k = np.kron(gate, fresh_col).reshape(ext_dims + [layout_in.total_dim])
-        k = k.transpose([ext_labels.index(lab) for lab in sources] + [len(ext_dims)])
-        if flag:
-            k = np.roll(k, 1, axis=n)  # the output flag axis follows the n outputs
-        kraus.append(k.reshape(layout_out.total_dim, layout_in.total_dim))
+        k = matricize(
+            np.kron(gate, fresh_col).reshape(-1),
+            ext_dims + [layout_in.total_dim],
+            [ext_labels.index(lab) for lab in sources] + [len(ext_dims)],
+        ).reshape(layout_out.total_dim, layout_in.total_dim)
+        if flag:  # the output flag follows the n outputs
+            k = np.roll(k.reshape(d**n, n, -1), 1, axis=1).reshape(k.shape)
+        kraus.append(k)
     residual = np.eye(layout_in.total_dim) - sum(gates)
     if float(np.max(np.abs(residual))) > TOL.gate_residual_atol:
         embed = np.zeros((layout_out.total_dim, layout_in.total_dim))
@@ -250,9 +266,13 @@ def _party_channel(scheme: _Scheme, party: str) -> KrausChannel:
 
 
 def _channels(scheme: _Scheme) -> tuple[KrausChannel, KrausChannel]:
-    # every audit measures the n-copy output densely, so a protocol whose
-    # output is past the dense cap is refused before its channels are built
-    require_dense((scheme.dim[ALICE] * scheme.dim[BOB]) ** scheme.n)
+    # every audit measures the n-copy output and the catalyst densely, so a
+    # protocol where either is past the dense cap is refused before anything
+    # that grows with n is built; once the output fits, a pair of dimension
+    # above 1 has n small enough to form every power below
+    pair = scheme.dim[ALICE] * scheme.dim[BOB]
+    require_dense(pair, scheme.n)
+    require_dense((scheme.n if scheme.flag_label else 1) ** 2 * pair ** (scheme.n - 1))
     return _party_channel(scheme, ALICE), _party_channel(scheme, BOB)
 
 
@@ -308,8 +328,8 @@ def build_protocol(
     rho: QuantumState, sigma: QuantumState, n: int, mode: str = "auto"
 ) -> CatalyticProtocol:
     scheme = _analyze(rho, sigma, n, mode)
-    catalyst = build_catalyst(rho, sigma, n, scheme.mode)
     alice, bob = _channels(scheme)
+    catalyst = build_catalyst(rho, sigma, n, scheme.mode)
     flags = None
     if scheme.flag_label:
         flags = (scheme.flag_label[ALICE], scheme.flag_label[BOB])

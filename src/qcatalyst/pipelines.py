@@ -27,6 +27,7 @@ from .registers import (
     Register,
     RegisterLayout,
     TOL,
+    require_dense,
 )
 from .states import (
     EnsembleBranch,
@@ -263,6 +264,9 @@ def separation_family(n: int) -> SeparationFamily:
         raise QcatError(f"separation parameter must be >= 1, got {n}")
     rho, sigma = qutrit_pair_states()
     m = n + 1
+    # the theorem audits the m-copy target densely; refuse it before any
+    # per-copy object exists
+    require_dense(rho.layout.total_dim, m)
     return SeparationFamily(
         n=n,
         m=m,
@@ -505,8 +509,8 @@ def _flip_protocol(corruption: float = 0.0) -> SloccqProtocol:
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     def conditional(layout):
         return {
-            "x0": Instrument.from_channel(KrausChannel.from_unitary(eye, layout)),
-            "x1": Instrument.from_channel(KrausChannel.from_unitary(flip, layout)),
+            "x0": KrausChannel.from_unitary(eye, layout),
+            "x1": KrausChannel.from_unitary(flip, layout),
         }
     alice_fix = conditional(qubit_a)
     if corruption:
@@ -676,18 +680,11 @@ def pipeline_obs1(
             )
         )
 
-        rounds = list(plan.protocol.rounds)
-        rounds.append(
-            local_round(
-                "mix-a", ALICE, Instrument.from_channel(protocol.alice_channel)
-            )
+        rounds = plan.protocol.rounds + (
+            local_round("mix-a", ALICE, protocol.alice_channel),
+            local_round("mix-b", BOB, protocol.bob_channel),
         )
-        rounds.append(
-            local_round(
-                "mix-b", BOB, Instrument.from_channel(protocol.bob_channel)
-            )
-        )
-        full = SloccqProtocol(tuple(rounds), plan.protocol.dimension_budget)
+        full = SloccqProtocol(rounds, plan.protocol.dimension_budget)
         tree = run_protocol(full, rho)
         achieved, _ = final_state(tree)
         target = mixture_target(rho, sigma, n)

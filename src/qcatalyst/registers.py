@@ -74,17 +74,31 @@ class Tolerances:
 TOL = Tolerances()
 
 
-def fits_dense(dim: int) -> bool:
-    """Whether a dense object of dimension ``dim`` is within ``DENSE_CAP``;
-    the one place the cap is compared."""
-    return dim <= DENSE_CAP
+def fits_dense(dim: int, copies: int = 1, cols: int | None = None) -> bool:
+    """Whether a dense array with ``dim ** copies`` rows and ``cols`` columns
+    (square by default) holds at most ``DENSE_CAP`` squared entries; the one
+    place the cap is compared. A square array fits when its dimension is
+    within ``DENSE_CAP``. The power is formed only when it is small: past the
+    bit length of the cap's entries in copies, any ``dim`` above 1 is over."""
+    if dim > 1 and copies > (DENSE_CAP**2).bit_length():
+        return False
+    rows = dim**copies
+    return rows * (rows if cols is None else cols) <= DENSE_CAP**2
 
 
-def require_dense(dim: int) -> None:
-    """Refuse a dense object of dimension ``dim`` above ``DENSE_CAP`` before
-    anything of that size is allocated."""
-    if not fits_dense(dim):
-        raise ValidationError(f"refusing to densify dimension {dim} (cap {DENSE_CAP})")
+def require_dense(dim: int, copies: int = 1, cols: int | None = None) -> None:
+    """Refuse a dense array of ``fits_dense``'s shape past ``DENSE_CAP``
+    before anything of that size is allocated. A dimension past 64 bits is
+    named as ``dim^copies`` rather than printed in full."""
+    if fits_dense(dim, copies, cols):
+        return
+    if cols is not None:
+        raise ValidationError(
+            f"refusing to build a {dim**copies}x{cols} operator "
+            f"(cap {DENSE_CAP}^2 entries)"
+        )
+    size = dim**copies if copies * dim.bit_length() <= 64 else f"{dim}^{copies}"
+    raise ValidationError(f"refusing to densify dimension {size} (cap {DENSE_CAP})")
 
 
 def numerical_rank(values: np.ndarray, rtol: float) -> int:
@@ -325,12 +339,18 @@ def matricize(vec: np.ndarray, dims: Sequence[int], row_axes: Sequence[int]) -> 
     order, index the rows and the other axes, in their own order, the columns.
 
     A reshape/transpose view; numpy copies only when the transpose leaves the
-    data non-contiguous.
+    data non-contiguous. One-level axes are left out, so any number of
+    one-level registers fits numpy's 64 axes.
     """
     rows = list(row_axes)
-    cols = [a for a in range(len(dims)) if a not in rows]
+    order = rows + [a for a in range(len(dims)) if a not in rows]
     d_rows = math.prod(dims[a] for a in rows)
-    return vec.reshape(tuple(dims)).transpose(rows + cols).reshape(d_rows, -1)
+    if 1 in dims:
+        order = [a for a in order if dims[a] > 1]
+        rank = {a: i for i, a in enumerate(sorted(order))}
+        order = [rank[a] for a in order]
+        dims = [d for d in dims if d > 1]
+    return vec.reshape(tuple(dims)).transpose(order).reshape(d_rows, -1)
 
 
 def permute_registers(x: MultipartiteOperator, new_order: Sequence[str]) -> MultipartiteOperator:

@@ -414,7 +414,7 @@ class QuantumState:
             else:
                 branches = [
                     EnsembleBranch(
-                        float(item["p"]),
+                        _json_number(item["p"]),
                         tuple(_factor_from_json(f) for f in item["factors"]),
                     )
                     for item in doc["ensemble"]
@@ -514,9 +514,19 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float; a string or a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
 def _vector_from_json(pairs: list) -> np.ndarray:
-    """Complex entries from a list of ``[re, im]`` pairs."""
-    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    """Complex entries from a list of ``[re, im]`` pairs of JSON numbers."""
+    return np.array(
+        [complex(_json_number(re), _json_number(im)) for re, im in pairs],
+        dtype=np.complex128,
+    )
 
 
 def _factor_from_json(doc: dict) -> Factor:

@@ -178,3 +178,30 @@ def test_factor_labels_must_be_a_list_of_strings(labels, tmp_path, capsys):
     doc["ensemble"][0]["factors"][0]["labels"] = labels
     err = _refused_with_one_line(doc, tmp_path, capsys)
     assert "not a list of strings" in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(("ensemble", 0, "p"), "1.0"),
+        _set(("ensemble", 0, "p"), True),
+        _set(("ensemble", 0, "factors", 0, "vector", 0), [True, 0.0]),
+        _set(("ensemble", 0, "factors", 0, "vector", 0), ["0.7071067811865475", 0.0]),
+        _set(("ensemble", 0, "factors", 0, "vector", 1), [0.0, False]),
+    ],
+    ids=["p-numeric-string", "p-bool", "re-bool", "re-numeric-string", "im-bool"],
+)
+def test_state_numbers_must_be_json_numbers(edit, tmp_path, capsys):
+    doc = max_entangled(2, ("A", "B")).to_json()
+    edit(doc)
+    err = _refused_with_one_line(doc, tmp_path, capsys)
+    assert "is not a JSON number" in err
+
+
+def test_integer_probability_is_a_json_number(tmp_path, capsys):
+    doc = max_entangled(2, ("A", "B")).to_json()
+    doc["ensemble"][0]["p"] = 1
+    path = tmp_path / "int.json"
+    path.write_text(json.dumps(doc))
+    assert main(["schmidt", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "verified"

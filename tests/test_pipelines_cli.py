@@ -2,16 +2,21 @@
 
 import json
 import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcatalyst import (
+    ALICE,
+    BOB,
     EnsembleBranch,
     Factor,
     QuantumState,
+    RegisterLayout,
     ValidationError,
+    basis_product,
     max_entangled,
     tensor_states,
 )
@@ -331,3 +336,74 @@ def test_over_cap_sizes_are_refused_before_allocating(command, n, capsys):
     assert doc["verdict"] == "refused"
     assert doc["reason"] == f"refusing to densify dimension {dim} (cap 2000)"
     assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("n", [5000, 10**8])
+@pytest.mark.parametrize("command", ["lemma1", "obs1", "theorem"])
+def test_huge_n_is_refused_without_forming_its_size(command, n, capsys):
+    """The size of an n-copy output is compared, and named, without the
+    integer (9 or 81)^n ever being formed or printed."""
+    copies = n + 1 if command == "theorem" else n
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main([command, "--n", str(n)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2
+    assert captured.err == ""
+    assert doc["verdict"] == "refused"
+    assert doc["reason"] == f"refusing to densify dimension 9^{copies} (cap 2000)"
+    assert elapsed < 1.0
+    assert peak < 16 << 20
+
+
+def _product_pair_documents(tmp_path, da, db):
+    """rho = |00>, sigma = |10> (|00> when da = 1) on a da x db pair: they
+    share Bob's support, so the protocol needs explicit flags."""
+    layout = RegisterLayout.build([("A", da, ALICE), ("B", db, BOB)])
+    paths = []
+    for name, index in (("rho", 0), ("sigma", 1)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(basis_product(layout, (min(index, da - 1), 0)).to_json()))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "da, n, shape",
+    [(44, 2, "170368x3872"), (12, 3, "746496x5184")],
+)
+def test_lopsided_pair_refused_before_its_stage_operators(
+    da, n, shape, tmp_path, capsys
+):
+    """The n-copy output fits the cap (44^2 = 1936), but a stage operator of
+    Alice's channel would hold far more than 2000^2 entries (9.8 GiB at
+    44 x 1, n = 2)."""
+    rho, sigma = _product_pair_documents(tmp_path, da, 1)
+    tracemalloc.start()
+    try:
+        code = main(["lemma1", "--rho", rho, "--sigma", sigma, "--n", str(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2
+    assert captured.err == ""
+    assert doc["reason"] == f"refusing to build a {shape} operator (cap 2000^2 entries)"
+    assert peak < 16 << 20
+
+
+def test_one_level_registers_do_not_exhaust_numpy_axes(tmp_path, capsys):
+    """A 1 x 1 pair at n = 20 gives factors of more than 64 one-level
+    registers; they are left out of every reshape."""
+    rho, sigma = _product_pair_documents(tmp_path, 1, 1)
+    code = main(["lemma1", "--rho", rho, "--sigma", sigma, "--n", "20"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["verdict"] == "verified"

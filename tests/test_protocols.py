@@ -377,3 +377,48 @@ class TestCatalystCompilation:
         plan = compile_catalyst_prep(prot.catalyst)
         assert plan.quantum_dimension == 1
         assert plan.protocol.quantum_dimension_used == 1
+
+
+class TestProtocolJson:
+    """Compiled protocols hold channels; their JSON writes every map in the
+    instrument format, so it loads back and runs to the same state."""
+
+    def _same_final_state(self, protocol, initial, postselect=None):
+        back = SloccqProtocol.from_json(protocol.to_json())
+        s1, p1 = final_state(run_protocol(protocol, initial), postselect)
+        s2, p2 = final_state(run_protocol(back, initial), postselect)
+        assert p1 == pytest.approx(p2, abs=1e-12)
+        assert trace_distance(s1, s2.permuted(s1.layout.labels)) < 1e-12
+
+    def test_channel_round_round_trip(self):
+        u = shift_clock_unitary(2, 1, 1)
+        prot = SloccqProtocol(
+            (local_round("u", ALICE, KrausChannel.from_unitary(u, qubit_reg("A", ALICE))),),
+            1,
+        )
+        self._same_final_state(prot, max_entangled(2, ("A", "B")))
+
+    def test_converse_round_trip(self):
+        fam = separation_family(1)
+        conv = construct_converse(fam.rho, _mixture_components(fam), fam.d_enough)
+        self._same_final_state(conv.protocol, fam.rho, conv.postselect)
+
+    def test_catalyst_preparation_round_trip(self):
+        rho, sigma = qutrit_pair_states()
+        plan = compile_catalyst_prep(build_protocol(rho, sigma, 2).catalyst)
+        self._same_final_state(plan.protocol, QuantumState.empty())
+
+
+def test_product_catalyst_halves_stay_separate_factors():
+    """Without a message each party prepares its own half, so no branch of
+    the prepared product catalyst joins Alice's and Bob's registers in one
+    factor (a one-level message would merge them at Bob's decompression)."""
+    rho, sigma = qutrit_pair_states()
+    prod = basis_product(rho.layout, (0, 0))
+    plan = compile_catalyst_prep(build_protocol(prod, sigma, 3).catalyst)
+    tree = run_protocol(plan.protocol, QuantumState.empty())
+    for leaf in tree.leaves:
+        layout = leaf.state.layout
+        for branch in leaf.state.branches:
+            for factor in branch.factors:
+                assert len({layout.party_of(lab) for lab in factor.labels}) == 1
