@@ -10,6 +10,7 @@ records the method that produced it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Mapping, Sequence
 
@@ -19,12 +20,17 @@ from .errors import OracleRefusal, ValidationError
 from .registers import (
     ALICE,
     BOB,
+    REFEREE,
+    CutDecomposition,
     MultipartiteOperator,
+    Register,
+    RegisterLayout,
     TOL,
     eig_hermitian,
     eigh_descending,
     matricize,
     numerical_rank,
+    require_dense,
     resolve_cut,
     svd_across_cut,
 )
@@ -60,8 +66,16 @@ class SNCertificate:
         return self.lower == self.upper
 
 
-def _pure_ket(state: QuantumState) -> MultipartiteOperator:
-    return MultipartiteOperator.ket(state.to_vector(), state.layout)
+def _cut(
+    vec: np.ndarray, layout: RegisterLayout, cut: Mapping[str, str] | None
+) -> tuple[CutDecomposition, int, tuple[np.ndarray, np.ndarray]]:
+    """The one decomposition of the ket ``vec`` across ``cut``, its Schmidt
+    rank (the singular values above ``TOL.rank_rtol`` times the largest) and
+    its (left, right) local supports: the first ``rank`` columns of either
+    basis."""
+    dec = svd_across_cut(MultipartiteOperator.ket(vec, layout), cut)
+    rank = numerical_rank(dec.singular_values, TOL.rank_rtol)
+    return dec, rank, (dec.left_basis[:, :rank], dec.right_basis[:, :rank])
 
 
 def schmidt_rank(
@@ -71,9 +85,8 @@ def schmidt_rank(
 
     Rank counts singular values above ``TOL.rank_rtol`` times the largest one.
     """
-    dec = svd_across_cut(_pure_ket(state), cut)
+    dec, rank, _ = _cut(state.to_vector(), state.layout, cut)
     s = dec.singular_values
-    rank = numerical_rank(s, TOL.rank_rtol)
     if rank < 1:
         raise ValidationError("pure state has vanishing Schmidt spectrum")
     total = float(np.sum(s**2))
@@ -98,11 +111,26 @@ def sn_pure(
 def _local_support_dims(
     state: QuantumState, cut: Mapping[str, str] | None
 ) -> tuple[int, int]:
-    left, right = (
-        numerical_rank(state.marginal(side).eigenvalues(), TOL.rank_rtol)
-        for side in resolve_cut(state.layout, cut)
+    """Ranks of the two marginals, read as Schmidt ranks of the purification
+    sum_i sqrt(p_i) |psi_i>|i>: a side's singular values are those of its
+    stacked sqrt(p)-weighted branch kets, and the purifying register sits on
+    the other side of the cut. The D x k stack is checked against the cap."""
+    ens = state.as_ensemble()
+    require_dense(state.layout.total_dim, cols=len(ens.branches))
+    vec = np.stack(
+        [math.sqrt(br.probability) * ens.branch_vector(br) for br in ens.branches],
+        axis=1,
+    ).reshape(-1)
+    left, right = resolve_cut(state.layout, cut)
+    # longer than every label of the state, so it names a new register
+    label = "E" * (1 + max(map(len, state.layout.labels)))
+    layout = state.layout.concat(
+        RegisterLayout((Register(label, len(ens.branches), REFEREE),))
     )
-    return left, right
+    sides = {lab: "left" for lab in left} | {lab: "right" for lab in right}
+    return tuple(
+        _cut(vec, layout, sides | {label: other})[1] for other in ("right", "left")
+    )
 
 
 def sn_lower_fidelity(
@@ -142,29 +170,10 @@ def sn_decomposition_upper(
     """Upper bound from an explicit ensemble: max branch Schmidt rank."""
     if state.is_dense:
         raise OracleRefusal("decomposition upper bound needs an ensemble state")
-    left, right = resolve_cut(state.layout, cut)
-    upper = 1
-    for br in state.branches:
-        upper = max(upper, _branch_rank(state, br, left, right))
+    upper = max(
+        _cut(state.branch_vector(br), state.layout, cut)[1] for br in state.branches
+    )
     return SNCertificate(1, upper, "decomposition-upper", {"branches": len(state.branches)})
-
-
-def _branch_rank(state: QuantumState, branch, left, right) -> int:
-    vec = state.branch_vector(branch)
-    ket = MultipartiteOperator.ket(vec, state.layout)
-    cut = {lab: "left" for lab in left}
-    cut.update({lab: "right" for lab in right})
-    dec = svd_across_cut(ket, cut)
-    return numerical_rank(dec.singular_values**2, TOL.rank_rtol)
-
-
-def _side_basis(state: QuantumState, vec: np.ndarray, side) -> np.ndarray:
-    """Orthonormal basis (columns) of the local support of the ket ``vec`` on
-    the registers ``side``."""
-    rows = [state.layout.index_of(lab) for lab in side]
-    mat = matricize(vec, state.layout.dims, rows)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    return u[:, : numerical_rank(s, TOL.rank_rtol)]
 
 
 # -- exact oracle for rank-2 mixtures with a product component -------------
@@ -292,8 +301,7 @@ def sn_orthogonal_mixture(
         raise OracleRefusal("not a rank-2 mixture: second eigenvalue vanishes")
     if numerical_rank(vals, TOL.rank_rtol) > 2:
         raise OracleRefusal(f"not a rank-2 mixture: third eigenvalue {vals[2]:.2e}")
-    left, right = resolve_cut(state.layout, cut)
-    rows = [state.layout.index_of(lab) for lab in left]
+    rows = [state.layout.index_of(lab) for lab in resolve_cut(state.layout, cut)[0]]
 
     def as_matrix(vec):
         return matricize(vec, state.layout.dims, rows)
@@ -334,21 +342,17 @@ def sn_orthogonal_mixture(
         if not defect <= TOL.decomposition_atol:
             reasons.append(f"pair is not a decomposition (defect {defect:.2e})")
             continue
-        overlap_bad = None
-        for side, name in ((left, "left"), (right, "right")):
-            bx = _side_basis(state, x, side)
-            by = _side_basis(state, y, side)
-            overlap = float(np.linalg.norm(bx.conj().T @ by, 2))
-            if overlap > TOL.support_overlap_atol:
-                overlap_bad = f"{name} local supports overlap ({overlap:.2e})"
-                break
-        if overlap_bad:
-            reasons.append(overlap_bad)
+        (_, rx, sx), (_, ry, sy) = (_cut(vec, state.layout, cut) for vec in (x, y))
+        overlaps = [
+            f"{name} local supports overlap ({ov:.2e})"
+            for name, bx, by in zip(("left", "right"), sx, sy)
+            if (ov := float(np.linalg.norm(bx.conj().T @ by, 2)))
+            > TOL.support_overlap_atol
+        ]
+        if overlaps:
+            reasons.append(overlaps[0])
             continue
-        ranks = []
-        for vec in (x, y):
-            sv = np.linalg.svd(as_matrix(vec), compute_uv=False)
-            ranks.append(numerical_rank(sv**2, TOL.rank_rtol))
+        ranks = (rx, ry)
         rank = max(ranks)
         return SNCertificate(
             rank,
@@ -395,7 +399,7 @@ def sn_flagged_blocks(
     """
     if state.is_dense:
         raise OracleRefusal("flagged-block oracle needs an ensemble state")
-    blocks: list[tuple[str, QuantumState]] = []
+    bounds: dict[str, tuple[int, int]] = {}
     if flag_labels is not None:
         fa, fb = flag_labels
         if state.layout.party_of(fa) != ALICE or state.layout.party_of(fb) != BOB:
@@ -415,7 +419,9 @@ def sn_flagged_blocks(
             if ia != ib:
                 raise OracleRefusal(f"flag values disagree in a branch ({ia} vs {ib})")
             groups.setdefault(ia, []).append(br)
-        rest_labels = [lab for lab in state.layout.labels if lab not in (fa, fb)]
+        rest = state.layout.subset(
+            [lab for lab in state.layout.labels if lab not in (fa, fb)]
+        )
         for val in sorted(groups):
             brs = groups[val]
             q = sum(b.probability for b in brs)
@@ -423,47 +429,31 @@ def sn_flagged_blocks(
             for b in brs:
                 fs = tuple(f for f in b.factors if f.labels not in ((fa,), (fb,)))
                 sub.append(type(b)(b.probability / q, fs))
-            blocks.append(
-                (f"flag={val}", QuantumState(state.layout.subset(rest_labels), branches=tuple(sub)))
-            )
+            block = QuantumState(rest, branches=tuple(sub))
+            if len(sub) == 1:
+                lo = hi = _cut(block.to_vector(), rest, cut)[1]
+            else:
+                try:
+                    cert = sn_orthogonal_mixture(block, cut)
+                    lo, hi = cert.lower, cert.upper
+                except OracleRefusal:
+                    lo, hi = 1, sn_decomposition_upper(block, cut).upper
+            bounds[f"flag={val}"] = (lo, hi)
     else:
-        left, right = resolve_cut(state.layout, cut)
-        kets = [state.branch_vector(br) for br in state.branches]
-        bases_l = [_side_basis(state, v, left) for v in kets]
-        bases_r = [_side_basis(state, v, right) for v in kets]
-        for i in range(len(state.branches)):
-            for j in range(i + 1, len(state.branches)):
-                for bases, name in ((bases_l, "left"), (bases_r, "right")):
-                    ov = float(np.linalg.norm(bases[i].conj().T @ bases[j], 2))
-                    if ov > TOL.support_overlap_atol:
-                        raise OracleRefusal(
-                            f"branches {i} and {j} have overlapping {name} supports "
-                            f"({ov:.2e}); blocks are not classically readable"
-                        )
-        for i, br in enumerate(state.branches):
-            blocks.append(
-                (f"branch={i}", QuantumState(state.layout, branches=(type(br)(1.0, br.factors),)))
-            )
-    lower = 1
-    upper = 1
-    detail = {}
-    for name, block in blocks:
-        if len(block.branches) == 1:
-            r = _branch_rank(
-                block, block.branches[0], *resolve_cut(block.layout, cut)
-            )
-            lo = hi = r
-        else:
-            try:
-                cert = sn_orthogonal_mixture(block, cut)
-                lo, hi = cert.lower, cert.upper
-            except OracleRefusal:
-                dec = sn_decomposition_upper(block, cut)
-                lo, hi = 1, dec.upper
-        detail[name] = (lo, hi)
-        lower = max(lower, lo)
-        upper = max(upper, hi)
-    return SNCertificate(lower, upper, "flagged-block-oracle", {"blocks": detail})
+        # implicit flags: one cut per branch gives its supports and its rank
+        cuts = [_cut(state.branch_vector(br), state.layout, cut) for br in state.branches]
+        for (i, (_, _, si)), (j, (_, _, sj)) in itertools.combinations(enumerate(cuts), 2):
+            for name, bi, bj in zip(("left", "right"), si, sj):
+                ov = float(np.linalg.norm(bi.conj().T @ bj, 2))
+                if ov > TOL.support_overlap_atol:
+                    raise OracleRefusal(
+                        f"branches {i} and {j} have overlapping {name} supports "
+                        f"({ov:.2e}); blocks are not classically readable"
+                    )
+        bounds = {f"branch={i}": (rank, rank) for i, (_, rank, _) in enumerate(cuts)}
+    lower = max(lo for lo, _ in bounds.values())
+    upper = max(hi for _, hi in bounds.values())
+    return SNCertificate(lower, upper, "flagged-block-oracle", {"blocks": bounds})
 
 
 # -- entropies -------------------------------------------------------------

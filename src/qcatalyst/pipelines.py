@@ -18,10 +18,11 @@ import platform
 import numpy as np
 
 from . import __version__
-from .errors import QcatError
+from .errors import QcatError, ValidationError
 from .registers import (
     ALICE,
     BOB,
+    MAX_SEEDS,
     REFEREE,
     MultipartiteOperator,
     Register,
@@ -218,11 +219,14 @@ def _corrupted(protocol: CatalyticProtocol, epsilon: float) -> CatalyticProtocol
 def perturbed_instrument(
     instrument: Instrument, epsilon: float, seed: int = 7
 ) -> Instrument:
-    """Compose a small rotation of the first input register into every
-    Kraus operator."""
-    if not epsilon:
+    """Compose a small rotation of the first input register with more than
+    one level into every Kraus operator; the registers before it have one
+    level, so the rotation leads the Kronecker product. An input of dimension
+    1 (a one-level pair at n = 1) holds nothing to perturb and is returned
+    as it is."""
+    d0 = next((r.dim for r in instrument.layout_in.registers if r.dim > 1), 1)
+    if not epsilon or d0 == 1:
         return instrument
-    d0 = instrument.layout_in.registers[0].dim
     rest = instrument.layout_in.total_dim // d0
     big = np.kron(_local_rotation(d0, epsilon, seed), np.eye(rest))
     return Instrument(
@@ -279,23 +283,16 @@ def separation_family(n: int) -> SeparationFamily:
 
 
 def _mixture_components(family: SeparationFamily):
-    """The two pure components of the target mixture, as states."""
-    m = family.m
-    a_labels = tuple(f"A{j}" for j in range(1, m + 1))
-    b_labels = tuple(f"B{j}" for j in range(1, m + 1))
-    layout = RegisterLayout(
-        tuple(Register(lab, 3, ALICE) for lab in a_labels)
-        + tuple(Register(lab, 3, BOB) for lab in b_labels)
-    )
-    rho_vec = family.rho.to_vector()
-    sig_vec = family.sigma.to_vector()
-    comp0 = QuantumState.pure_product(
-        layout, [((a_labels[j], b_labels[j]), rho_vec) for j in range(m)]
-    )
-    comp1 = QuantumState.pure_product(
-        layout, [((a_labels[j], b_labels[j]), sig_vec) for j in range(m)]
-    )
-    return [(1.0 / m, comp0), ((m - 1.0) / m, comp1)]
+    """The two pure components of the target mixture, as states: the
+    branches of ``family.tau`` with their weights."""
+    tau = family.tau
+    return [
+        (
+            br.probability,
+            QuantumState.from_branches(tau.layout, (EnsembleBranch(1.0, br.factors),)),
+        )
+        for br in tau.branches
+    ]
 
 
 # -- pipeline: exact catalytic mixing ---------------------------------------
@@ -533,6 +530,10 @@ def pipeline_obs3(seeds: int = 10, corruption: float = 0.0) -> ReportDocument:
     inputs = {"seeds": seeds}
     quantities: list[Quantity] = []
     try:
+        if seeds > MAX_SEEDS:
+            raise ValidationError(
+                f"refusing to draw {seeds} random catalysts (cap {MAX_SEEDS})"
+            )
         layout, start, goal = _bit_flip_task()
         protocol = _flip_protocol(corruption)
         tree = run_protocol(protocol, start)

@@ -24,6 +24,7 @@ REFEREE = "Referee"
 PARTIES = (ALICE, BOB, REFEREE)
 
 DENSE_CAP = 2000
+MAX_SEEDS = 10_000  # random catalysts one obs3 report may draw, one check each
 
 
 @dataclasses.dataclass(frozen=True)

@@ -185,9 +185,11 @@ class QuantumState:
         return self.dense is not None
 
     def branch_vector(self, branch: EnsembleBranch) -> np.ndarray:
-        """Full ket of a branch, indexed in layout order."""
+        """Full ket of a branch, indexed in layout order; refused past the
+        dense cap as a D x 1 array before any amplitude is formed."""
         if not branch.factors:
             return np.ones(1, dtype=np.complex128)
+        require_dense(self.layout.total_dim, cols=1)
         vec = branch.factors[0].vector
         labels = list(branch.factors[0].labels)
         for f in branch.factors[1:]:

@@ -407,3 +407,67 @@ def test_one_level_registers_do_not_exhaust_numpy_axes(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["verdict"] == "verified"
+
+
+@pytest.mark.parametrize("branches", [1, 2])
+def test_wide_ket_is_refused_before_its_amplitudes(branches, tmp_path, capsys):
+    """15 + 15 qubit registers, each its own basis factor: the full ket has
+    2^30 amplitudes (16 GiB), and it is checked as a D x 1 array against the
+    cap before one is formed (by ``to_vector`` for one branch, by the
+    flagged-block oracle for two)."""
+    layout = RegisterLayout.build(
+        [(f"A{i}", 2, ALICE) for i in range(15)] + [(f"B{i}", 2, BOB) for i in range(15)]
+    )
+    states = [basis_product(layout, [k] * len(layout)) for k in range(branches)]
+    doc = QuantumState.from_branches(
+        layout,
+        [EnsembleBranch(1.0 / branches, s.branches[0].factors) for s in states],
+    ).to_json()
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = main(["schmidt", "--input", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert captured.err == ""
+    assert report["verdict"] == "refused"
+    assert report["reason"] == (
+        f"refusing to build a {2**30}x1 operator (cap 2000^2 entries)"
+    )
+    assert peak < 16 << 20
+
+
+def test_obs3_seed_count_past_the_cap_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["obs3", "--seeds", "100000000"])
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["verdict"] == "refused"
+    assert report["reason"] == "refusing to draw 100000000 random catalysts (cap 10000)"
+    assert report["quantities"] == []
+    assert elapsed < 1.0
+
+
+def test_obs3_top_benchmark_rung_is_verified(capsys):
+    assert main(["obs3", "--seeds", "200"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "verified"
+
+
+@pytest.mark.parametrize("n, verdict", [(1, "verified"), (2, "falsified"), (3, "falsified")])
+def test_corruption_reaches_past_one_level_registers(n, verdict, tmp_path, capsys):
+    """On a 1 x 1 pair Alice's first input register has one level, where a
+    rotation is only a phase; the hook rotates the first register with more
+    than one level (the catalyst's, from n = 2). At n = 1 the input is
+    one-dimensional and nothing can be perturbed."""
+    rho, sigma = _product_pair_documents(tmp_path, 1, 1)
+    argv = ["lemma1", "--rho", rho, "--sigma", sigma, "--n", str(n)]
+    code = main(argv + ["--corrupt-epsilon", "0.3"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == verdict
+    assert code == (0 if verdict == "verified" else 2)

@@ -69,3 +69,19 @@ def test_only_registers_names_the_dense_cap():
         or (isinstance(node, ast.alias) and node.name == "DENSE_CAP")
     ]
     assert not stray, "DENSE_CAP named outside registers.py:\n" + "\n".join(stray)
+
+
+def test_no_rank_is_counted_on_a_power():
+    # rank_rtol is relative to singular values; counting squared singular
+    # values (or any power) would square the cutoff as well
+    stray = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "numerical_rank"
+        and node.args
+        and isinstance(node.args[0], ast.BinOp)
+        and isinstance(node.args[0].op, ast.Pow)
+    ]
+    assert not stray, "numerical_rank of a power:\n" + "\n".join(stray)
