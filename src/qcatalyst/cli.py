@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -44,13 +45,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the report to this path (atomic)")
     sub.add_argument(
         "--format", choices=("json", "text"), default="json", help="report format"
     )
     sub.add_argument(
-        "--corrupt-epsilon", type=float, default=0.0, help=argparse.SUPPRESS
+        "--corrupt-epsilon", type=_finite_float, default=0.0, help=argparse.SUPPRESS
     )
 
 
@@ -116,10 +127,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _decode_json(text: str):
+    """``text`` parsed as JSON. A document nested deeper than the parser can
+    recurse is undecodable like any other malformed document."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("JSON nested too deep", text, 0) from None
+
+
 def _load_state(path: str) -> QuantumState:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return QuantumState.from_json(data)
+        text = fh.read()
+    return QuantumState.from_json(_decode_json(text))
 
 
 def _render(report: ReportDocument, fmt: str) -> str:
@@ -132,9 +152,15 @@ def _emit(report: ReportDocument, args) -> int:
     payload = _render(report, args.format)
     if args.out:
         tmp = f"{args.out}.tmp{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, args.out)
+        fh = open(tmp, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(payload)
+            os.replace(tmp, args.out)
+        except OSError:
+            # the file opened above is ours: leave nothing behind
+            os.remove(tmp)
+            raise
     else:
         sys.stdout.write(payload)
     if report.verdict == "verified":
@@ -164,18 +190,19 @@ def main(argv=None) -> int:
             report = pipeline_obs3(args.seeds, corruption=args.corrupt_epsilon)
         else:
             state = _load_state(args.input)
-            cut = json.loads(args.cut) if args.cut else None
+            cut = _decode_json(args.cut) if args.cut else None
             if cut is not None and not isinstance(cut, dict):
                 parser.error('--cut must be a JSON object, e.g. {"R": "left"}')
             report = pipeline_schmidt(state, cut)
-    except (OSError, json.JSONDecodeError) as exc:
+        return _emit(report, args)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # unreadable or undecodable inputs, or an unwritable --out
         print(f"qcatalyst: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QcatError as exc:
         # inputs that parse but are not valid states / protocols
         print(f"qcatalyst: refused: {exc}", file=sys.stderr)
         return EXIT_NOT_VERIFIED
-    return _emit(report, args)
 
 
 if __name__ == "__main__":

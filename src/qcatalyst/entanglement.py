@@ -182,18 +182,34 @@ def sn_decomposition_upper(
 def _pencil_rank_one_elements(M1: np.ndarray, M2: np.ndarray):
     """Rank-one elements a*M1 + b*M2 of a two-dimensional matrix pencil.
 
-    All 2x2 minors of a*M1 + b*M2 are quadratic forms in (a, b); collecting
-    their coefficient rows, a rank-one element corresponds to a null vector
-    (a^2, a*b, b^2). Working on the span rather than individual eigenvectors
-    keeps this stable when the mixture weights are degenerate and the
-    eigenbasis is arbitrary.
+    The pencil is first restricted to the joint column span of ``[M1 M2]``
+    and the joint row span of ``[M1; M2]``: with orthonormal bases L and R of
+    these spans, a*M1 + b*M2 = L (a*M1' + b*M2') R^T, so every element keeps
+    its rank, and the compressed matrices are at most r x r with
+    r <= rank M1 + rank M2. All 2x2 minors of a*M1' + b*M2' are quadratic
+    forms in (a, b); collecting their C(r, 2)^2 coefficient rows, a rank-one
+    element corresponds to a null vector (a^2, a*b, b^2), so the largest
+    array is O(r^4) whatever the register dimensions. Working on the span
+    rather than individual eigenvectors keeps this stable when the mixture
+    weights are degenerate and the eigenbasis is arbitrary.
+
+    Returns the candidate (a, b) pairs (empty when no element is rank one),
+    or None when none can be read off: every element is rank <= 1 (a
+    compressed side of dimension < 2), or the pencil is degenerate.
     """
-    dA, dB = M1.shape
-    if dA < 2 or dB < 2:
-        # every element is rank <= 1; signalled to the caller via dimension 3
+
+    def span(stacked):
+        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+        return u[:, : numerical_rank(s, TOL.rank_rtol)]
+
+    left = span(np.hstack([M1, M2]))
+    right = span(np.hstack([M1.T, M2.T]))
+    M1, M2 = (left.conj().T @ M @ right.conj() for M in (M1, M2))
+    ra, rb = M1.shape
+    if ra < 2 or rb < 2:
         return None
-    ri, rj = np.triu_indices(dA, k=1)
-    ck, cl = np.triu_indices(dB, k=1)
+    ri, rj = np.triu_indices(ra, k=1)
+    ck, cl = np.triu_indices(rb, k=1)
 
     def cross(X, Y):
         return (

@@ -1,6 +1,7 @@
 """Schmidt rank, Schmidt-number certificates, entropies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,9 @@ from qcatalyst import (
     tensor_states,
     von_neumann_entropy,
 )
+from qcatalyst.entanglement import _pencil_rank_one_elements
+from qcatalyst.pipelines import separation_family
+from qcatalyst.registers import matricize
 from qcatalyst.sampling import random_pure_vector, rng
 
 
@@ -168,6 +172,86 @@ class TestOrthogonalMixtureOracle:
     def test_rank_three_state_refused(self):
         with pytest.raises(OracleRefusal):
             sn_orthogonal_mixture(max_entangled(3))
+
+
+def _orthogonal_components(d, rank, seed):
+    """A product ket and a rank-``rank`` ket on a d x d pair whose local
+    supports are orthogonal on both sides, both in random local bases."""
+    gen = rng(seed)
+    ua, ub = (
+        np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))[0]
+        for _ in range(2)
+    )
+    prod = np.kron(ua[:, 0], ub[:, 0])
+    ent = sum(np.kron(ua[:, k], ub[:, k]) for k in range(1, rank + 1)) / math.sqrt(rank)
+    return prod, ent
+
+
+def _mixture(d, branches):
+    lay = RegisterLayout((Register("A", d, ALICE), Register("B", d, BOB)))
+    return QuantumState.from_branches(
+        lay, tuple(EnsembleBranch(p, (Factor(("A", "B"), v),)) for p, v in branches)
+    )
+
+
+class TestCompressedPencil:
+    """The pencil is restricted to the joint supports of its two matrices
+    before any minor is formed; the certificates are the uncompressed ones."""
+
+    def test_separation_target_peak_memory(self):
+        # 27 x 27 Schmidt matrices: 123201 minor rows and a 17 MB peak
+        # uncompressed, a rank <= 9 pencil compressed
+        tau = separation_family(2).tau
+        tracemalloc.start()
+        try:
+            sn_orthogonal_mixture(tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize(
+        "n, sn, weights", [(1, 4, (0.5, 0.5)), (2, 8, (2 / 3, 1 / 3))]
+    )
+    def test_separation_certificates_unchanged(self, n, sn, weights, dense):
+        tau = separation_family(n).tau
+        cert = sn_orthogonal_mixture(tau.as_dense_state() if dense else tau)
+        assert (cert.lower, cert.upper, cert.method) == (
+            sn,
+            sn,
+            "orthogonal-mixture-oracle",
+        )
+        assert cert.details["component_ranks"] == (1, sn)
+        assert np.allclose(cert.details["weights"], weights, rtol=0, atol=1e-12)
+        assert cert.details["decomposition_defect"] <= 1e-12
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_rank_two_mixture_in_qudit_nine_registers(self, dense):
+        prod, ent = _orthogonal_components(9, 2, seed=91)
+        mix = _mixture(9, [(0.3, prod), (0.7, ent)])
+        cert = sn_orthogonal_mixture(mix.as_dense_state() if dense else mix)
+        assert (cert.lower, cert.upper) == (2, 2)
+        assert cert.details["component_ranks"] == (1, 2)
+        assert np.allclose(cert.details["weights"], (0.3, 0.7), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_degenerate_weights_read_the_product_off_the_minors(self, dense):
+        # p = 1/2: the support eigenbasis is arbitrary, and the branches are
+        # (prod +- ent)/sqrt 2, neither of which is product
+        prod, ent = _orthogonal_components(5, 3, seed=55)
+        plus, minus = (prod + ent) / math.sqrt(2.0), (prod - ent) / math.sqrt(2.0)
+        mix = _mixture(5, [(0.5, plus), (0.5, minus)])
+        m1, m2 = (matricize(v, (5, 5), [0]) for v in (plus, minus))
+        # prod = (plus + minus)/sqrt 2 is the pencil's only rank-one direction
+        assert any(
+            abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+            for a, b in _pencil_rank_one_elements(m1, m2)
+        )
+        cert = sn_orthogonal_mixture(mix.as_dense_state() if dense else mix)
+        assert (cert.lower, cert.upper) == (3, 3)
+        assert cert.details["component_ranks"] == (1, 3)
+        assert np.allclose(cert.details["weights"], (0.5, 0.5), rtol=0, atol=1e-12)
 
 
 class TestFlaggedBlocks:

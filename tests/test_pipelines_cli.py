@@ -471,3 +471,49 @@ def test_corruption_reaches_past_one_level_registers(n, verdict, tmp_path, capsy
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == verdict
     assert code == (0 if verdict == "verified" else 2)
+
+
+def _one_line_usage_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("qcatalyst: ")
+
+
+def test_out_into_a_missing_directory_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    _one_line_usage_error(main(["obs1", "--n", "1", "--out", str(target)]), capsys)
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_onto_a_directory_leaves_no_temporary_file(tmp_path, capsys):
+    (tmp_path / "somedir").mkdir()
+    code = main(["theorem", "--n", "1", "--out", str(tmp_path / "somedir")])
+    _one_line_usage_error(code, capsys)
+    assert os.listdir(tmp_path) == ["somedir"]
+    assert os.listdir(tmp_path / "somedir") == []
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-100000-deep"],
+)
+def test_undecodable_state_document_exits_one(payload, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_bytes(payload)
+    _one_line_usage_error(main(["schmidt", "--input", str(path)]), capsys)
+
+
+def test_cut_nested_too_deep_exits_one(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    write_state(path, max_entangled(2, ("A", "B")))
+    cut = "[" * 5000 + "]" * 5000
+    _one_line_usage_error(main(["schmidt", "--input", str(path), "--cut", cut]), capsys)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_corruption_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["theorem", "--n", "1", f"--corrupt-epsilon={value}"])
+    assert err.value.code == 1
+    assert "must be finite" in capsys.readouterr().err
