@@ -33,6 +33,7 @@ from .states import (
     apply_channel,
     apply_instrument,
     basis_product,
+    coalesce,
     fidelity,
     max_entangled,
     tensor_states,

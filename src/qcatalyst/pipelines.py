@@ -428,7 +428,11 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
         converse = construct_converse(
             family.rho, _mixture_components(family), family.d_enough
         )
-        tree = run_protocol(converse.protocol, family.rho)
+        tree = run_protocol(
+            converse.protocol,
+            family.rho,
+            keep=[name for name, _ in converse.postselect],
+        )
         achieved, prob = final_state(tree, converse.postselect)
         bound = ledger_bound(in_rank, tree)
         quantities.append(
@@ -536,7 +540,7 @@ def pipeline_obs3(seeds: int = 10, corruption: float = 0.0) -> ReportDocument:
             )
         layout, start, goal = _bit_flip_task()
         protocol = _flip_protocol(corruption)
-        tree = run_protocol(protocol, start)
+        tree = run_protocol(protocol, start, keep=())
         achieved, _ = final_state(tree)
         achieved = achieved.permuted(layout.labels)
         quantities.append(
@@ -666,7 +670,7 @@ def pipeline_obs1(
                 "ledger",
             )
         )
-        prep_tree = run_protocol(plan.protocol, rho)
+        prep_tree = run_protocol(plan.protocol, rho, keep=())
         prepared, _ = final_state(prep_tree)
         cat_labels = list(plan.catalyst.layout.labels)
         cat_dist = trace_distance(
@@ -686,7 +690,7 @@ def pipeline_obs1(
             local_round("mix-b", BOB, protocol.bob_channel),
         )
         full = SloccqProtocol(rounds, plan.protocol.dimension_budget)
-        tree = run_protocol(full, rho)
+        tree = run_protocol(full, rho, keep=())
         achieved, _ = final_state(tree)
         target = mixture_target(rho, sigma, n)
         out_labels = list(target.layout.labels)

@@ -11,9 +11,13 @@ A channel is the one-outcome instrument and is passed to a round as it is;
 protocol JSON writes every round map in the instrument format.
 
 Execution enumerates every outcome path exactly, producing a tree of leaves
-(path, probability, pure-or-ensemble state). A ledger records what was sent;
-Schmidt number is multiplicative under local processing and can grow by at
-most the total sent dimension, which gives the certified impossibility bound.
+(path, probability, pure-or-ensemble state), unless ``keep`` names the rounds
+whose outcomes the caller reads: then each other outcome is retired once no
+later round selects by it, and the leaves that only it told apart merge into
+one, coalesced, carrying their summed probability. A ledger records what was
+sent; Schmidt number is multiplicative under local processing and can grow by
+at most the total sent dimension, which gives the certified impossibility
+bound.
 
 Two compilers build protocols from bipartite pure components: the converse
 (filter the input to a maximally entangled pair, extend it by a transmitted
@@ -51,6 +55,7 @@ from .states import (
     KrausChannel,
     QuantumState,
     apply_instrument,
+    coalesce,
     max_entangled_vector,
 )
 from .entanglement import SNCertificate
@@ -301,6 +306,7 @@ class BranchTree:
     protocol: SloccqProtocol
     leaves: tuple[BranchLeaf, ...]
     ledger: ProtocolLedger
+    retired: tuple[str, ...] = ()  # rounds whose outcomes no path records
 
     @property
     def total_probability(self) -> float:
@@ -335,12 +341,64 @@ def _round_instrument(rnd: ProtocolRound, path) -> Instrument:
     )
 
 
-def run_protocol(protocol: SloccqProtocol, initial: QuantumState) -> BranchTree:
-    """Enumerate all outcome paths of the protocol on the given input."""
+def _retirement_schedule(
+    protocol: SloccqProtocol, keep: Sequence[str] | None
+) -> list[set[str]]:
+    """For each round, the rounds whose outcomes are spent once it has run:
+    none that ``keep`` names, and none while a later round selects by them.
+    ``keep=None`` retires nothing."""
+    schedule: list[set[str]] = [set() for _ in protocol.rounds]
+    if keep is None:
+        return schedule
+    last_read: dict[str, int] = {}
+    for i, rnd in enumerate(protocol.rounds):
+        if rnd.kind == LOCAL:
+            last_read[rnd.name] = i
+        if rnd.select_by is not None:
+            last_read[rnd.select_by] = i
+    for name, i in last_read.items():
+        if name not in keep:
+            schedule[i].add(name)
+    return schedule
+
+
+def _retire(leaves: list[BranchLeaf], spent: set[str]) -> list[BranchLeaf]:
+    """Forget the outcomes of the ``spent`` rounds: the leaves left with the
+    same path merge into one (measuring and forgetting an outcome is the
+    same channel as never reading it)."""
+    groups: dict[tuple, list[BranchLeaf]] = {}
+    for leaf in leaves:
+        path = tuple(step for step in leaf.path if step[0] not in spent)
+        groups.setdefault((path, leaf.state.layout), []).append(leaf)
+    merged = []
+    for (path, _), group in groups.items():
+        if len(group) == 1:
+            merged.append(BranchLeaf(path, group[0].probability, group[0].state))
+        else:
+            state, probability = _mix_leaves(group)
+            merged.append(BranchLeaf(path, probability, state))
+    return merged
+
+
+def run_protocol(
+    protocol: SloccqProtocol,
+    initial: QuantumState,
+    keep: Sequence[str] | None = None,
+) -> BranchTree:
+    """Enumerate all outcome paths of the protocol on the given input.
+
+    With ``keep=None`` every outcome path is a leaf. Otherwise ``keep`` names
+    the rounds whose outcomes the caller reads (a postselection, say); every
+    other outcome is retired once no later round selects by it (see
+    ``_retire``), and ``final_state`` refuses to postselect on it. The ledger
+    is the same either way.
+    """
+    schedule = _retirement_schedule(protocol, keep)
     leaves = [BranchLeaf((), 1.0, initial.as_ensemble())]
     sent: list[int] = []
     broadcasts: list[str] = []
-    for rnd in protocol.rounds:
+    retired: list[str] = []
+    for rnd, spent in zip(protocol.rounds, schedule):
         if rnd.kind == SEND:
             new_leaves = []
             for leaf in leaves:
@@ -397,30 +455,20 @@ def run_protocol(protocol: SloccqProtocol, initial: QuantumState) -> BranchTree:
             raise ProtocolError(
                 f"branch tree exceeded {MAX_LEAVES} leaves at round {rnd.name!r}"
             )
+        if spent:
+            leaves = _retire(leaves, spent)
+            retired.extend(sorted(spent))
     ledger = ProtocolLedger(tuple(sent), tuple(broadcasts), len(protocol.rounds))
-    return BranchTree(protocol, tuple(leaves), ledger)
+    return BranchTree(protocol, tuple(leaves), ledger, tuple(retired))
 
 
-def final_state(
-    tree: BranchTree,
-    postselect: Sequence[tuple[str, str]] | None = None,
-) -> tuple[QuantumState, float]:
-    """Average the leaves (optionally only those matching the postselection).
-
-    Returns the normalized state and the total probability it carries.
-    """
-    wanted = list(postselect or [])
-    picked = [
-        leaf
-        for leaf in tree.leaves
-        if all(pair in leaf.path for pair in wanted)
-    ]
-    total = sum(leaf.probability for leaf in picked)
-    if not picked or total <= 0.0:
-        raise ProtocolError("postselection removed every branch")
-    layout = picked[0].state.layout
+def _mix_leaves(leaves: Sequence[BranchLeaf]) -> tuple[QuantumState, float]:
+    """The probability-weighted mixture of the leaves' states, coalesced, and
+    the total probability the leaves carry."""
+    total = sum(leaf.probability for leaf in leaves)
+    layout = leaves[0].state.layout
     branches: list[EnsembleBranch] = []
-    for leaf in picked:
+    for leaf in leaves:
         st = leaf.state
         if st.layout.labels != layout.labels:
             raise ProtocolError("leaves ended on different register sets")
@@ -429,7 +477,33 @@ def final_state(
             branches.append(
                 EnsembleBranch(leaf.probability / total * br.probability, br.factors)
             )
-    return QuantumState(layout, branches=tuple(branches)), total
+    return coalesce(QuantumState(layout, branches=tuple(branches))), total
+
+
+def final_state(
+    tree: BranchTree,
+    postselect: Sequence[tuple[str, str]] | None = None,
+) -> tuple[QuantumState, float]:
+    """Average the leaves (optionally only those matching the postselection).
+
+    Returns the normalized state, coalesced, and the total probability it
+    carries. A postselection on a retired round is refused: no path records
+    its outcome any more.
+    """
+    wanted = list(postselect or [])
+    retired = sorted({name for name, _ in wanted} & set(tree.retired))
+    if retired:
+        raise ProtocolError(
+            f"postselection on retired rounds {retired}; name them in keep"
+        )
+    picked = [
+        leaf
+        for leaf in tree.leaves
+        if all(pair in leaf.path for pair in wanted)
+    ]
+    if not picked or sum(leaf.probability for leaf in picked) <= 0.0:
+        raise ProtocolError("postselection removed every branch")
+    return _mix_leaves(picked)
 
 
 # -- ledger bounds ----------------------------------------------------------
@@ -566,23 +640,22 @@ def _schmidt_data(
 
 
 def shift_clock_unitary(dim: int, q: int, p: int) -> np.ndarray:
-    """X^q Z^p on C^dim."""
-    omega = np.exp(2j * np.pi / dim)
-    z = np.diag(omega ** np.arange(dim))
-    x = np.zeros((dim, dim), dtype=np.complex128)
-    for m in range(dim):
-        x[(m + 1) % dim, m] = 1.0
-    return np.linalg.matrix_power(x, q) @ np.linalg.matrix_power(z, p)
+    """X^q Z^p on C^dim, in closed form: it maps |m> to omega^(p m) |m + q>,
+    with omega^(p m) the p-th power of the clock phase omega^m."""
+    m = np.arange(dim)
+    w = np.zeros((dim, dim), dtype=np.complex128)
+    w[(m + q) % dim, m] = (np.exp(2j * np.pi / dim) ** m) ** p
+    return w
 
 
 def bell_basis(dim: int) -> list[tuple[str, np.ndarray]]:
-    phi = max_entangled_vector(dim)
-    out = []
-    for q in range(dim):
-        for p in range(dim):
-            w = shift_clock_unitary(dim, q, p)
-            out.append((f"q{q}p{p}", np.kron(w, np.eye(dim)) @ phi))
-    return out
+    """The generalized Bell vectors (W_qp x I)|Phi>, formed as vec(W_qp Phi)."""
+    phi = max_entangled_vector(dim).reshape(dim, dim)
+    return [
+        (f"q{q}p{p}", (shift_clock_unitary(dim, q, p) @ phi).reshape(-1))
+        for q in range(dim)
+        for p in range(dim)
+    ]
 
 
 def bell_measurement_instrument(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import reprlib
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ class Tolerances:
     imag_residue_atol: float = 1e-12  # a fidelity is real
     purity_atol: float = 1e-9  # a state counts as pure
     basis_vector_atol: float = 1e-9  # a flag factor is a basis vector
+    coalesce_atol: float = 1e-13  # ensemble branches equal up to factor phases
     # floors
     prob_floor: float = 1e-12  # a branch, outcome or mixture weight below is zero
     entropy_eig_floor: float = 1e-14  # eigenvalues below count as zero in an entropy
@@ -111,6 +113,21 @@ def numerical_rank(values: np.ndarray, rtol: float) -> int:
     return int(np.sum(values > rtol * top))
 
 
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel = 2
+_BRIEF_CHARS = 60
+
+
+def _brief(value) -> str:
+    """A repr of untrusted input cut to a bounded length, for error messages:
+    containers show their first items only and any repr stops after
+    ``_BRIEF_CHARS`` characters, with the value's type named."""
+    text = _BRIEF.repr(value)
+    if len(text) <= _BRIEF_CHARS:
+        return text
+    return f"{text[:_BRIEF_CHARS]}... ({type(value).__name__})"
+
+
 @dataclasses.dataclass(frozen=True)
 class Register:
     """A named subsystem with a dimension and an owning party."""
@@ -121,14 +138,18 @@ class Register:
 
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
-            raise LayoutError("register label must be a non-empty string")
+            raise LayoutError(
+                f"register label must be a non-empty string, got {_brief(self.label)}"
+            )
         dim = self.dim
         if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise LayoutError(f"register {self.label!r} has invalid dim {dim!r}")
+            raise LayoutError(
+                f"register {_brief(self.label)} has invalid dim {_brief(dim)}"
+            )
         if self.party not in PARTIES:
             raise LayoutError(
-                f"register {self.label!r} has unknown party {self.party!r}; "
-                f"expected one of {PARTIES}"
+                f"register {_brief(self.label)} has unknown party "
+                f"{_brief(self.party)}; expected one of {PARTIES}"
             )
 
 

@@ -11,10 +11,13 @@ Two state representations coexist:
 Maps are instruments: labelled lists of Kraus operators, checked once in the
 ``Instrument`` constructor; a ``KrausChannel`` is the one-outcome instrument.
 ``apply_instrument`` is the single application path and ``apply_channel`` its
-one-outcome case. On an ensemble a Kraus operator maps each pure product
-branch to another pure branch on the merged register group; on a dense state
-it is contracted with the target axes on both sides (O(D^2 d), no D x D
-Kronecker embedding).
+one-outcome case. On an ensemble the factors of a branch that touch the
+targets are merged and matricized once per instrument, and every Kraus
+operator of every outcome maps that matrix to a pure branch on the merged
+register group; on a dense state a Kraus operator is contracted with the
+target axes on both sides (O(D^2 d), no D x D Kronecker embedding).
+``coalesce`` merges ensemble branches that are equal up to a phase on each
+factor, deciding by the factors' vector gaps (``TOL.coalesce_atol``).
 
 Spectral metrics of ensembles (trace distance, entropy, purity, support
 spectra) never form a D x D matrix. An ensemble with branch kets ``V`` (D x k)
@@ -509,6 +512,61 @@ def tensor_states(a: QuantumState, b: QuantumState) -> QuantumState:
     return QuantumState(layout, branches=tuple(branches))
 
 
+def coalesce(state: QuantumState) -> QuantumState:
+    """Merge the branches of an ensemble that are equal up to a phase on each
+    factor, adding their probabilities; a dense state is returned as it is.
+
+    Two branches merge when they hold the same factor groups in the same order
+    and ``sum_g min_phi ||a_g - e^{i phi} b_g|| <= TOL.coalesce_atol``. The
+    vector gaps bound the change of any trace distance linearly, which an
+    overlap does not: an overlap of 1 - 1e-16 hides a gap of up to 1.4e-8.
+    A merged branch keeps the factors of the first branch of its class.
+    """
+    if state.is_dense:
+        return state
+    kept: list[list] = []  # [probability, representative branch]
+    by_groups: dict[tuple, list[list]] = {}
+    for br in state.branches:
+        peers = by_groups.setdefault(tuple(f.labels for f in br.factors), [])
+        for slot in peers:
+            if _phase_gap(slot[1], br) <= TOL.coalesce_atol:
+                slot[0] += br.probability
+                break
+        else:
+            peers.append([br.probability, br])
+            kept.append(peers[-1])
+    if len(kept) == len(state.branches):
+        return state
+    return QuantumState(
+        state.layout, branches=tuple(EnsembleBranch(p, br.factors) for p, br in kept)
+    )
+
+
+def _phase_gap(a: EnsembleBranch, b: EnsembleBranch) -> float:
+    """``sum_g ||a_g - e^{i phi_g} b_g||`` over the factors, each phase the
+    one that minimizes its term; ``inf`` once it is surely past
+    ``TOL.coalesce_atol``.
+
+    The Gram form ``|a|^2 + |b|^2 - 2|<b|a>|`` of a squared term is exact up
+    to rounding below ``8 n eps (|a|^2 + |b|^2)``. Past that margin the term
+    surely exceeds the cutoff, so distinct factors are turned away by three
+    dot products; only near-parallel ones form their difference vector.
+    """
+    gap = 0.0
+    for fa, fb in zip(a.factors, b.factors):
+        va, vb = fa.vector, fb.vector
+        overlap = np.vdot(vb, va)
+        norms = np.vdot(va, va).real + np.vdot(vb, vb).real
+        slack = 8 * va.size * np.finfo(np.float64).eps * norms
+        if norms - 2 * abs(overlap) > TOL.coalesce_atol**2 + slack:
+            return math.inf
+        phase = overlap / abs(overlap) if overlap else 1.0
+        gap += float(np.linalg.norm(va - phase * vb))
+        if gap > TOL.coalesce_atol:
+            return math.inf
+    return gap
+
+
 # -- channels and instruments ----------------------------------------------
 
 
@@ -705,14 +763,11 @@ def _output_layout(state: QuantumState, targets, layout_out: RegisterLayout):
     return RegisterLayout(tuple(untouched) + layout_out.registers)
 
 
-def _branch_kraus_action(
-    state: QuantumState,
-    branch: EnsembleBranch,
-    targets: list[str],
-    kraus: np.ndarray,
-    layout_out: RegisterLayout,
-):
-    """Apply one Kraus operator to one branch. Returns (weight, factors) or None."""
+def _target_matrix(state: QuantumState, branch: EnsembleBranch, targets: list[str]):
+    """Merge the factors of ``branch`` that touch ``targets`` into one ket and
+    matricize it: rows run over the targets in order, columns over the rest of
+    the merged group. Returns (untouched factors, matrix, labels of the rest).
+    """
     target_set = set(targets)
     overlapping = [f for f in branch.factors if set(f.labels) & target_set]
     rest = tuple(f for f in branch.factors if not (set(f.labels) & target_set))
@@ -721,19 +776,10 @@ def _branch_kraus_action(
     for f in overlapping:
         merged = np.kron(merged, f.vector) if labels else f.vector
         labels.extend(f.labels)
-    extras = [lab for lab in labels if lab not in target_set]
+    extras = tuple(lab for lab in labels if lab not in target_set)
     dims = [state.layout[lab].dim for lab in labels]
-    out = kraus @ matricize(merged, dims, [labels.index(lab) for lab in targets])
-    weight = float(np.linalg.norm(out) ** 2)
-    if weight < TOL.prob_floor:
-        return None
-    out = out / np.sqrt(weight)
-    new_labels = tuple(layout_out.labels) + tuple(extras)
-    if new_labels:
-        factors = rest + (Factor(new_labels, out.reshape(-1)),)
-    else:
-        factors = rest  # map into the trivial space: only a scalar weight remains
-    return weight, factors
+    mat = matricize(merged, dims, [labels.index(lab) for lab in targets])
+    return rest, mat, extras
 
 
 def _dense_kraus_action(rho: np.ndarray, pos: list[int], kraus: np.ndarray) -> np.ndarray:
@@ -759,41 +805,51 @@ def apply_instrument(
     """Apply an instrument; returns (outcome, probability, normalized state) per
     outcome with probability above the branch floor.
 
-    An ensemble is updated branch by branch, each Kraus operator acting on the
-    factors that touch the targets; a dense state has each Kraus operator
-    contracted with its target axes on both sides. Output layout: untouched
-    registers in their original order, then the instrument's output registers.
+    An ensemble has each branch's target factors merged and matricized once
+    (``_target_matrix``); every Kraus operator of every outcome then acts on
+    that matrix. A dense state has each Kraus operator contracted with its
+    target axes on both sides. Output layout: untouched registers in their
+    original order, then the instrument's output registers.
     """
     targets = _resolve_targets(state, instrument.layout_in, targets)
     new_layout = _output_layout(state, targets, instrument.layout_out)
+    results = []
     if state.is_dense:
         require_dense(new_layout.total_dim)
         rho = state.dense.entries.reshape(state.layout.dims * 2)
         pos = [state.layout.index_of(lab) for lab in targets]
-    results = []
-    for label, kraus in instrument.branches:
-        if state.is_dense:
+        for label, kraus in instrument.branches:
             acc = sum(_dense_kraus_action(rho, pos, k) for k in kraus)
             p = float(np.real(np.trace(acc)))
             if p < TOL.prob_floor:
                 continue
             op = MultipartiteOperator.square(acc / p, new_layout)
             results.append((label, p, QuantumState(new_layout, dense=op)))
-            continue
-        collected = []
+    else:
+        # branch by branch, so one merged matrix is alive at a time; each
+        # outcome still collects its branches in state order
+        collected: list[list] = [[] for _ in instrument.branches]
         for br in state.branches:
-            for k in kraus:
-                hit = _branch_kraus_action(state, br, targets, k, instrument.layout_out)
-                if hit is None:
-                    continue
-                w = br.probability * hit[0]
-                if w >= TOL.prob_floor:
-                    collected.append((w, hit[1]))
-        p = sum(w for w, _ in collected)
-        if p < TOL.prob_floor:
-            continue
-        branches = tuple(EnsembleBranch(w / p, factors) for w, factors in collected)
-        results.append((label, p, QuantumState(new_layout, branches=branches)))
+            rest, mat, extras = _target_matrix(state, br, targets)
+            labels = instrument.layout_out.labels + extras
+            for hits, (_, kraus) in zip(collected, instrument.branches):
+                for k in kraus:
+                    out = k @ mat
+                    weight = float(np.linalg.norm(out) ** 2)
+                    w = br.probability * weight
+                    if weight < TOL.prob_floor or w < TOL.prob_floor:
+                        continue
+                    if labels:
+                        vec = (out / np.sqrt(weight)).reshape(-1)
+                        hits.append((w, rest + (Factor(labels, vec),)))
+                    else:  # a map into the trivial space leaves only a weight
+                        hits.append((w, rest))
+        for (label, _), hits in zip(instrument.branches, collected):
+            p = sum(w for w, _ in hits)
+            if p < TOL.prob_floor:
+                continue
+            branches = tuple(EnsembleBranch(w / p, factors) for w, factors in hits)
+            results.append((label, p, QuantumState(new_layout, branches=branches)))
     total = sum(p for _, p, _ in results)
     if not abs(total - 1.0) <= TOL.outcome_sum_atol:
         raise ValidationError(f"instrument outcome probabilities sum to {total!r}")

@@ -172,6 +172,24 @@ def test_register_dim_must_be_a_json_integer(dim, tmp_path, capsys):
     assert "invalid dim" in err
 
 
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        ({"dim": list(range(200_000))}, "invalid dim"),
+        ({"label": "A" * 200_000, "dim": 0}, "invalid dim"),
+        ({"party": ["Alice"] * 200_000}, "unknown party"),
+        ({"label": [["A"] * 1000] * 1000}, "non-empty string"),
+    ],
+    ids=["dim-list", "long-label", "party-list", "label-nested-list"],
+)
+def test_register_refusal_echoes_a_bounded_value(edit, reason, tmp_path, capsys):
+    doc = max_entangled(2, ("A", "B")).to_json()
+    doc["layout"][0].update(edit)
+    err = _refused_with_one_line(doc, tmp_path, capsys)
+    assert reason in err
+    assert len(err) < 300
+
+
 @pytest.mark.parametrize("labels", ["AB", ["A", 1], {"A": 0, "B": 1}])
 def test_factor_labels_must_be_a_list_of_strings(labels, tmp_path, capsys):
     doc = max_entangled(2, ("A", "B")).to_json()

@@ -8,6 +8,8 @@ import pytest
 from qcatalyst import (
     ALICE,
     BOB,
+    EnsembleBranch,
+    Factor,
     Instrument,
     KrausChannel,
     ProtocolError,
@@ -40,6 +42,7 @@ from qcatalyst import (
     trace_distance,
 )
 from qcatalyst.pipelines import qutrit_pair_states, separation_family, _mixture_components
+from qcatalyst import states as states_module
 from qcatalyst.sampling import random_instrument, random_pure_vector, rng
 
 
@@ -260,6 +263,51 @@ class TestTeleportation:
                         w.conj().T @ w, np.eye(d), atol=1e-12
                     )
 
+    def test_shift_clock_closed_form_matches_matrix_powers(self):
+        # the reference builds X and Z as matrices and multiplies their powers;
+        # its BLAS products may round the clock phases differently from the
+        # closed form's scalar powers, so values are held to one ulp and the
+        # permutation pattern exactly
+        for d in (2, 3, 4, 5, 6, 8):
+            omega = np.exp(2j * np.pi / d)
+            x = np.zeros((d, d), dtype=np.complex128)
+            x[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
+            z = np.diag(omega ** np.arange(d))
+            for q in range(d):
+                for p in range(d):
+                    ref = np.linalg.matrix_power(x, q) @ np.linalg.matrix_power(z, p)
+                    w = shift_clock_unitary(d, q, p)
+                    np.testing.assert_array_equal(w != 0, ref != 0)
+                    np.testing.assert_allclose(w, ref, rtol=0, atol=np.finfo(float).eps)
+
+    def test_bell_round_merges_each_branch_once(self, monkeypatch):
+        # the factors touching the targets are merged once per branch and
+        # shared by all d*d outcomes
+        calls = []
+        real = states_module._target_matrix
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(states_module, "_target_matrix", counting)
+        gen = rng(67)
+        d = 3
+        lay = RegisterLayout((Register("S", d, ALICE),))
+        msg = QuantumState.from_branches(
+            lay,
+            [
+                EnsembleBranch(w, (Factor(("S",), random_pure_vector(d, gen)),))
+                for w in (0.2, 0.3, 0.5)
+            ],
+        )
+        start = tensor_states(msg, max_entangled(d, ("RA", "RB")))
+        outcomes = apply_instrument(
+            bell_measurement_instrument("S", "RA", d, ALICE), start
+        )
+        assert len(outcomes) == d * d
+        assert len(calls) == len(start.branches) == 3
+
     def test_complete_isometry(self):
         gen = rng(63)
         for _ in range(10):
@@ -271,6 +319,62 @@ class TestTeleportation:
             u = complete_isometry(cols, d)
             np.testing.assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-10)
             np.testing.assert_allclose(u[:, :k], cols, atol=1e-12)
+
+
+class TestRetirement:
+    """``run_protocol(..., keep=...)`` forgets outcomes no later round reads:
+    the leaves they alone told apart merge, and the ledger stays the same."""
+
+    def test_teleport_tree_retires_to_one_leaf(self):
+        gen = rng(68)
+        for d in (2, 3, 4):
+            msg = QuantumState.pure(
+                RegisterLayout((Register("S", d, ALICE),)),
+                random_pure_vector(d, gen),
+            )
+            start = tensor_states(msg, max_entangled(d, ("RA", "RB")))
+            prot = SloccqProtocol(tuple(teleport_rounds("S", "RA", "RB", d)), 1)
+            every = run_protocol(prot, start)
+            retired = run_protocol(prot, start, keep=())
+            assert len(every.leaves) == d * d
+            assert len(retired.leaves) == 1
+            assert retired.ledger == every.ledger
+            s_every, p_every = final_state(every)
+            s_retired, p_retired = final_state(retired)
+            assert p_retired == pytest.approx(p_every, abs=1e-14)
+            assert trace_distance(s_retired, s_every) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_converse_tree_ends_with_few_leaves(self, n):
+        fam = separation_family(n)
+        conv = construct_converse(fam.rho, _mixture_components(fam), fam.d_enough)
+        keep = [name for name, _ in conv.postselect]
+        every = run_protocol(conv.protocol, fam.rho)
+        tree = run_protocol(conv.protocol, fam.rho, keep=keep)
+        assert len(tree.leaves) <= 4 < len(every.leaves)
+        assert tree.ledger == every.ledger
+        achieved, prob = final_state(tree, conv.postselect)
+        assert prob == pytest.approx(1.0, abs=1e-9)
+        assert trace_distance(achieved, conv.target) < 1e-10
+
+    def test_postselecting_a_retired_round_is_refused(self):
+        st = max_entangled(2, ("A", "B"))
+        lay = qubit_reg("A", ALICE)
+        meas = Instrument(
+            [
+                ("0", [np.diag([1.0, 0.0]).astype(np.complex128)]),
+                ("1", [np.diag([0.0, 1.0]).astype(np.complex128)]),
+            ],
+            lay,
+            lay,
+        )
+        prot = SloccqProtocol((local_round("m", ALICE, meas, broadcast=True),), 1)
+        tree = run_protocol(prot, st, keep=())
+        assert len(tree.leaves) == 1
+        with pytest.raises(ProtocolError, match="retired"):
+            final_state(tree, [("m", "1")])
+        kept = run_protocol(prot, st, keep=("m",))
+        assert final_state(kept, [("m", "1")])[1] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestLedger:

@@ -18,6 +18,7 @@ from qcatalyst import (
     apply_channel,
     apply_instrument,
     basis_product,
+    coalesce,
     fidelity,
     max_entangled,
     tensor_states,
@@ -326,3 +327,67 @@ class TestMetrics:
         joint = tensor_states(s1, s2)
         dense = np.kron(s1.densify().entries, s2.densify().entries)
         np.testing.assert_allclose(joint.densify().entries, dense, atol=1e-12)
+
+
+class TestCoalesce:
+    """``coalesce`` merges branches equal up to a phase on each factor,
+    deciding by the factors' vector gaps, never by overlaps."""
+
+    def _two_factor_branch(self, p, a, b):
+        return EnsembleBranch(p, (Factor(("A",), a), Factor(("B",), b)))
+
+    def test_phase_rotated_copies_merge_and_add_probabilities(self):
+        gen = rng(34)
+        lay = layout_ab(3, 2)
+        a, b = random_pure_vector(3, gen), random_pure_vector(2, gen)
+        other = random_pure_vector(3, gen)
+        st = QuantumState.from_branches(
+            lay,
+            (
+                self._two_factor_branch(0.2, a, b),
+                self._two_factor_branch(0.3, other, b),
+                self._two_factor_branch(0.5, np.exp(0.3j) * a, np.exp(-1.1j) * b),
+            ),
+        )
+        merged = coalesce(st)
+        assert [br.probability for br in merged.branches] == pytest.approx([0.7, 0.3])
+        assert merged.branches[0].factors is st.branches[0].factors
+        assert trace_distance(merged, st) < 1e-14
+
+    def test_factor_off_by_1e8_is_kept_apart(self):
+        gen = rng(35)
+        lay = layout_ab(4, 2)
+        a, b = random_pure_vector(4, gen), random_pure_vector(2, gen)
+        tilt = random_pure_vector(4, gen)
+        tilt = tilt - np.vdot(a, tilt) * a
+        near = a + 1e-8 * tilt / np.linalg.norm(tilt)
+        near /= np.linalg.norm(near)
+        # an overlap test cannot see this factor move: |<a|near>| = 1 - 5e-17
+        assert abs(np.vdot(a, near)) > 1 - 1e-15
+        st = QuantumState.from_branches(
+            lay,
+            (self._two_factor_branch(0.5, a, b), self._two_factor_branch(0.5, near, b)),
+        )
+        assert len(coalesce(st).branches) == 2
+
+    def test_different_factor_groupings_never_merge(self):
+        gen = rng(36)
+        lay = layout_ab(2, 3)
+        a, b = random_pure_vector(2, gen), random_pure_vector(3, gen)
+        # one state under three groupings: a product, one joint factor, and
+        # the product with its factors in the other order
+        st = QuantumState.from_branches(
+            lay,
+            (
+                self._two_factor_branch(0.3, a, b),
+                EnsembleBranch(0.3, (Factor(("A", "B"), np.kron(a, b)),)),
+                EnsembleBranch(0.4, (Factor(("B",), b), Factor(("A",), a))),
+            ),
+        )
+        assert coalesce(st) is st
+
+    def test_dense_state_passes_through(self):
+        gen = rng(37)
+        lay = layout_ab(2, 2)
+        dense = QuantumState.from_dense_matrix(random_density_matrix(4, gen), lay)
+        assert coalesce(dense) is dense
