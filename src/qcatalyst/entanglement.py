@@ -33,6 +33,7 @@ from .registers import (
     require_dense,
     resolve_cut,
     svd_across_cut,
+    thin_svd,
 )
 from .states import QuantumState, fidelity, signed_gram_core
 
@@ -199,7 +200,7 @@ def _pencil_rank_one_elements(M1: np.ndarray, M2: np.ndarray):
     """
 
     def span(stacked):
-        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+        u, s, _ = thin_svd(stacked)
         return u[:, : numerical_rank(s, TOL.rank_rtol)]
 
     left = span(np.hstack([M1, M2]))
@@ -224,7 +225,7 @@ def _pencil_rank_one_elements(M1: np.ndarray, M2: np.ndarray):
     # fewer than three minors (two qubits): zero rows keep the null space and
     # give the SVD all three right singular vectors
     rows = np.vstack([rows, np.zeros((max(0, 3 - len(rows)), 3))])
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
+    u, s, vh = thin_svd(rows)
     if s[0] <= 0:
         return None
     null = [vh[i].conj() for i in range(numerical_rank(s, TOL.rank_rtol), 3)]
@@ -337,7 +338,7 @@ def sn_orthogonal_mixture(
         if nrm < TOL.pencil_norm_floor:
             continue
         w = w / nrm
-        sv = np.linalg.svd(as_matrix(w), compute_uv=False)
+        _, sv, _ = thin_svd(as_matrix(w))
         if numerical_rank(sv, TOL.product_rtol) != 1:
             continue
         comp = v1 - (w.conj() @ v1) * w

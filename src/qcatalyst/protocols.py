@@ -639,34 +639,56 @@ def _schmidt_data(
 # -- teleportation ----------------------------------------------------------
 
 
-def shift_clock_unitary(dim: int, q: int, p: int) -> np.ndarray:
-    """X^q Z^p on C^dim, in closed form: it maps |m> to omega^(p m) |m + q>,
-    with omega^(p m) the p-th power of the clock phase omega^m."""
+def shift_clock_unitaries(dim: int) -> np.ndarray:
+    """All dim^2 shift-clock unitaries X^q Z^p on C^dim as one (dim^2, dim,
+    dim) array indexed by q * dim + p, in closed form: X^q Z^p maps |m> to
+    omega^(p m) |m + q>, with omega^(p m) the p-th power of the clock phase
+    omega^m."""
     m = np.arange(dim)
-    w = np.zeros((dim, dim), dtype=np.complex128)
-    w[(m + q) % dim, m] = (np.exp(2j * np.pi / dim) ** m) ** p
+    k = np.arange(dim * dim)[:, None]
+    q, p = np.divmod(k, dim)
+    w = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
+    w[k, (m + q) % dim, m] = (np.exp(2j * np.pi / dim) ** m) ** p
     return w
 
 
-def bell_basis(dim: int) -> list[tuple[str, np.ndarray]]:
-    """The generalized Bell vectors (W_qp x I)|Phi>, formed as vec(W_qp Phi)."""
+def shift_clock_unitary(dim: int, q: int, p: int) -> np.ndarray:
+    """X^q Z^p on C^dim, read off ``shift_clock_unitaries``."""
+    return shift_clock_unitaries(dim)[q * dim + p]
+
+
+def _bell_labels(dim: int) -> list[str]:
+    """Outcome labels ``q<q>p<p>`` in the order of ``shift_clock_unitaries``."""
+    return [f"q{q}p{p}" for q in range(dim) for p in range(dim)]
+
+
+def bell_basis(
+    dim: int, unitaries: np.ndarray | None = None
+) -> list[tuple[str, np.ndarray]]:
+    """The generalized Bell vectors (W_qp x I)|Phi>, formed as vec(W_qp Phi)
+    by one product over the stack ``unitaries`` (by default
+    ``shift_clock_unitaries(dim)``)."""
+    if unitaries is None:
+        unitaries = shift_clock_unitaries(dim)
     phi = max_entangled_vector(dim).reshape(dim, dim)
-    return [
-        (f"q{q}p{p}", (shift_clock_unitary(dim, q, p) @ phi).reshape(-1))
-        for q in range(dim)
-        for p in range(dim)
-    ]
+    return list(zip(_bell_labels(dim), (unitaries @ phi).reshape(dim * dim, -1)))
 
 
 def bell_measurement_instrument(
-    message: str, resource: str, dim: int, party: str
+    message: str,
+    resource: str,
+    dim: int,
+    party: str,
+    unitaries: np.ndarray | None = None,
 ) -> Instrument:
-    """Destructive measurement in the generalized Bell basis of two registers."""
+    """Destructive measurement in the generalized Bell basis of two registers
+    (``unitaries`` as in ``bell_basis``)."""
     layout_in = RegisterLayout(
         (Register(message, dim, party), Register(resource, dim, party))
     )
     branches = [
-        (label, [vec.conj().reshape(1, -1)]) for label, vec in bell_basis(dim)
+        (label, [vec.conj().reshape(1, -1)])
+        for label, vec in bell_basis(dim, unitaries)
     ]
     return Instrument(branches, layout_in, EMPTY_LAYOUT)
 
@@ -681,18 +703,19 @@ def teleport_rounds(
     name_prefix: str = "teleport",
 ) -> list[ProtocolRound]:
     """Bell measurement at the sender plus conditioned correction at the
-    receiver; consumes the shared maximally entangled resource pair."""
+    receiver; consumes the shared maximally entangled resource pair. The
+    shift-clock unitaries are built once and serve both rounds."""
+    unitaries = shift_clock_unitaries(dim)
     measure = local_round(
         f"{name_prefix}-measure",
         sender,
-        bell_measurement_instrument(message, resource_here, dim, sender),
+        bell_measurement_instrument(message, resource_here, dim, sender, unitaries),
         broadcast=True,
     )
     reg = RegisterLayout((Register(resource_there, dim, receiver),))
     corrections = {
-        f"q{q}p{p}": KrausChannel.from_unitary(shift_clock_unitary(dim, q, p), reg)
-        for q in range(dim)
-        for p in range(dim)
+        label: KrausChannel.from_unitary(w, reg)
+        for label, w in zip(_bell_labels(dim), unitaries)
     }
     correct = adaptive_round(
         f"{name_prefix}-correct",

@@ -56,6 +56,7 @@ from .registers import (
     partial_trace,
     permute_registers,
     require_dense,
+    thin_svd,
 )
 
 @dataclasses.dataclass(frozen=True)
@@ -334,7 +335,7 @@ class QuantumState:
         """Marginal of one pure factor: returns weighted pure sub-factors."""
         dims = [self.layout[lab].dim for lab in f.labels]
         mat = matricize(f.vector, dims, [f.labels.index(lab) for lab in keep])
-        u, s, _ = np.linalg.svd(mat, full_matrices=False)
+        u, s, _ = thin_svd(mat)
         options = []
         for j in range(s.size):
             w = float(s[j] ** 2)

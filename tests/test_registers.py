@@ -19,6 +19,7 @@ from qcatalyst import (
     svd_across_cut,
     tensor_product,
 )
+from qcatalyst.registers import TOL, thin_svd
 from qcatalyst.sampling import random_density_matrix, random_pure_vector, rng
 
 
@@ -197,3 +198,63 @@ class TestCuts:
         lay = layout_ab(2, 2)
         with pytest.raises(ValidationError):
             svd_across_cut(MultipartiteOperator.ket(np.ones(4), lay))
+
+
+class TestThinSvd:
+    """``thin_svd`` factors every matrix in its tall orientation."""
+
+    SHAPES = [(1, 7), (7, 1), (1, 1), (3, 11), (11, 3), (6, 6), (9, 81), (81, 9)]
+
+    @staticmethod
+    def random_matrix(shape, gen):
+        return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+    def test_factors_rebuild_the_matrix(self):
+        gen = rng(90)
+        for shape in self.SHAPES:
+            mat = self.random_matrix(shape, gen)
+            u, s, vh = thin_svd(mat)
+            k = min(shape)
+            assert u.shape == (shape[0], k) and s.shape == (k,)
+            assert vh.shape == (k, shape[1])
+            err = np.max(np.abs((u * s) @ vh - mat))
+            assert err <= TOL.reconstruction_atol
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(k), atol=1e-12)
+            np.testing.assert_allclose(vh @ vh.conj().T, np.eye(k), atol=1e-12)
+            ref = np.linalg.svd(mat, compute_uv=False)
+            np.testing.assert_allclose(s, ref, rtol=0, atol=1e-13)
+
+    def test_square_and_tall_inputs_keep_the_direct_call(self):
+        gen = rng(91)
+        for shape in [(7, 1), (1, 1), (6, 6), (11, 3), (81, 9)]:
+            mat = self.random_matrix(shape, gen)
+            for got, ref in zip(thin_svd(mat), np.linalg.svd(mat, full_matrices=False)):
+                np.testing.assert_array_equal(got, ref)
+
+    def test_wide_input_is_factored_through_its_transpose(self):
+        gen = rng(92)
+        for shape in [(1, 7), (3, 11), (9, 81)]:
+            mat = self.random_matrix(shape, gen)
+            u, s, vh = thin_svd(mat)
+            u_t, s_t, vh_t = np.linalg.svd(mat.T, full_matrices=False)
+            np.testing.assert_array_equal(u, vh_t.T)
+            np.testing.assert_array_equal(s, s_t)
+            np.testing.assert_array_equal(vh, u_t.T)
+
+    def test_wide_cut_keeps_phase_convention(self):
+        # a 2 x 27 cut: the left factors' largest entries are real positive
+        # up to the rounding of the phase product, and the decomposition
+        # rebuilds the ket
+        gen = rng(93)
+        lay = RegisterLayout((Register("A", 2, ALICE), Register("B", 27, BOB)))
+        v = random_pure_vector(54, gen)
+        dec = svd_across_cut(MultipartiteOperator.ket(v, lay))
+        for k in range(dec.left_basis.shape[1]):
+            col = dec.left_basis[:, k]
+            top = col[np.argmax(np.abs(col))]
+            assert top.real > 0 and abs(top.imag) < 1e-15
+        rebuilt = sum(
+            s * np.kron(dec.left_basis[:, k], dec.right_basis[:, k])
+            for k, s in enumerate(dec.singular_values)
+        )
+        np.testing.assert_allclose(rebuilt, v, atol=1e-12)

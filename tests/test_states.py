@@ -150,6 +150,17 @@ class TestRepresentations:
             rhs = st.as_dense_state().marginal(keep).densify().entries
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
+    def test_marginal_on_the_small_side_of_a_wide_split(self):
+        # a 9 x 81 split of one 729-dim factor, factored through its
+        # transpose, densifies to the dense route's partial trace
+        gen = rng(25)
+        lay = RegisterLayout((Register("A", 9, ALICE), Register("B", 81, BOB)))
+        for _ in range(3):
+            st = QuantumState.pure(lay, random_pure_vector(729, gen))
+            lhs = st.marginal(["A"]).densify().entries
+            rhs = st.as_dense_state().marginal(["A"]).densify().entries
+            np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
+
     def test_embed_preserves_distances(self):
         gen = rng(25)
         lay = layout_ab(2, 2)

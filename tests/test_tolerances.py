@@ -1,5 +1,6 @@
 """Every numerical cutoff of the package is an entry of ``registers.TOL``,
-and only ``registers`` compares against the dense cap.
+only ``registers`` compares against the dense cap, and only
+``registers.thin_svd`` calls an SVD routine.
 
 The source is parsed, not imported: a float literal below 1e-3 anywhere in
 ``src/qcatalyst`` outside the ``Tolerances`` class body is a cutoff written
@@ -20,11 +21,15 @@ def _modules():
     return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _table_lines(tree):
+def _lines_of(tree, kind, name):
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "Tolerances":
+        if isinstance(node, kind) and node.name == name:
             return set(range(node.lineno, node.end_lineno + 1))
     return set()
+
+
+def _table_lines(tree):
+    return _lines_of(tree, ast.ClassDef, "Tolerances")
 
 
 def test_no_small_float_literal_outside_the_table():
@@ -85,3 +90,28 @@ def test_no_rank_is_counted_on_a_power():
         and isinstance(node.args[0].op, ast.Pow)
     ]
     assert not stray, "numerical_rank of a power:\n" + "\n".join(stray)
+
+
+def test_every_svd_goes_through_thin_svd():
+    # the tall-orientation rule is written once; an ``svd`` reached through
+    # any ``linalg`` module, or imported from one, is a second SVD route
+    def names_svd(node):
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").endswith("linalg") and any(
+                alias.name == "svd" for alias in node.names
+            )
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "svd"
+            and getattr(node.value, "attr", getattr(node.value, "id", None)) == "linalg"
+        )
+
+    stray = []
+    for name, tree in _modules().items():
+        helper = _lines_of(tree, ast.FunctionDef, "thin_svd") if name == "registers.py" else set()
+        stray += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if names_svd(node) and node.lineno not in helper
+        ]
+    assert not stray, "SVD called outside registers.thin_svd:\n" + "\n".join(stray)
