@@ -662,33 +662,23 @@ def _bell_labels(dim: int) -> list[str]:
     return [f"q{q}p{p}" for q in range(dim) for p in range(dim)]
 
 
-def bell_basis(
-    dim: int, unitaries: np.ndarray | None = None
-) -> list[tuple[str, np.ndarray]]:
+def bell_basis(dim: int) -> list[tuple[str, np.ndarray]]:
     """The generalized Bell vectors (W_qp x I)|Phi>, formed as vec(W_qp Phi)
-    by one product over the stack ``unitaries`` (by default
-    ``shift_clock_unitaries(dim)``)."""
-    if unitaries is None:
-        unitaries = shift_clock_unitaries(dim)
+    by one product over ``shift_clock_unitaries(dim)``."""
     phi = max_entangled_vector(dim).reshape(dim, dim)
-    return list(zip(_bell_labels(dim), (unitaries @ phi).reshape(dim * dim, -1)))
+    rows = (shift_clock_unitaries(dim) @ phi).reshape(dim * dim, -1)
+    return list(zip(_bell_labels(dim), rows))
 
 
 def bell_measurement_instrument(
-    message: str,
-    resource: str,
-    dim: int,
-    party: str,
-    unitaries: np.ndarray | None = None,
+    message: str, resource: str, dim: int, party: str
 ) -> Instrument:
-    """Destructive measurement in the generalized Bell basis of two registers
-    (``unitaries`` as in ``bell_basis``)."""
+    """Destructive measurement in the generalized Bell basis of two registers."""
     layout_in = RegisterLayout(
         (Register(message, dim, party), Register(resource, dim, party))
     )
     branches = [
-        (label, [vec.conj().reshape(1, -1)])
-        for label, vec in bell_basis(dim, unitaries)
+        (label, [vec.conj().reshape(1, -1)]) for label, vec in bell_basis(dim)
     ]
     return Instrument(branches, layout_in, EMPTY_LAYOUT)
 
@@ -703,19 +693,17 @@ def teleport_rounds(
     name_prefix: str = "teleport",
 ) -> list[ProtocolRound]:
     """Bell measurement at the sender plus conditioned correction at the
-    receiver; consumes the shared maximally entangled resource pair. The
-    shift-clock unitaries are built once and serve both rounds."""
-    unitaries = shift_clock_unitaries(dim)
+    receiver; consumes the shared maximally entangled resource pair."""
     measure = local_round(
         f"{name_prefix}-measure",
         sender,
-        bell_measurement_instrument(message, resource_here, dim, sender, unitaries),
+        bell_measurement_instrument(message, resource_here, dim, sender),
         broadcast=True,
     )
     reg = RegisterLayout((Register(resource_there, dim, receiver),))
     corrections = {
         label: KrausChannel.from_unitary(w, reg)
-        for label, w in zip(_bell_labels(dim), unitaries)
+        for label, w in zip(_bell_labels(dim), shift_clock_unitaries(dim))
     }
     correct = adaptive_round(
         f"{name_prefix}-correct",
