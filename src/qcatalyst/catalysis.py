@@ -19,6 +19,12 @@ sigma halves, then a relabelling of registers, built as one axis transpose.
 A protocol is refused before anything that grows with n is built when its
 n-copy output or its catalyst is past the dense cap, or when a stage operator
 would hold more entries than a dense matrix at the cap.
+
+One Schmidt analysis of rho and sigma names every register and yields the
+local data from which a protocol's catalyst, both channels, its target mixture
+and the catalyst's Schmidt-number certificate are all formed; the catalyst
+and the target follow one pair rule (a register pair holds rho, or sigma's
+two halves). One audit measures every run against that target and catalyst.
 """
 
 from __future__ import annotations
@@ -32,15 +38,12 @@ from .errors import ProtocolError, ValidationError
 from .registers import (
     ALICE,
     BOB,
-    MultipartiteOperator,
     Register,
     RegisterLayout,
     TOL,
     fits_dense,
     matricize,
-    numerical_rank,
     require_dense,
-    svd_across_cut,
 )
 from .states import (
     EnsembleBranch,
@@ -51,7 +54,7 @@ from .states import (
     tensor_states,
     trace_distance,
 )
-from .entanglement import SNCertificate, sn_flagged_blocks
+from .entanglement import SNCertificate, _cut, sn_flagged_blocks
 
 EXPLICIT_FLAGS = "explicit-flags"
 SUPPORT_MEASUREMENT = "support-measurement"
@@ -59,7 +62,8 @@ SUPPORT_MEASUREMENT = "support-measurement"
 
 @dataclasses.dataclass(frozen=True)
 class _Scheme:
-    """Register naming and Schmidt data shared by catalyst and channels.
+    """Register naming and Schmidt data shared by the catalyst, the channels
+    and the target.
 
     The per-copy label tuples are formed on first use, so a size check can
     run on a scheme before anything that grows with n exists."""
@@ -102,16 +106,13 @@ def _analyze(rho: QuantumState, sigma: QuantumState, n: int, mode: str) -> _Sche
     if rho.layout != sigma.layout:
         raise ValidationError("rho and sigma must share a register layout")
 
-    rho_dec = svd_across_cut(MultipartiteOperator.ket(rho.to_vector(), rho.layout))
-    sig_dec = svd_across_cut(MultipartiteOperator.ket(sigma.to_vector(), sigma.layout))
-    if numerical_rank(sig_dec.singular_values, TOL.rank_rtol) > 1:
+    rho_vector = rho.to_vector()
+    _, _, rho_halves = _cut(rho_vector, rho.layout, None)
+    _, sig_rank, sig_halves = _cut(sigma.to_vector(), sigma.layout, None)
+    if sig_rank > 1:
         raise ValidationError("sigma must be a product state across the party cut")
-    rank = numerical_rank(rho_dec.singular_values, TOL.rank_rtol)
-    rho_basis = {
-        ALICE: rho_dec.left_basis[:, :rank],
-        BOB: rho_dec.right_basis[:, :rank],
-    }
-    sigma_local = {ALICE: sig_dec.left_basis[:, 0], BOB: sig_dec.right_basis[:, 0]}
+    rho_basis = dict(zip((ALICE, BOB), rho_halves))
+    sigma_local = {p: half[:, 0] for p, half in zip((ALICE, BOB), sig_halves)}
 
     a_label = rho.layout.party_labels(ALICE)[0]
     b_label = rho.layout.party_labels(BOB)[0]
@@ -142,54 +143,61 @@ def _analyze(rho: QuantumState, sigma: QuantumState, n: int, mode: str) -> _Sche
         sys_label=sys_label,
         dim=dim,
         flag_label=flag_label,
-        rho_vector=rho.to_vector(),
+        rho_vector=rho_vector,
         rho_local_basis=rho_basis,
         sigma_local=sigma_local,
     )
 
 
-def _catalyst_layout(scheme: _Scheme) -> RegisterLayout:
+def _pair_mixture(scheme: _Scheme, pairs, flag_label: dict, branches) -> QuantumState:
+    """A mixture over the register pairs ``pairs`` (Alice's label, Bob's
+    label), after the flag registers ``flag_label`` (party -> label). A
+    branch (weight, stage, k) holds both flags at ``stage``, rho on its first
+    k pairs and sigma's two halves on the rest."""
     regs: list[Register] = []
-    for p in (ALICE, BOB):
-        if scheme.flag_label:
-            regs.append(Register(scheme.flag_label[p], scheme.n, p))
-        regs.extend(
-            Register(lab, scheme.dim[p], p) for lab in scheme.slot_labels[p]
-        )
-    return RegisterLayout(tuple(regs))
-
-
-def _catalyst_branches(scheme: _Scheme, layout: RegisterLayout):
-    n = scheme.n
-    branches = []
-    for stage in range(n):
-        factors = []
-        if scheme.flag_label:
-            for p in (ALICE, BOB):
-                v = np.zeros(n, dtype=np.complex128)
-                v[stage] = 1.0
-                factors.append(Factor((scheme.flag_label[p],), v))
-        for j in range(n - 1):
-            a_slot = scheme.slot_labels[ALICE][j]
-            b_slot = scheme.slot_labels[BOB][j]
-            if j < stage:
-                factors.append(Factor((a_slot, b_slot), scheme.rho_vector))
+    for i, p in enumerate((ALICE, BOB)):
+        if flag_label:
+            regs.append(Register(flag_label[p], scheme.n, p))
+        regs.extend(Register(pair[i], scheme.dim[p], p) for pair in pairs)
+    layout = RegisterLayout(tuple(regs))
+    if len(layout) == 0:
+        return QuantumState.empty()
+    mixture = []
+    for weight, stage, k in branches:
+        factors = [
+            Factor((flag_label[p],), np.eye(1, scheme.n, stage, dtype=np.complex128))
+            for p in flag_label
+        ]
+        for j, (a, b) in enumerate(pairs):
+            if j < k:
+                factors.append(Factor((a, b), scheme.rho_vector))
             else:
-                factors.append(Factor((a_slot,), scheme.sigma_local[ALICE]))
-                factors.append(Factor((b_slot,), scheme.sigma_local[BOB]))
-        branches.append(EnsembleBranch(1.0 / n, tuple(factors)))
-    return tuple(branches)
+                factors.append(Factor((a,), scheme.sigma_local[ALICE]))
+                factors.append(Factor((b,), scheme.sigma_local[BOB]))
+        mixture.append(EnsembleBranch(weight, tuple(factors)))
+    return QuantumState.from_branches(layout, tuple(mixture))
+
+
+def _catalyst(scheme: _Scheme) -> QuantumState:
+    # stage i holds rho in its first i slot pairs
+    n = scheme.n
+    pairs = list(zip(scheme.slot_labels[ALICE], scheme.slot_labels[BOB]))
+    stages = [(1.0 / n, stage, stage) for stage in range(n)]
+    return _pair_mixture(scheme, pairs, scheme.flag_label, stages)
+
+
+def _target(scheme: _Scheme) -> QuantumState:
+    n = scheme.n
+    pairs = list(zip(scheme.out_labels[ALICE], scheme.out_labels[BOB]))
+    branches = [(1.0 / n, None, n)] + ([((n - 1.0) / n, None, 0)] if n > 1 else [])
+    return _pair_mixture(scheme, pairs, {}, branches)
 
 
 def build_catalyst(
     rho: QuantumState, sigma: QuantumState, n: int, mode: str = "auto"
 ) -> QuantumState:
     """The stage-cycle catalyst: uniform mixture over loading stages."""
-    scheme = _analyze(rho, sigma, n, mode)
-    layout = _catalyst_layout(scheme)
-    if len(layout) == 0:
-        return QuantumState.empty()
-    return QuantumState.from_branches(layout, _catalyst_branches(scheme, layout))
+    return _catalyst(_analyze(rho, sigma, n, mode))
 
 
 def _party_channel(scheme: _Scheme, party: str) -> KrausChannel:
@@ -285,33 +293,14 @@ def build_clo_channels(
 
 def mixture_target(rho: QuantumState, sigma: QuantumState, n: int) -> QuantumState:
     """(1/n) rho^(x)n + ((n-1)/n) sigma^(x)n on the protocol's output labels."""
-    scheme = _analyze(rho, sigma, n, "auto")
-    regs = [
-        Register(lab, scheme.dim[ALICE], ALICE) for lab in scheme.out_labels[ALICE]
-    ] + [Register(lab, scheme.dim[BOB], BOB) for lab in scheme.out_labels[BOB]]
-    layout = RegisterLayout(tuple(regs))
-    rho_factors = tuple(
-        Factor(
-            (scheme.out_labels[ALICE][j], scheme.out_labels[BOB][j]), scheme.rho_vector
-        )
-        for j in range(n)
-    )
-    branches = [EnsembleBranch(1.0 / n, rho_factors)]
-    if n > 1:
-        sig_factors = []
-        for j in range(n):
-            sig_factors.append(
-                Factor((scheme.out_labels[ALICE][j],), scheme.sigma_local[ALICE])
-            )
-            sig_factors.append(
-                Factor((scheme.out_labels[BOB][j],), scheme.sigma_local[BOB])
-            )
-        branches.append(EnsembleBranch((n - 1.0) / n, tuple(sig_factors)))
-    return QuantumState.from_branches(layout, tuple(branches))
+    return _target(_analyze(rho, sigma, n, "auto"))
 
 
 @dataclasses.dataclass(frozen=True)
 class CatalyticProtocol:
+    """The copy-cycling protocol with the target it must reach and its
+    catalyst's Schmidt-number certificate."""
+
     n: int
     mode: str
     rho: QuantumState
@@ -319,9 +308,17 @@ class CatalyticProtocol:
     catalyst: QuantumState
     alice_channel: KrausChannel
     bob_channel: KrausChannel
-    output_labels: tuple[str, ...]
-    catalyst_labels: tuple[str, ...]
+    target: QuantumState
+    catalyst_sn: SNCertificate
     flag_labels: tuple[str, str] | None
+
+    @property
+    def output_labels(self) -> tuple[str, ...]:
+        return self.target.layout.labels
+
+    @property
+    def catalyst_labels(self) -> tuple[str, ...]:
+        return self.catalyst.layout.labels
 
 
 def build_protocol(
@@ -329,10 +326,15 @@ def build_protocol(
 ) -> CatalyticProtocol:
     scheme = _analyze(rho, sigma, n, mode)
     alice, bob = _channels(scheme)
-    catalyst = build_catalyst(rho, sigma, n, scheme.mode)
+    catalyst = _catalyst(scheme)
     flags = None
     if scheme.flag_label:
         flags = (scheme.flag_label[ALICE], scheme.flag_label[BOB])
+    if n == 1:
+        # no quantum slots at all (single-stage cycle): shared randomness only
+        sn = SNCertificate(1, 1, "flagged-block-oracle", {"blocks": {}})
+    else:
+        sn = sn_flagged_blocks(catalyst, flags)
     return CatalyticProtocol(
         n=n,
         mode=scheme.mode,
@@ -341,8 +343,8 @@ def build_protocol(
         catalyst=catalyst,
         alice_channel=alice,
         bob_channel=bob,
-        output_labels=scheme.out_labels[ALICE] + scheme.out_labels[BOB],
-        catalyst_labels=catalyst.layout.labels,
+        target=_target(scheme),
+        catalyst_sn=sn,
         flag_labels=flags,
     )
 
@@ -378,47 +380,42 @@ def _execute(protocol: CatalyticProtocol, input_state: QuantumState) -> QuantumS
     )
 
 
-def catalyst_sn_certificate(protocol: CatalyticProtocol, state: QuantumState) -> SNCertificate:
-    if len(state.layout) == 0 or not any(
-        state.layout.party_of(lab) == ALICE and lab not in (protocol.flag_labels or ())
-        for lab in state.layout.labels
-    ):
-        # no quantum slots at all (single-stage cycle): shared randomness only
-        return SNCertificate(1, 1, "flagged-block-oracle", {"blocks": {}})
-    return sn_flagged_blocks(state, protocol.flag_labels)
+def _audit(
+    protocol: CatalyticProtocol, state: QuantumState
+) -> tuple[QuantumState, QuantumState, float, float]:
+    """The output and catalyst marginals of ``state`` after a run, each in
+    its reference's register order, and their trace distances to
+    ``protocol.target`` and ``protocol.catalyst``. A protocol without
+    catalyst registers restores its catalyst trivially."""
+    out_labels = protocol.output_labels
+    output = state.marginal(list(out_labels)).permuted(out_labels)
+    catalyst, restoration = QuantumState.empty(), 0.0
+    cat_labels = protocol.catalyst_labels
+    if cat_labels:
+        catalyst = state.marginal(list(cat_labels)).permuted(cat_labels)
+        restoration = trace_distance(catalyst, protocol.catalyst)
+    return output, catalyst, trace_distance(output, protocol.target), restoration
 
 
-def run_clo(
-    protocol: CatalyticProtocol,
-    input_state: QuantumState,
-    enforce_input: bool = True,
-) -> CloRunReport:
+def run_clo(protocol: CatalyticProtocol, input_state: QuantumState) -> CloRunReport:
     """Run both local channels on input (x) catalyst and audit the result."""
-    if enforce_input:
-        dist = trace_distance(input_state, protocol.rho)
-        if dist > TOL.input_match_atol:
-            raise ProtocolError(
-                f"input is {dist:.3e} away from the protocol's rho; the catalyst "
-                f"is only guaranteed for the declared input"
-            )
+    dist = trace_distance(input_state, protocol.rho)
+    if dist > TOL.input_match_atol:
+        raise ProtocolError(
+            f"input is {dist:.3e} away from the protocol's rho; the catalyst "
+            f"is only guaranteed for the declared input"
+        )
     joint = _execute(protocol, input_state)
-    output = joint.marginal(list(protocol.output_labels))
-    catalyst_out, restoration = QuantumState.empty(), 0.0
-    if protocol.catalyst_labels:
-        catalyst_out = joint.marginal(list(protocol.catalyst_labels))
-        restoration = trace_distance(catalyst_out, protocol.catalyst)
-    target = mixture_target(protocol.rho, protocol.sigma, protocol.n)
-    out_dist = trace_distance(output, target)
-    cert = catalyst_sn_certificate(protocol, protocol.catalyst)
+    output, catalyst, out_dist, restoration = _audit(protocol, joint)
     return CloRunReport(
         n=protocol.n,
         mode=protocol.mode,
         output_state=output,
-        target_state=target,
-        catalyst_state=catalyst_out,
+        target_state=protocol.target,
+        catalyst_state=catalyst,
         restoration_distance=restoration,
         output_distance=out_dist,
-        catalyst_sn=cert,
+        catalyst_sn=protocol.catalyst_sn,
         joint_available=fits_dense(joint.layout.total_dim),
         joint_state=joint,
     )
@@ -429,5 +426,5 @@ def verify_input_sensitivity(
 ) -> SensitivityReport:
     """Run the channels on a non-declared input and report how badly the
     catalyst restoration and the output fail."""
-    report = run_clo(protocol, wrong_input, enforce_input=False)
-    return SensitivityReport(report.restoration_distance, report.output_distance)
+    _, _, out_dist, restoration = _audit(protocol, _execute(protocol, wrong_input))
+    return SensitivityReport(restoration, out_dist)

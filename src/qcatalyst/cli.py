@@ -13,7 +13,7 @@ import os
 import sys
 
 from .errors import QcatError
-from .states import QuantumState
+from .states import QuantumState, decode_json, read_json
 from .pipelines import (
     ReportDocument,
     pipeline_lemma1,
@@ -127,19 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _decode_json(text: str):
-    """``text`` parsed as JSON. A document nested deeper than the parser can
-    recurse is undecodable like any other malformed document."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise json.JSONDecodeError("JSON nested too deep", text, 0) from None
-
-
 def _load_state(path: str) -> QuantumState:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return QuantumState.from_json(_decode_json(text))
+    return QuantumState.from_json(read_json(path))
 
 
 def _render(report: ReportDocument, fmt: str) -> str:
@@ -190,7 +179,7 @@ def main(argv=None) -> int:
             report = pipeline_obs3(args.seeds, corruption=args.corrupt_epsilon)
         else:
             state = _load_state(args.input)
-            cut = _decode_json(args.cut) if args.cut else None
+            cut = decode_json(args.cut) if args.cut else None
             if cut is not None and not isinstance(cut, dict):
                 parser.error('--cut must be a JSON object, e.g. {"R": "left"}')
             report = pipeline_schmidt(state, cut)

@@ -48,8 +48,8 @@ from .entanglement import (
 )
 from .catalysis import (
     CatalyticProtocol,
+    _audit,
     build_protocol,
-    catalyst_sn_certificate,
     mixture_target,
     run_clo,
 )
@@ -190,8 +190,11 @@ def _finish(pipeline, inputs, quantities, corruption, reason=None) -> ReportDocu
 # -- corruption hooks -------------------------------------------------------
 
 
-def _local_rotation(dim: int, epsilon: float, seed: int = 7) -> np.ndarray:
-    gen = rng(seed)
+CORRUPTION_SEED = 7  # seeds the one rotation every corrupted run composes
+
+
+def _local_rotation(dim: int, epsilon: float) -> np.ndarray:
+    gen = rng(CORRUPTION_SEED)
     g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2.0
     h /= max(1.0, float(np.linalg.norm(h, 2)))
@@ -199,13 +202,25 @@ def _local_rotation(dim: int, epsilon: float, seed: int = 7) -> np.ndarray:
     return (vecs * np.exp(1j * epsilon * vals)) @ vecs.conj().T
 
 
-def perturbed_channel(
-    channel: KrausChannel, epsilon: float, seed: int = 7
-) -> KrausChannel:
+def _input_rotation(layout_in: RegisterLayout, epsilon: float) -> np.ndarray | None:
+    """A small rotation of the first input register with more than one
+    level, on the whole input; the registers before it have one level, so
+    the rotation leads the Kronecker product. None when ``epsilon`` is 0 or
+    the input has dimension 1 (a one-level pair at n = 1), which holds
+    nothing to perturb."""
+    d0 = next((r.dim for r in layout_in.registers if r.dim > 1), 1)
+    if not epsilon or d0 == 1:
+        return None
+    return np.kron(_local_rotation(d0, epsilon), np.eye(layout_in.total_dim // d0))
+
+
+def perturbed_channel(channel: KrausChannel, epsilon: float) -> KrausChannel:
     """The one-outcome case of ``perturbed_instrument``."""
-    if not epsilon:
+    big = _input_rotation(channel.layout_in, epsilon)
+    if big is None:
         return channel
-    ((_, kraus),) = perturbed_instrument(channel, epsilon, seed).branches
+    # one product at a time: the constructor keeps its own copy of each
+    kraus = (k @ big for k in channel.kraus)
     return KrausChannel(kraus, channel.layout_in, channel.layout_out)
 
 
@@ -216,19 +231,12 @@ def _corrupted(protocol: CatalyticProtocol, epsilon: float) -> CatalyticProtocol
     )
 
 
-def perturbed_instrument(
-    instrument: Instrument, epsilon: float, seed: int = 7
-) -> Instrument:
-    """Compose a small rotation of the first input register with more than
-    one level into every Kraus operator; the registers before it have one
-    level, so the rotation leads the Kronecker product. An input of dimension
-    1 (a one-level pair at n = 1) holds nothing to perturb and is returned
-    as it is."""
-    d0 = next((r.dim for r in instrument.layout_in.registers if r.dim > 1), 1)
-    if not epsilon or d0 == 1:
+def perturbed_instrument(instrument: Instrument, epsilon: float) -> Instrument:
+    """Compose ``_input_rotation`` into every Kraus operator; an instrument
+    with nothing to perturb is returned as it is."""
+    big = _input_rotation(instrument.layout_in, epsilon)
+    if big is None:
         return instrument
-    rest = instrument.layout_in.total_dim // d0
-    big = np.kron(_local_rotation(d0, epsilon, seed), np.eye(rest))
     return Instrument(
         [(label, [k @ big for k in kraus]) for label, kraus in instrument.branches],
         instrument.layout_in,
@@ -641,7 +649,7 @@ def pipeline_obs1(
             layout = rho.layout
             rho = basis_product(layout, (0, 0))
         protocol = _corrupted(build_protocol(rho, sigma, n, "auto"), corruption)
-        cert = catalyst_sn_certificate(protocol, protocol.catalyst)
+        cert = protocol.catalyst_sn
         rank = schmidt_rank(rho).rank if not product_rho else 1
         expected_sn = rank ** (n - 1)
         quantities.append(
@@ -692,11 +700,7 @@ def pipeline_obs1(
         full = SloccqProtocol(rounds, plan.protocol.dimension_budget)
         tree = run_protocol(full, rho, keep=())
         achieved, _ = final_state(tree)
-        target = mixture_target(rho, sigma, n)
-        out_labels = list(target.layout.labels)
-        out_dist = trace_distance(
-            achieved.marginal(out_labels).permuted(out_labels), target
-        )
+        _, _, out_dist, restoration = _audit(protocol, achieved)
         quantities.append(
             q_le(
                 "output-distance",
@@ -705,11 +709,10 @@ def pipeline_obs1(
                 "simulated catalytic protocol vs analytic mixture",
             )
         )
-        restored = achieved.marginal(cat_labels).permuted(cat_labels)
         quantities.append(
             q_le(
                 "catalyst-restoration-distance",
-                trace_distance(restored, plan.catalyst),
+                restoration,
                 TOL.distance_compiled_atol,
                 "catalyst after the simulated run",
             )

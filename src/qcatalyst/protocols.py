@@ -684,32 +684,23 @@ def bell_measurement_instrument(
 
 
 def teleport_rounds(
-    message: str,
-    resource_here: str,
-    resource_there: str,
-    dim: int,
-    sender: str = ALICE,
-    receiver: str = BOB,
-    name_prefix: str = "teleport",
+    message: str, resource_here: str, resource_there: str, dim: int
 ) -> list[ProtocolRound]:
-    """Bell measurement at the sender plus conditioned correction at the
-    receiver; consumes the shared maximally entangled resource pair."""
+    """Bell measurement at Alice plus conditioned correction at Bob;
+    consumes the shared maximally entangled resource pair."""
     measure = local_round(
-        f"{name_prefix}-measure",
-        sender,
-        bell_measurement_instrument(message, resource_here, dim, sender),
+        "teleport-measure",
+        ALICE,
+        bell_measurement_instrument(message, resource_here, dim, ALICE),
         broadcast=True,
     )
-    reg = RegisterLayout((Register(resource_there, dim, receiver),))
+    reg = RegisterLayout((Register(resource_there, dim, BOB),))
     corrections = {
         label: KrausChannel.from_unitary(w, reg)
         for label, w in zip(_bell_labels(dim), shift_clock_unitaries(dim))
     }
     correct = adaptive_round(
-        f"{name_prefix}-correct",
-        receiver,
-        corrections,
-        select_by=f"{name_prefix}-measure",
+        "teleport-correct", BOB, corrections, select_by="teleport-measure"
     )
     return [measure, correct]
 
@@ -881,7 +872,7 @@ def construct_converse(
         parts, dk, layout.subset(labels_a), layout.subset(labels_b), "RB"
     )
     rounds += [sample, prepare]
-    rounds += teleport_rounds("S", "RA", "RB", dk, sender=ALICE, receiver=BOB)
+    rounds += teleport_rounds("S", "RA", "RB", dk)
     rounds.append(decompress)
     return ConverseProtocol(
         protocol=SloccqProtocol(tuple(rounds), d),

@@ -442,12 +442,26 @@ class QuantumState:
 
     @classmethod
     def load(cls, path) -> "QuantumState":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"state file is not valid JSON: {exc}") from exc
+        try:
+            doc = read_json(path)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"state file is not valid JSON: {exc}") from exc
         return cls.from_json(doc)
+
+
+def decode_json(text: str):
+    """``text`` parsed as JSON. A document nested deeper than the parser can
+    recurse is undecodable like any other malformed document."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("JSON nested too deep", text, 0) from None
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return decode_json(fh.read())
 
 
 # -- canonical constructors ------------------------------------------------

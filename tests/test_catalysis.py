@@ -1,5 +1,7 @@
 """The copy-cycling catalyst: structure, exactness, sensitivity, dual routes."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,18 @@ from qcatalyst import (
     mixture_target,
     basis_product,
     run_clo,
+    sn_flagged_blocks,
     tensor_states,
     trace_distance,
     verify_input_sensitivity,
 )
-from qcatalyst.pipelines import qutrit_pair_states
+from qcatalyst import catalysis
+from qcatalyst.pipelines import (
+    pipeline_lemma1,
+    pipeline_obs1,
+    pipeline_theorem,
+    qutrit_pair_states,
+)
 from qcatalyst.sampling import random_pure_vector, rng
 
 
@@ -253,3 +262,83 @@ def test_joint_state_availability(pair):
     # the joint is still usable as an ensemble even past the dense cap
     margin = rep3.joint_state.marginal(["A1", "B1"])
     assert margin.layout.total_dim == 9
+
+
+@pytest.mark.parametrize(
+    "report, verdict, analyses",
+    [
+        (lambda: pipeline_lemma1(n=2), "verified", 1),
+        (
+            lambda: pipeline_lemma1(n=2, mode="explicit-flags", corruption=0.1),
+            "falsified",
+            1,
+        ),
+        (lambda: pipeline_obs1(n=2), "verified", 1),
+        (lambda: pipeline_obs1(n=1), "verified", 1),
+        # the separation family's target keeps an analysis of its own
+        (lambda: pipeline_theorem(1), "verified", 2),
+    ],
+    ids=["lemma1", "lemma1-flags-corrupted", "obs1", "obs1-n1", "theorem"],
+)
+def test_one_schmidt_analysis_per_protocol(monkeypatch, report, verdict, analyses):
+    calls = []
+    analyze = catalysis._analyze
+
+    def counted(*args):
+        calls.append(args[2:])
+        return analyze(*args)
+
+    monkeypatch.setattr(catalysis, "_analyze", counted)
+    assert report().verdict == verdict
+    assert len(calls) == analyses, calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["explicit-flags", "support-measurement"])
+def test_protocol_carries_its_target_and_certificate(pair, mode, n):
+    rho, sigma = pair
+    protocol = build_protocol(rho, sigma, n, mode)
+    target = mixture_target(rho, sigma, n)
+    assert protocol.target.layout == target.layout
+    assert protocol.output_labels == target.layout.labels
+    assert len(protocol.target.branches) == len(target.branches)
+    for got, want in zip(protocol.target.branches, target.branches):
+        assert got.probability == want.probability
+        assert [f.labels for f in got.factors] == [f.labels for f in want.factors]
+        for f, g in zip(got.factors, want.factors):
+            assert np.array_equal(f.vector, g.vector)
+    assert protocol.catalyst_labels == protocol.catalyst.layout.labels
+    cert = protocol.catalyst_sn
+    if n == 1:
+        assert (cert.lower, cert.upper) == (1, 1)
+    else:
+        assert cert == sn_flagged_blocks(protocol.catalyst, protocol.flag_labels)
+    # a run reports the protocol's own target and certificate
+    report = run_clo(protocol, rho)
+    assert report.target_state is protocol.target
+    assert report.catalyst_sn is protocol.catalyst_sn
+
+
+def test_run_clo_has_no_switch_for_its_input_check():
+    assert list(inspect.signature(run_clo).parameters) == ["protocol", "input_state"]
+
+
+def test_corrupted_channel_is_built_and_checked_once(pair, monkeypatch):
+    from qcatalyst import Instrument
+    from qcatalyst.pipelines import perturbed_channel, perturbed_instrument
+
+    rho, sigma = pair
+    channel = build_protocol(rho, sigma, 2, "explicit-flags").alice_channel
+    built = []
+    init = Instrument.__init__
+
+    def counted(self, *args):
+        built.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(Instrument, "__init__", counted)
+    corrupted = perturbed_channel(channel, 0.1)
+    assert built == ["KrausChannel"]
+    ((_, kraus),) = perturbed_instrument(channel, 0.1).branches
+    assert all(np.array_equal(a, b) for a, b in zip(corrupted.kraus, kraus))
+    assert perturbed_channel(channel, 0.0) is channel

@@ -402,3 +402,19 @@ class TestCoalesce:
         lay = layout_ab(2, 2)
         dense = QuantumState.from_dense_matrix(random_density_matrix(4, gen), lay)
         assert coalesce(dense) is dense
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-100000-deep"],
+)
+def test_load_refuses_an_undecodable_file_in_one_line(payload, tmp_path):
+    # the same reader serves the command line, which exits 1 on both files
+    path = tmp_path / "state.json"
+    path.write_bytes(payload)
+    with pytest.raises(ValidationError) as info:
+        QuantumState.load(path)
+    message = str(info.value)
+    assert message.startswith("state file is not valid JSON")
+    assert "\n" not in message
