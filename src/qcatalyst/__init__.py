@@ -34,6 +34,7 @@ from .states import (
     apply_instrument,
     basis_product,
     coalesce,
+    distance_to,
     fidelity,
     max_entangled,
     tensor_states,

@@ -24,7 +24,11 @@ One Schmidt analysis of rho and sigma names every register and yields the
 local data from which a protocol's catalyst, both channels, its target mixture
 and the catalyst's Schmidt-number certificate are all formed; the catalyst
 and the target follow one pair rule (a register pair holds rho, or sigma's
-two halves). One audit measures every run against that target and catalyst.
+two halves). The two channels run as a zero-message protocol of two local
+rounds (``CatalyticProtocol.local_protocol``) through
+``protocols.run_protocol``, which checks that each channel touches only its
+own party's registers and that it keeps the trace. One audit measures every
+run against the protocol's target and catalyst (``states.distance_to``).
 """
 
 from __future__ import annotations
@@ -50,11 +54,12 @@ from .states import (
     Factor,
     KrausChannel,
     QuantumState,
-    apply_channel,
+    distance_to,
     tensor_states,
     trace_distance,
 )
 from .entanglement import SNCertificate, _cut, sn_flagged_blocks
+from .protocols import SloccqProtocol, local_round, run_protocol
 
 EXPLICIT_FLAGS = "explicit-flags"
 SUPPORT_MEASUREMENT = "support-measurement"
@@ -320,6 +325,16 @@ class CatalyticProtocol:
     def catalyst_labels(self) -> tuple[str, ...]:
         return self.catalyst.layout.labels
 
+    @property
+    def local_protocol(self) -> SloccqProtocol:
+        """The two channels as a protocol with no message and no broadcast:
+        Alice's round, then Bob's."""
+        rounds = (
+            local_round("mix-a", ALICE, self.alice_channel),
+            local_round("mix-b", BOB, self.bob_channel),
+        )
+        return SloccqProtocol(rounds, 1)
+
 
 def build_protocol(
     rho: QuantumState, sigma: QuantumState, n: int, mode: str = "auto"
@@ -370,31 +385,21 @@ class SensitivityReport:
 
 
 def _execute(protocol: CatalyticProtocol, input_state: QuantumState) -> QuantumState:
+    """The one leaf of ``protocol.local_protocol`` run on input (x) catalyst:
+    Alice's outputs and catalyst registers, then Bob's."""
     joint = tensor_states(input_state.as_ensemble(), protocol.catalyst)
-    joint = apply_channel(protocol.alice_channel, joint)
-    joint = apply_channel(protocol.bob_channel, joint)
-    # Alice's outputs then catalyst, then Bob's; the stable sort keeps each order
-    labels = protocol.output_labels + protocol.catalyst_labels
-    return joint.permuted(
-        sorted(labels, key=lambda lab: joint.layout.party_of(lab) != ALICE)
-    )
+    (leaf,) = run_protocol(protocol.local_protocol, joint).leaves
+    return leaf.state
 
 
 def _audit(
     protocol: CatalyticProtocol, state: QuantumState
 ) -> tuple[QuantumState, QuantumState, float, float]:
-    """The output and catalyst marginals of ``state`` after a run, each in
-    its reference's register order, and their trace distances to
-    ``protocol.target`` and ``protocol.catalyst``. A protocol without
-    catalyst registers restores its catalyst trivially."""
-    out_labels = protocol.output_labels
-    output = state.marginal(list(out_labels)).permuted(out_labels)
-    catalyst, restoration = QuantumState.empty(), 0.0
-    cat_labels = protocol.catalyst_labels
-    if cat_labels:
-        catalyst = state.marginal(list(cat_labels)).permuted(cat_labels)
-        restoration = trace_distance(catalyst, protocol.catalyst)
-    return output, catalyst, trace_distance(output, protocol.target), restoration
+    """The output and catalyst marginals of ``state`` after a run and their
+    trace distances to ``protocol.target`` and ``protocol.catalyst``."""
+    output, out_dist = distance_to(state, protocol.target)
+    catalyst, restoration = distance_to(state, protocol.catalyst)
+    return output, catalyst, out_dist, restoration
 
 
 def run_clo(protocol: CatalyticProtocol, input_state: QuantumState) -> CloRunReport:

@@ -7,6 +7,7 @@ Exit codes: 0 when the report verdict is "verified", 2 when it is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -127,6 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves a parser as it was, so one serves every call of ``main``
+_parser = functools.cache(build_parser)
+
+
 def _load_state(path: str) -> QuantumState:
     return QuantumState.from_json(read_json(path))
 
@@ -158,7 +163,7 @@ def _emit(report: ReportDocument, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "theorem":

@@ -36,9 +36,9 @@ from .states import (
     KrausChannel,
     QuantumState,
     basis_product,
+    distance_to,
     max_entangled,
     tensor_states,
-    trace_distance,
 )
 from .entanglement import (
     conditional_entropy,
@@ -290,19 +290,6 @@ def separation_family(n: int) -> SeparationFamily:
     )
 
 
-def _mixture_components(family: SeparationFamily):
-    """The two pure components of the target mixture, as states: the
-    branches of ``family.tau`` with their weights."""
-    tau = family.tau
-    return [
-        (
-            br.probability,
-            QuantumState.from_branches(tau.layout, (EnsembleBranch(1.0, br.factors),)),
-        )
-        for br in tau.branches
-    ]
-
-
 # -- pipeline: exact catalytic mixing ---------------------------------------
 
 
@@ -433,9 +420,7 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
         )
 
         # one dimension more is enough: run the explicit protocol
-        converse = construct_converse(
-            family.rho, _mixture_components(family), family.d_enough
-        )
+        converse = construct_converse(family.rho, family.tau, family.d_enough)
         tree = run_protocol(
             converse.protocol,
             family.rho,
@@ -446,7 +431,7 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
         quantities.append(
             q_le(
                 "converse-distance",
-                trace_distance(achieved, converse.target),
+                distance_to(achieved, converse.target)[1],
                 TOL.distance_compiled_atol,
                 f"explicit protocol with one message of dimension {family.d_enough}",
             )
@@ -546,15 +531,14 @@ def pipeline_obs3(seeds: int = 10, corruption: float = 0.0) -> ReportDocument:
             raise ValidationError(
                 f"refusing to draw {seeds} random catalysts (cap {MAX_SEEDS})"
             )
-        layout, start, goal = _bit_flip_task()
+        _, start, goal = _bit_flip_task()
         protocol = _flip_protocol(corruption)
-        tree = run_protocol(protocol, start, keep=())
+        tree = run_protocol(protocol, start)
         achieved, _ = final_state(tree)
-        achieved = achieved.permuted(layout.labels)
         quantities.append(
             q_le(
                 "locc-distance",
-                trace_distance(achieved, goal),
+                distance_to(achieved, goal)[1],
                 TOL.distance_exact_atol,
                 "one broadcast bit plus conditioned flips",
             )
@@ -646,8 +630,7 @@ def pipeline_obs1(
     try:
         rho, sigma = qutrit_pair_states()
         if product_rho:
-            layout = rho.layout
-            rho = basis_product(layout, (0, 0))
+            rho = basis_product(rho.layout, (0, 0))
         protocol = _corrupted(build_protocol(rho, sigma, n, "auto"), corruption)
         cert = protocol.catalyst_sn
         rank = schmidt_rank(rho).rank if not product_rho else 1
@@ -678,28 +661,18 @@ def pipeline_obs1(
                 "ledger",
             )
         )
-        prep_tree = run_protocol(plan.protocol, rho, keep=())
-        prepared, _ = final_state(prep_tree)
-        cat_labels = list(plan.catalyst.layout.labels)
-        cat_dist = trace_distance(
-            prepared.marginal(cat_labels).permuted(cat_labels), plan.catalyst
-        )
+        prepared, _ = final_state(run_protocol(plan.protocol, rho))
         quantities.append(
             q_le(
                 "prepared-catalyst-distance",
-                cat_dist,
+                distance_to(prepared, plan.catalyst)[1],
                 TOL.distance_compiled_atol,
                 "compiled preparation vs catalyst",
             )
         )
 
-        rounds = plan.protocol.rounds + (
-            local_round("mix-a", ALICE, protocol.alice_channel),
-            local_round("mix-b", BOB, protocol.bob_channel),
-        )
-        full = SloccqProtocol(rounds, plan.protocol.dimension_budget)
-        tree = run_protocol(full, rho, keep=())
-        achieved, _ = final_state(tree)
+        # the catalytic channels, as their zero-message rounds, on that state
+        achieved, _ = final_state(run_protocol(protocol.local_protocol, prepared))
         _, _, out_dist, restoration = _audit(protocol, achieved)
         quantities.append(
             q_le(

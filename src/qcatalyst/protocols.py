@@ -5,7 +5,11 @@ registers owned by one party; its classical outcome may be broadcast, and a
 later round may select its instrument by the outcome of an earlier broadcast
 round. A send round hands a register to the other party; the product of the
 dimensions of all sent registers is capped by the protocol's quantum budget.
-Protocols with budget 1 are purely classical communication (LOCC).
+Protocols with budget 1 are purely classical communication (LOCC), and
+local rounds alone, with no broadcast and no message, are catalytic local
+operations: ``catalysis`` runs its two channels as such a protocol, so every
+protocol of the package goes through ``run_protocol`` and its ownership
+checks.
 
 A channel is the one-outcome instrument and is passed to a round as it is;
 protocol JSON writes every round map in the instrument format.
@@ -19,10 +23,11 @@ sent; Schmidt number is multiplicative under local processing and can grow by
 at most the total sent dimension, which gives the certified impossibility
 bound.
 
-Two compilers build protocols from bipartite pure components: the converse
-(filter the input to a maximally entangled pair, extend it by a transmitted
-link, teleport a sampled component) and the catalyst preparation (sample a
-catalyst branch and send Bob's half in one message). Both ship a component
+Two compilers build protocols that ship a mixture state of bipartite pure
+branches: the converse (filter the input to a maximally entangled pair,
+extend it by a transmitted link, teleport a sampled branch) and the catalyst
+preparation (sample a catalyst branch and send Bob's half in one message).
+Both split the mixture the same way (``_split_mixture``) and ship a branch
 through one step, ``_ship``: Alice samples it, prepares it with Bob's half on
 the first levels of a message register, and Bob decompresses that half.
 """
@@ -50,7 +55,6 @@ from .registers import (
 )
 from .states import (
     EnsembleBranch,
-    Factor,
     Instrument,
     KrausChannel,
     QuantumState,
@@ -756,6 +760,24 @@ def _ship(
     )
 
 
+def _split_mixture(mixture: QuantumState):
+    """A mixture as both compilers ship it: its ensemble with Alice's
+    registers first, the layouts of her registers and of Bob's, and each
+    branch's weight, cut decomposition (Alice's half left, so its left basis
+    is indexed like her registers) and Schmidt rank."""
+    mix = mixture.as_ensemble()
+    labels_a = mix.layout.party_labels(ALICE)
+    labels_b = mix.layout.party_labels(BOB)
+    if not labels_a or not labels_b:
+        raise ValidationError("a shipped mixture must span both parties")
+    mix = mix.permuted(labels_a + labels_b)
+    parts = [
+        (br.probability, *_schmidt_data(mix.branch_vector(br), mix.layout))
+        for br in mix.branches
+    ]
+    return mix, mix.layout.subset(labels_a), mix.layout.subset(labels_b), parts
+
+
 def _far_half_on_levels(dec: CutDecomposition, rank: int, dim: int) -> np.ndarray:
     """The ket sum_m s_m |left_m>|m> of a cut decomposition: its leading
     ``rank`` Schmidt terms with the far half moved onto the first levels of a
@@ -799,18 +821,17 @@ class ConverseProtocol:
 
 
 def construct_converse(
-    rho: QuantumState,
-    components: Sequence[tuple[float, QuantumState]],
-    quantum_dimension: int,
+    rho: QuantumState, mixture: QuantumState, quantum_dimension: int
 ) -> ConverseProtocol:
-    """Protocol reaching a mixture of bipartite pure components from one copy
+    """Protocol reaching a mixture of bipartite pure branches from one copy
     of ``rho`` with a single quantum message of the given dimension.
 
     The input is filtered to a maximally entangled state of its Schmidt rank
     k, extended by a locally prepared and partly transmitted pair into a
-    maximally entangled resource of dimension k*q, and each mixture component
-    is then created by the sampling party and teleported across. Every
-    component must have Schmidt rank at most k*q across the party cut.
+    maximally entangled resource of dimension k*q, and each branch of the
+    mixture is then created by the sampling party and teleported across.
+    Every branch must have Schmidt rank at most k*q across the party cut.
+    The target is the mixture with Alice's registers first.
     """
     d = int(quantum_dimension)
     if d < 1:
@@ -848,53 +869,22 @@ def construct_converse(
             )
         )
 
-    probs = [float(p) for p, _ in components]
-    if abs(sum(probs) - 1.0) > TOL.outcome_sum_atol or min(probs) <= 0:
-        raise ValidationError("component weights must be positive and sum to 1")
-    layout = components[0][1].layout
-    labels_a = layout.party_labels(ALICE)
-    labels_b = layout.party_labels(BOB)
-    parts = []
-    for i, (p, comp) in enumerate(components):
-        if (comp.layout.party_labels(ALICE), comp.layout.party_labels(BOB)) != (
-            labels_a,
-            labels_b,
-        ):
-            raise ValidationError("components must share output registers")
-        dec, rank = _schmidt_data(comp.to_vector(), comp.layout)
+    target, alice, bob, parts = _split_mixture(mixture)
+    for i, (_, _, rank) in enumerate(parts):
         if rank > dk:
             raise ProtocolError(
                 f"component {i} has Schmidt rank {rank}, beyond the "
                 f"teleportable dimension {dk}"
             )
-        parts.append((p, dec, rank))
-    sample, prepare, decompress = _ship(
-        parts, dk, layout.subset(labels_a), layout.subset(labels_b), "RB"
-    )
+    sample, prepare, decompress = _ship(parts, dk, alice, bob, "RB")
     rounds += [sample, prepare]
     rounds += teleport_rounds("S", "RA", "RB", dk)
     rounds.append(decompress)
     return ConverseProtocol(
         protocol=SloccqProtocol(tuple(rounds), d),
-        target=_mixture_of_components(
-            layout.permuted(labels_a + labels_b), components
-        ),
+        target=target,
         postselect=(("filter", "pass"),),
     )
-
-
-def _mixture_of_components(
-    layout: RegisterLayout, components: Sequence[tuple[float, QuantumState]]
-) -> QuantumState:
-    branches = []
-    for p, comp in components:
-        ordered = comp.permuted(layout.labels)
-        branches.append(
-            EnsembleBranch(
-                float(p), (Factor(layout.labels, ordered.to_vector()),)
-            )
-        )
-    return QuantumState(layout, branches=tuple(branches))
 
 
 # -- preparing a catalyst with a small quantum message ----------------------
@@ -918,23 +908,10 @@ def compile_catalyst_prep(catalyst: QuantumState) -> CatalystPrepPlan:
     Schmidt number, so the compiled protocol shows the catalyst costs no more
     quantum communication than its Schmidt number.
     """
-    cat = catalyst.as_ensemble()
-    if len(cat.layout) == 0:
+    if len(catalyst.layout) == 0:
         # a single-stage cycle shares nothing: no rounds, no message
-        return CatalystPrepPlan(SloccqProtocol((), 1), 1, cat)
-    labels_a = cat.layout.party_labels(ALICE)
-    labels_b = cat.layout.party_labels(BOB)
-    if not labels_a or not labels_b:
-        raise ValidationError("catalyst must span both parties")
-    # with Alice's registers first, each branch's left basis is indexed like
-    # her half of the catalyst
-    cat = cat.permuted(labels_a + labels_b)
-    alice = cat.layout.subset(labels_a)
-    bob = cat.layout.subset(labels_b)
-    parts = [
-        (br.probability, *_schmidt_data(cat.branch_vector(br), cat.layout))
-        for br in cat.branches
-    ]
+        return CatalystPrepPlan(SloccqProtocol((), 1), 1, catalyst.as_ensemble())
+    cat, alice, bob, parts = _split_mixture(catalyst)
     dim_msg = max(rank for _, _, rank in parts)
     if dim_msg > 1:
         sample, prepare, decompress = _ship(parts, dim_msg, alice, bob, "S")

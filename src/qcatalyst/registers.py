@@ -172,14 +172,20 @@ class Register:
 
 @dataclasses.dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered collection of registers; order fixes the index convention."""
+    """Ordered collection of registers; order fixes the index convention.
+
+    One label -> position index, built with the layout, serves every lookup
+    by label."""
 
     registers: tuple[Register, ...]
 
     def __post_init__(self):
-        labels = [r.label for r in self.registers]
-        if len(set(labels)) != len(labels):
-            raise LayoutError(f"duplicate register labels in layout: {labels}")
+        index = {r.label: i for i, r in enumerate(self.registers)}
+        if len(index) != len(self.registers):
+            raise LayoutError(
+                f"duplicate register labels in layout: {list(self.labels)}"
+            )
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def build(cls, specs: Iterable[tuple[str, int, str]]) -> "RegisterLayout":
@@ -204,19 +210,18 @@ class RegisterLayout:
         return len(self.registers)
 
     def __getitem__(self, label: str) -> Register:
-        for r in self.registers:
-            if r.label == label:
-                return r
-        raise LayoutError(f"no register labelled {label!r} in layout {self.labels}")
+        return self.registers[self.index_of(label)]
 
     def __contains__(self, label: str) -> bool:
-        return any(r.label == label for r in self.registers)
+        return label in self._index
 
     def index_of(self, label: str) -> int:
-        for i, r in enumerate(self.registers):
-            if r.label == label:
-                return i
-        raise LayoutError(f"no register labelled {label!r} in layout {self.labels}")
+        try:
+            return self._index[label]
+        except KeyError:
+            raise LayoutError(
+                f"no register labelled {label!r} in layout {self.labels}"
+            ) from None
 
     def party_of(self, label: str) -> str:
         return self[label].party

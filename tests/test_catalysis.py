@@ -1,5 +1,6 @@
 """The copy-cycling catalyst: structure, exactness, sensitivity, dual routes."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -27,7 +28,7 @@ from qcatalyst import (
     trace_distance,
     verify_input_sensitivity,
 )
-from qcatalyst import catalysis
+from qcatalyst import catalysis, pipelines, protocols
 from qcatalyst.pipelines import (
     pipeline_lemma1,
     pipeline_obs1,
@@ -342,3 +343,51 @@ def test_corrupted_channel_is_built_and_checked_once(pair, monkeypatch):
     ((_, kraus),) = perturbed_instrument(channel, 0.1).branches
     assert all(np.array_equal(a, b) for a, b in zip(corrupted.kraus, kraus))
     assert perturbed_channel(channel, 0.0) is channel
+
+
+def test_each_channel_touches_only_its_own_party(pair):
+    rho, sigma = pair
+    protocol = build_protocol(rho, sigma, 2)
+    swapped = dataclasses.replace(
+        protocol, alice_channel=protocol.bob_channel, bob_channel=protocol.alice_channel
+    )
+    with pytest.raises(ProtocolError, match="cannot touch register 'B' owned by Bob"):
+        run_clo(swapped, rho)
+
+
+def _spy_on_protocol_runs(monkeypatch, modules):
+    """Record every protocol tree built through ``run_protocol`` as bound in
+    ``modules``."""
+    trees = []
+
+    def spy(*args, **kwargs):
+        trees.append(protocols.run_protocol(*args, **kwargs))
+        return trees[-1]
+
+    for module in modules:
+        monkeypatch.setattr(module, "run_protocol", spy, raising=False)
+    return trees
+
+
+@pytest.mark.parametrize("mode", ["explicit-flags", "support-measurement"])
+def test_clo_run_sends_nothing_and_broadcasts_nothing(pair, monkeypatch, mode):
+    rho, sigma = pair
+    protocol = build_protocol(rho, sigma, 2, mode)
+    trees = _spy_on_protocol_runs(monkeypatch, [catalysis])
+    report = run_clo(protocol, rho)
+    assert report.output_distance < 1e-10
+    (tree,) = trees
+    assert [r.name for r in tree.protocol.rounds] == ["mix-a", "mix-b"]
+    assert tree.ledger.sent_dims == ()
+    assert tree.ledger.broadcast_rounds == ()
+    assert tree.ledger.quantum_dimension == 1
+
+
+def test_obs1_runs_the_compiled_preparation_once(monkeypatch):
+    trees = _spy_on_protocol_runs(monkeypatch, [catalysis, pipelines])
+    assert pipeline_obs1(n=2).verdict == "verified"
+    with_send = [
+        t for t in trees if any(r.kind == protocols.SEND for r in t.protocol.rounds)
+    ]
+    assert len(with_send) == 1
+

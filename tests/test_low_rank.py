@@ -25,7 +25,6 @@ from qcatalyst import (
     von_neumann_entropy,
 )
 from qcatalyst.pipelines import (
-    _mixture_components,
     perturbed_channel,
     pipeline_lemma1,
     pipeline_theorem,
@@ -89,9 +88,7 @@ def test_clo_outputs_and_catalysts_agree_with_dense(mode, n, corruption):
 @pytest.mark.parametrize("n", [1, 2])
 def test_theorem_converse_agrees_with_dense(n):
     family = separation_family(n)
-    converse = construct_converse(
-        family.rho, _mixture_components(family), family.d_enough
-    )
+    converse = construct_converse(family.rho, family.tau, family.d_enough)
     tree = run_protocol(converse.protocol, family.rho)
     achieved, _ = final_state(tree, converse.postselect)
     target = converse.target

@@ -1,5 +1,6 @@
 """Report pipelines and the command line wrapper around them."""
 
+import argparse
 import json
 import os
 import time
@@ -517,3 +518,20 @@ def test_non_finite_corruption_is_a_usage_error(value, capsys):
         main(["theorem", "--n", "1", f"--corrupt-epsilon={value}"])
     assert err.value.code == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    argv = ["lemma1", "--n", "4"]  # refused before anything large is built
+    assert main(argv) == 2
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(argv) == 2
+    assert main(argv) == 2
+    assert built == []
+

@@ -41,7 +41,7 @@ from qcatalyst import (
     tensor_states,
     trace_distance,
 )
-from qcatalyst.pipelines import qutrit_pair_states, separation_family, _mixture_components
+from qcatalyst.pipelines import qutrit_pair_states, separation_family
 from qcatalyst import states as states_module
 from qcatalyst.sampling import random_instrument, random_pure_vector, rng
 
@@ -347,7 +347,7 @@ class TestRetirement:
     @pytest.mark.parametrize("n", [1, 2])
     def test_converse_tree_ends_with_few_leaves(self, n):
         fam = separation_family(n)
-        conv = construct_converse(fam.rho, _mixture_components(fam), fam.d_enough)
+        conv = construct_converse(fam.rho, fam.tau, fam.d_enough)
         keep = [name for name, _ in conv.postselect]
         every = run_protocol(conv.protocol, fam.rho)
         tree = run_protocol(conv.protocol, fam.rho, keep=keep)
@@ -450,7 +450,7 @@ class TestLedger:
 class TestConverse:
     def test_reaches_target_exactly(self):
         fam = separation_family(1)
-        conv = construct_converse(fam.rho, _mixture_components(fam), fam.d_enough)
+        conv = construct_converse(fam.rho, fam.tau, fam.d_enough)
         tree = run_protocol(conv.protocol, fam.rho)
         achieved, prob = final_state(tree, conv.postselect)
         assert prob == pytest.approx(1.0, abs=1e-9)
@@ -459,7 +459,7 @@ class TestConverse:
     def test_budget_too_small_refused(self):
         fam = separation_family(1)
         with pytest.raises(ProtocolError):
-            construct_converse(fam.rho, _mixture_components(fam), fam.d_short)
+            construct_converse(fam.rho, fam.tau, fam.d_short)
 
 
 class TestCatalystCompilation:
@@ -504,7 +504,7 @@ class TestProtocolJson:
 
     def test_converse_round_trip(self):
         fam = separation_family(1)
-        conv = construct_converse(fam.rho, _mixture_components(fam), fam.d_enough)
+        conv = construct_converse(fam.rho, fam.tau, fam.d_enough)
         self._same_final_state(conv.protocol, fam.rho, conv.postselect)
 
     def test_catalyst_preparation_round_trip(self):
@@ -526,3 +526,27 @@ def test_product_catalyst_halves_stay_separate_factors():
         for branch in leaf.state.branches:
             for factor in branch.factors:
                 assert len({layout.party_of(lab) for lab in factor.labels}) == 1
+
+
+def test_a_channel_round_keeps_the_channel_trace_rule():
+    # a channel losing 5e-10 of the trace passes the Kraus check (1e-9) but
+    # not the channel trace rule (1e-10), in a protocol round as well
+    lay = qubit_reg("A", ALICE)
+    leaky = KrausChannel([math.sqrt(1.0 - 5e-10) * np.eye(2)], lay, lay)
+    st = max_entangled(2, ("A", "B"))
+    with pytest.raises(ValidationError):
+        apply_channel(leaky, st)
+    with pytest.raises(ValidationError, match="sum to"):
+        run_protocol(SloccqProtocol((local_round("leak", ALICE, leaky),), 1), st)
+    # an instrument with two outcomes keeps the looser outcome-sum rule
+    split = Instrument(
+        [
+            ("0", [math.sqrt(1.0 - 5e-10) * np.diag([1.0, 0.0])]),
+            ("1", [math.sqrt(1.0 - 5e-10) * np.diag([0.0, 1.0])]),
+        ],
+        lay,
+        lay,
+    )
+    tree = run_protocol(SloccqProtocol((local_round("m", ALICE, split),), 1), st)
+    assert tree.total_probability == pytest.approx(1.0 - 5e-10, abs=1e-15)
+

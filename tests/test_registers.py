@@ -1,5 +1,7 @@
 """Layouts, dense operators, register permutation, partial trace, SVD cuts."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from qcatalyst import (
     ALICE,
     BOB,
     REFEREE,
+    EnsembleBranch,
+    Factor,
     LayoutError,
     MultipartiteOperator,
+    QuantumState,
     Register,
     RegisterLayout,
     ValidationError,
@@ -73,6 +78,26 @@ class TestLayouts:
             )
         )
         assert RegisterLayout.from_json(lay.to_json()) == lay
+
+    def test_unknown_label_lookups_are_refused(self):
+        lay = layout_ab()
+        assert "C" not in lay and "B" in lay
+        with pytest.raises(LayoutError, match="no register labelled 'C'"):
+            lay["C"]
+        with pytest.raises(LayoutError, match="no register labelled 'C'"):
+            lay.index_of("C")
+
+    def test_label_lookups_do_not_scan_the_layout(self):
+        # from_branches looks up every factor label once; with a scan per
+        # lookup, 20 000 one-qubit registers take tens of seconds
+        lay = RegisterLayout(
+            tuple(Register(f"q{i}", 2, ALICE) for i in range(20_000))
+        )
+        zero = np.array([1.0, 0.0])
+        branch = EnsembleBranch(1.0, tuple(Factor((lab,), zero) for lab in lay.labels))
+        start = time.perf_counter()
+        QuantumState.from_branches(lay, (branch,))
+        assert time.perf_counter() - start < 2.0
 
 
 class TestPermuteAndTrace:

@@ -1,6 +1,7 @@
 """Every numerical cutoff of the package is an entry of ``registers.TOL``,
-only ``registers`` compares against the dense cap, and only
-``registers.thin_svd`` calls an SVD routine.
+only ``registers`` compares against the dense cap, only
+``registers.thin_svd`` calls an SVD routine, and outside ``states`` only
+``protocols.run_protocol`` applies a map.
 
 The source is parsed, not imported: a float literal below 1e-3 anywhere in
 ``src/qcatalyst`` outside the ``Tolerances`` class body is a cutoff written
@@ -115,3 +116,23 @@ def test_every_svd_goes_through_thin_svd():
             if names_svd(node) and node.lineno not in helper
         ]
     assert not stray, "SVD called outside registers.thin_svd:\n" + "\n".join(stray)
+
+
+def test_maps_are_applied_only_by_the_protocol_engine():
+    # every protocol, the catalytic channels included, runs through
+    # run_protocol and its ownership and ledger checks
+    stray = []
+    for name, tree in _modules().items():
+        if name == "states.py":
+            continue
+        engine = _lines_of(tree, ast.FunctionDef, "run_protocol") if name == "protocols.py" else set()
+        for node in ast.walk(tree):
+            called = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)
+            )
+            if called == "apply_channel" or (
+                called == "apply_instrument" and node.lineno not in engine
+            ):
+                stray.append(f"{name}:{node.lineno}: {called}")
+    assert not stray, "maps applied outside run_protocol:\n" + "\n".join(stray)
+
