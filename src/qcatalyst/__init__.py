@@ -89,7 +89,6 @@ from .pipelines import (
     Quantity,
     ReportDocument,
     perturbed_channel,
-    perturbed_instrument,
     pipeline_lemma1,
     pipeline_obs1,
     pipeline_obs3,

@@ -215,7 +215,9 @@ def _input_rotation(layout_in: RegisterLayout, epsilon: float) -> np.ndarray | N
 
 
 def perturbed_channel(channel: KrausChannel, epsilon: float) -> KrausChannel:
-    """The one-outcome case of ``perturbed_instrument``."""
+    """The channel with ``_input_rotation`` composed into every Kraus
+    operator; a channel with nothing to perturb is returned as it is. Every
+    corrupted control (``_corrupted``, obs3's flips) goes through here."""
     big = _input_rotation(channel.layout_in, epsilon)
     if big is None:
         return channel
@@ -228,19 +230,6 @@ def _corrupted(protocol: CatalyticProtocol, epsilon: float) -> CatalyticProtocol
     """The protocol with Alice's channel perturbed (the corruption hook)."""
     return dataclasses.replace(
         protocol, alice_channel=perturbed_channel(protocol.alice_channel, epsilon)
-    )
-
-
-def perturbed_instrument(instrument: Instrument, epsilon: float) -> Instrument:
-    """Compose ``_input_rotation`` into every Kraus operator; an instrument
-    with nothing to perturb is returned as it is."""
-    big = _input_rotation(instrument.layout_in, epsilon)
-    if big is None:
-        return instrument
-    return Instrument(
-        [(label, [k @ big for k in kraus]) for label, kraus in instrument.branches],
-        instrument.layout_in,
-        instrument.layout_out,
     )
 
 
@@ -509,7 +498,7 @@ def _flip_protocol(corruption: float = 0.0) -> SloccqProtocol:
     alice_fix = conditional(qubit_a)
     if corruption:
         alice_fix = {
-            k: perturbed_instrument(v, corruption) for k, v in alice_fix.items()
+            k: perturbed_channel(v, corruption) for k, v in alice_fix.items()
         }
     rounds = (
         local_round("read-bit", BOB, measure, broadcast=True),

@@ -50,6 +50,8 @@ from .registers import (
     Register,
     RegisterLayout,
     TOL,
+    _brief,
+    is_positive_int,
     numerical_rank,
     svd_across_cut,
 )
@@ -60,6 +62,7 @@ from .states import (
     QuantumState,
     apply_instrument,
     coalesce,
+    malformed_json,
     max_entangled_vector,
 )
 from .entanglement import SNCertificate
@@ -74,10 +77,13 @@ MAX_LEAVES = 200_000
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolRound:
+    """One local or send round; every builder, ``from_json`` included, goes
+    through these checks."""
+
     name: str
     kind: str
     party: str
-    targets: tuple[str, ...] = ()
+    targets: Sequence[str] | None = None  # None: the instruments' inputs
     instrument: Instrument | None = None
     instruments_by_outcome: Mapping[str, Instrument] | None = None
     select_by: str | None = None
@@ -88,30 +94,54 @@ class ProtocolRound:
 
     def __post_init__(self):
         if self.kind == LOCAL:
-            fixed = self.instrument is not None
-            adaptive = self.instruments_by_outcome is not None
-            if fixed == adaptive:
-                raise ValidationError(
-                    f"round {self.name!r} needs exactly one of instrument / "
-                    f"instruments_by_outcome"
-                )
-            if adaptive and not self.select_by:
-                raise ValidationError(
-                    f"adaptive round {self.name!r} needs select_by"
-                )
-            if fixed and self.select_by:
-                raise ValidationError(
-                    f"round {self.name!r} has select_by but a fixed instrument"
-                )
+            self._check_local()
         elif self.kind == SEND:
-            if not self.register or not self.to_party or not self.dim:
+            if not self.register or not self.to_party or not is_positive_int(self.dim):
                 raise ValidationError(
-                    f"send round {self.name!r} needs register, to_party and dim"
+                    f"send round {self.name!r} needs register, to_party and an "
+                    f"integer dim >= 1, got dim {_brief(self.dim)}"
                 )
             if self.to_party == self.party:
                 raise ValidationError(f"round {self.name!r} sends to the sender")
         else:
-            raise ValidationError(f"unknown round kind {self.kind!r}")
+            raise ValidationError(f"unknown round kind {_brief(self.kind)}")
+        if not isinstance(self.broadcast, bool):
+            raise ValidationError(f"round {self.name!r}: broadcast is not a boolean")
+
+    def _check_local(self) -> None:
+        """One instrument, or one per outcome of ``select_by`` on the same
+        input dimensions and output registers, and string targets."""
+        fixed = self.instrument is not None
+        if fixed == (self.instruments_by_outcome is not None):
+            raise ValidationError(
+                f"round {self.name!r} needs exactly one of instrument / "
+                f"instruments_by_outcome"
+            )
+        if fixed == bool(self.select_by):
+            raise ValidationError(
+                f"round {self.name!r}: select_by goes with instruments_by_outcome"
+            )
+        maps = [self.instrument] if fixed else list(self.instruments_by_outcome.values())
+        if not maps:
+            raise ValidationError(f"round {self.name!r} has no instruments")
+        for inst in maps[1:]:
+            if inst.layout_in.dims != maps[0].layout_in.dims:
+                raise ValidationError(
+                    f"round {self.name!r}: instruments disagree on input dimensions"
+                )
+            if inst.layout_out.labels != maps[0].layout_out.labels:
+                raise ValidationError(
+                    f"round {self.name!r}: instruments disagree on output registers"
+                )
+        targets = maps[0].layout_in.labels if self.targets is None else self.targets
+        if isinstance(targets, str) or not (
+            isinstance(targets, Sequence) and all(isinstance(t, str) for t in targets)
+        ):
+            raise ValidationError(
+                f"round {self.name!r}: targets {_brief(targets)} are not a list "
+                f"of register labels"
+            )
+        object.__setattr__(self, "targets", tuple(targets))
 
 
 def local_round(
@@ -121,13 +151,11 @@ def local_round(
     targets: Sequence[str] | None = None,
     broadcast: bool = False,
 ) -> ProtocolRound:
-    if targets is None:
-        targets = instrument.layout_in.labels
     return ProtocolRound(
         name=name,
         kind=LOCAL,
         party=party,
-        targets=tuple(targets),
+        targets=targets,
         instrument=instrument,
         broadcast=broadcast,
     )
@@ -141,25 +169,11 @@ def adaptive_round(
     targets: Sequence[str] | None = None,
     broadcast: bool = False,
 ) -> ProtocolRound:
-    if not instruments_by_outcome:
-        raise ValidationError(f"round {name!r} has no instruments")
-    some = next(iter(instruments_by_outcome.values()))
-    if targets is None:
-        targets = some.layout_in.labels
-    for inst in instruments_by_outcome.values():
-        if inst.layout_in.dims != some.layout_in.dims:
-            raise ValidationError(
-                f"round {name!r}: instruments disagree on input dimensions"
-            )
-        if inst.layout_out.labels != some.layout_out.labels:
-            raise ValidationError(
-                f"round {name!r}: instruments disagree on output registers"
-            )
     return ProtocolRound(
         name=name,
         kind=LOCAL,
         party=party,
-        targets=tuple(targets),
+        targets=targets,
         instruments_by_outcome=dict(instruments_by_outcome),
         select_by=select_by,
         broadcast=broadcast,
@@ -175,8 +189,22 @@ def send_round(
         party=party,
         register=register,
         to_party=to_party,
-        dim=int(dim),
+        dim=dim,
     )
+
+
+def _round_from_json(entry: Mapping) -> ProtocolRound:
+    name, kind, party = entry["name"], entry["kind"], entry["party"]
+    if kind == SEND:
+        return send_round(name, party, entry["register"], entry["to_party"], entry["dim"])
+    if kind != LOCAL:
+        raise ValidationError(f"unknown round kind {_brief(kind)}")
+    targets, broadcast = entry["targets"], entry.get("broadcast", False)
+    if "instrument" in entry:
+        instrument = Instrument.from_json(entry["instrument"])
+        return local_round(name, party, instrument, targets, broadcast)
+    maps = {k: Instrument.from_json(v) for k, v in entry["instruments_by_outcome"].items()}
+    return adaptive_round(name, party, maps, entry["select_by"], targets, broadcast)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,11 +215,11 @@ class SloccqProtocol:
     dimension_budget: int
 
     def __post_init__(self):
-        if self.dimension_budget < 1:
-            raise ValidationError("dimension budget must be >= 1")
+        if not is_positive_int(self.dimension_budget):
+            budget = _brief(self.dimension_budget)
+            raise ValidationError(f"dimension budget {budget} is not an integer >= 1")
         seen: set[str] = set()
         broadcast_before: set[str] = set()
-        used = 1
         for rnd in self.rounds:
             if rnd.name in seen:
                 raise ValidationError(f"duplicate round name {rnd.name!r}")
@@ -203,8 +231,7 @@ class SloccqProtocol:
             seen.add(rnd.name)
             if rnd.kind == LOCAL and rnd.broadcast:
                 broadcast_before.add(rnd.name)
-            if rnd.kind == SEND:
-                used *= rnd.dim
+        used = self.quantum_dimension_used
         if used > self.dimension_budget:
             raise ProtocolError(
                 f"protocol sends total quantum dimension {used}, over the "
@@ -222,13 +249,12 @@ class SloccqProtocol:
             if r.kind == LOCAL:
                 entry["targets"] = list(r.targets)
                 entry["broadcast"] = r.broadcast
-                # a channel is written as the one-outcome instrument it is
                 if r.instrument is not None:
-                    entry["instrument"] = Instrument.to_json(r.instrument)
+                    entry["instrument"] = r.instrument.to_json()
                 else:
                     entry["select_by"] = r.select_by
                     entry["instruments_by_outcome"] = {
-                        k: Instrument.to_json(v)
+                        k: v.to_json()
                         for k, v in r.instruments_by_outcome.items()
                     }
             else:
@@ -240,48 +266,11 @@ class SloccqProtocol:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SloccqProtocol":
-        rounds = []
-        for entry in data["rounds"]:
-            kind = entry["kind"]
-            if kind == LOCAL:
-                if "instrument" in entry:
-                    rounds.append(
-                        ProtocolRound(
-                            name=entry["name"],
-                            kind=LOCAL,
-                            party=entry["party"],
-                            targets=tuple(entry["targets"]),
-                            instrument=Instrument.from_json(entry["instrument"]),
-                            broadcast=bool(entry.get("broadcast", False)),
-                        )
-                    )
-                else:
-                    rounds.append(
-                        ProtocolRound(
-                            name=entry["name"],
-                            kind=LOCAL,
-                            party=entry["party"],
-                            targets=tuple(entry["targets"]),
-                            instruments_by_outcome={
-                                k: Instrument.from_json(v)
-                                for k, v in entry["instruments_by_outcome"].items()
-                            },
-                            select_by=entry["select_by"],
-                            broadcast=bool(entry.get("broadcast", False)),
-                        )
-                    )
-            else:
-                rounds.append(
-                    ProtocolRound(
-                        name=entry["name"],
-                        kind=SEND,
-                        party=entry["party"],
-                        register=entry["register"],
-                        to_party=entry["to_party"],
-                        dim=int(entry["dim"]),
-                    )
-                )
-        return cls(tuple(rounds), int(data["dimension_budget"]))
+        """Built round by round through the round helpers, so it refuses what
+        they refuse, and a malformed document in one line."""
+        with malformed_json("protocol"):
+            rounds = tuple(_round_from_json(entry) for entry in data["rounds"])
+            return cls(rounds, data["dimension_budget"])
 
 
 # -- execution --------------------------------------------------------------
@@ -752,7 +741,7 @@ def _ship(
         )
         # columns past the Schmidt vectors complete the isometry, never fire
         cols = complete_isometry(dec.right_basis[:, :rank], bob.total_dim)[:, :dim]
-        decos[outcome] = KrausChannel.from_isometry(cols, msg_layout, bob)
+        decos[outcome] = KrausChannel([cols], msg_layout, bob)
     return (
         sample,
         adaptive_round("prepare", ALICE, preps, select_by=sample.name, targets=()),

@@ -145,6 +145,11 @@ def _brief(value) -> str:
     return f"{text[:_BRIEF_CHARS]}... ({type(value).__name__})"
 
 
+def is_positive_int(value) -> bool:
+    """Whether ``value`` is an integer >= 1: no bool, float or string is one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 @dataclasses.dataclass(frozen=True)
 class Register:
     """A named subsystem with a dimension and an owning party."""
@@ -158,10 +163,9 @@ class Register:
             raise LayoutError(
                 f"register label must be a non-empty string, got {_brief(self.label)}"
             )
-        dim = self.dim
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        if not is_positive_int(self.dim):
             raise LayoutError(
-                f"register {_brief(self.label)} has invalid dim {_brief(dim)}"
+                f"register {_brief(self.label)} has invalid dim {_brief(self.dim)}"
             )
         if self.party not in PARTIES:
             raise LayoutError(

@@ -9,7 +9,8 @@ Two state representations coexist:
   simulations whose joint dimension is far beyond the dense cap.
 
 Maps are instruments: labelled lists of Kraus operators, checked once in the
-``Instrument`` constructor; a ``KrausChannel`` is the one-outcome instrument.
+``Instrument`` constructor, through which ``Instrument.from_json`` reads every
+map; a ``KrausChannel`` is the one-outcome instrument, in JSON as well.
 ``apply_instrument`` is the single application path and ``apply_channel`` its
 one-outcome case. On an ensemble the factors of a branch that touch the
 targets are merged and matricized once per instrument, and every Kraus
@@ -34,10 +35,11 @@ floor below which a branch or outcome is dropped) is an entry of ``TOL``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +49,6 @@ from .registers import (
     BOB,
     EMPTY_LAYOUT,
     MultipartiteOperator,
-    Register,
     RegisterLayout,
     TOL,
     eig_hermitian,
@@ -133,10 +134,7 @@ class QuantumState:
             seen: list[str] = []
             for f in br.factors:
                 seen.extend(f.labels)
-                dims = []
-                for lab in f.labels:
-                    dims.append(layout[lab].dim)
-                want = int(np.prod(dims)) if dims else 1
+                want = math.prod(layout[lab].dim for lab in f.labels)
                 if f.vector.size != want:
                     raise ValidationError(
                         f"factor on {f.labels} has {f.vector.size} amplitudes, "
@@ -344,46 +342,6 @@ class QuantumState:
             options.append((w, Factor(tuple(keep), u[:, j])))
         return options
 
-    def embed(self, new_dims: Mapping[str, int]) -> "QuantumState":
-        """Pad register dimensions, keeping amplitudes on the original levels."""
-        for lab, nd in new_dims.items():
-            if lab not in self.layout:
-                raise LayoutError(f"embed mentions unknown register {lab!r}")
-            if nd < self.layout[lab].dim:
-                raise ValidationError(
-                    f"cannot shrink register {lab!r} from {self.layout[lab].dim} to {nd}"
-                )
-        regs = tuple(
-            Register(r.label, int(new_dims.get(r.label, r.dim)), r.party)
-            for r in self.layout.registers
-        )
-        new_layout = RegisterLayout(regs)
-        if self.is_dense:
-            embed_ops = []
-            for r in self.layout.registers:
-                nd = int(new_dims.get(r.label, r.dim))
-                e = np.zeros((nd, r.dim), dtype=np.complex128)
-                e[: r.dim, :] = np.eye(r.dim)
-                embed_ops.append(e)
-            full = embed_ops[0] if embed_ops else np.ones((1, 1))
-            for e in embed_ops[1:]:
-                full = np.kron(full, e)
-            op = MultipartiteOperator(
-                full @ self.dense.entries @ full.conj().T, new_layout, new_layout
-            )
-            return QuantumState(new_layout, dense=op)
-        new_branches = []
-        for br in self.branches:
-            fs = []
-            for f in br.factors:
-                old = [self.layout[lab].dim for lab in f.labels]
-                new = [int(new_dims.get(lab, self.layout[lab].dim)) for lab in f.labels]
-                arr = f.vector.reshape(old)
-                pad = [(0, n - o) for o, n in zip(old, new)]
-                fs.append(Factor(f.labels, np.pad(arr, pad).reshape(-1)))
-            new_branches.append(EnsembleBranch(br.probability, tuple(fs)))
-        return QuantumState(new_layout, branches=tuple(new_branches))
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -414,7 +372,7 @@ class QuantumState:
         layout = RegisterLayout.from_json(doc["layout"])
         if ("dense" in doc) == ("ensemble" in doc):
             raise ValidationError("state JSON needs exactly one of 'dense'/'ensemble'")
-        try:
+        with malformed_json("state"):
             if "dense" in doc:
                 flat = _vector_from_json(doc["dense"])
             else:
@@ -425,10 +383,6 @@ class QuantumState:
                     )
                     for item in doc["ensemble"]
                 ]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(
-                f"malformed state JSON: {type(exc).__name__}: {exc}"
-            ) from exc
         if "ensemble" in doc:
             return cls.from_branches(layout, branches)
         d = layout.total_dim
@@ -447,6 +401,18 @@ class QuantumState:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"state file is not valid JSON: {exc}") from exc
         return cls.from_json(doc)
+
+
+@contextlib.contextmanager
+def malformed_json(what: str):
+    """Refuse a malformed ``what`` document in one line: the Python errors of
+    reading it become a ``ValidationError``; the package's own pass through."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"malformed {what} JSON: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def decode_json(text: str):
@@ -671,16 +637,6 @@ class Instrument:
     def outcome_labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.branches)
 
-    @classmethod
-    def from_channel(cls, channel: KrausChannel, outcome: str = "ok") -> Instrument:
-        """The channel under an outcome label, sharing its already checked
-        read-only Kraus operators."""
-        inst = cls.__new__(cls)
-        inst.branches = ((str(outcome), channel.kraus),)
-        inst.layout_in = channel.layout_in
-        inst.layout_out = channel.layout_out
-        return inst
-
     def to_json(self) -> dict:
         return {
             "layout_in": self.layout_in.to_json(),
@@ -691,16 +647,18 @@ class Instrument:
             ],
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "Instrument":
-        return cls(
-            [
-                (b["outcome"], [_matrix_from_json(k) for k in b["kraus"]])
-                for b in doc["branches"]
-            ],
-            RegisterLayout.from_json(doc["layout_in"]),
-            RegisterLayout.from_json(doc["layout_out"]),
-        )
+    @staticmethod
+    def from_json(doc: dict) -> "Instrument":
+        """An ``Instrument``, whatever class this is called on."""
+        with malformed_json("instrument"):
+            return Instrument(
+                [
+                    (b["outcome"], [_matrix_from_json(k) for k in b["kraus"]])
+                    for b in doc["branches"]
+                ],
+                RegisterLayout.from_json(doc["layout_in"]),
+                RegisterLayout.from_json(doc["layout_out"]),
+            )
 
 
 class KrausChannel(Instrument):
@@ -719,30 +677,9 @@ class KrausChannel(Instrument):
         return cls([u], layout, layout)
 
     @classmethod
-    def from_isometry(
-        cls, v, layout_in: RegisterLayout, layout_out: RegisterLayout
-    ) -> "KrausChannel":
-        return cls([v], layout_in, layout_out)
-
-    @classmethod
     def preparation(cls, vector, layout_out: RegisterLayout) -> "KrausChannel":
         col = np.asarray(vector, dtype=np.complex128).reshape(-1, 1)
         return cls([col], EMPTY_LAYOUT, layout_out)
-
-    def to_json(self) -> dict:
-        return {
-            "layout_in": self.layout_in.to_json(),
-            "layout_out": self.layout_out.to_json(),
-            "kraus": [_matrix_to_json(k) for k in self.kraus],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "KrausChannel":
-        return cls(
-            [_matrix_from_json(k) for k in doc["kraus"]],
-            RegisterLayout.from_json(doc["layout_in"]),
-            RegisterLayout.from_json(doc["layout_out"]),
-        )
 
 
 # -- applying maps ---------------------------------------------------------

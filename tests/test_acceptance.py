@@ -315,19 +315,21 @@ def test_criterion_7_schmidt_analytics():
     for _ in range(100):
         da = int(gen.integers(2, 5))
         db = int(gen.integers(2, 5))
+        vec = random_pure_vector(da * db, gen)
         st = QuantumState.pure(
-            RegisterLayout((Register("A", da, ALICE), Register("B", db, BOB))),
-            random_pure_vector(da * db, gen),
+            RegisterLayout((Register("A", da, ALICE), Register("B", db, BOB))), vec
         )
-        big = st.embed(
-            {"A": da + int(gen.integers(1, 4)), "B": db + int(gen.integers(1, 4))}
+        pa, pb = int(gen.integers(1, 4)), int(gen.integers(1, 4))
+        big = QuantumState.pure(
+            RegisterLayout((Register("A", da + pa, ALICE), Register("B", db + pb, BOB))),
+            np.pad(vec.reshape(da, db), ((0, pa), (0, pb))),
         )
         assert schmidt_rank(big).rank == schmidt_rank(st).rank
 
     # mixture oracle pins the two-level family across the whole weight grid
-    from qcatalyst import EnsembleBranch, Factor, max_entangled
+    from qcatalyst import EnsembleBranch, Factor
 
-    base = max_entangled(2, ("A", "B")).embed({"A": 3, "B": 3})
+    base, _ = qutrit_pair_states()  # the rank-2 pair on two qutrits
     spike = np.zeros(3, dtype=np.complex128)
     spike[2] = 1.0
     for p100 in range(1, 100):

@@ -244,11 +244,13 @@ class TestGuards:
         assert (rep.catalyst_sn.lower, rep.catalyst_sn.upper) == (1, 1)
         assert rep.output_distance < 1e-10
 
-    def test_larger_embedding_same_protocol(self, pair):
-        # embedding both states into larger local spaces changes nothing
-        rho, sigma = pair
-        big_rho = rho.embed({"A": 4, "B": 4})
-        big_sigma = sigma.embed({"A": 4, "B": 4})
+    def test_larger_embedding_same_protocol(self):
+        # the qutrit pair embedded into larger local spaces changes nothing
+        layout = RegisterLayout((Register("A", 4, ALICE), Register("B", 4, BOB)))
+        vec = np.zeros(16, dtype=np.complex128)
+        vec[0] = vec[5] = 1.0 / np.sqrt(2.0)  # |00> + |11>
+        big_rho = QuantumState.pure(layout, vec)
+        big_sigma = basis_product(layout, (2, 2))
         rep = run_clo(build_protocol(big_rho, big_sigma, 2), big_rho)
         assert rep.output_distance < 1e-10
         assert rep.restoration_distance < 1e-10
@@ -326,7 +328,7 @@ def test_run_clo_has_no_switch_for_its_input_check():
 
 def test_corrupted_channel_is_built_and_checked_once(pair, monkeypatch):
     from qcatalyst import Instrument
-    from qcatalyst.pipelines import perturbed_channel, perturbed_instrument
+    from qcatalyst.pipelines import perturbed_channel
 
     rho, sigma = pair
     channel = build_protocol(rho, sigma, 2, "explicit-flags").alice_channel
@@ -338,10 +340,8 @@ def test_corrupted_channel_is_built_and_checked_once(pair, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(Instrument, "__init__", counted)
-    corrupted = perturbed_channel(channel, 0.1)
+    perturbed_channel(channel, 0.1)
     assert built == ["KrausChannel"]
-    ((_, kraus),) = perturbed_instrument(channel, 0.1).branches
-    assert all(np.array_equal(a, b) for a, b in zip(corrupted.kraus, kraus))
     assert perturbed_channel(channel, 0.0) is channel
 
 

@@ -94,7 +94,7 @@ class TestSchmidtRank:
         for _ in range(30):
             v = random_pure_vector(6, gen)
             st = pure_ab(v, 2, 3)
-            big = st.embed({"A": 5, "B": 4})
+            big = pure_ab(np.pad(v.reshape(2, 3), ((0, 3), (0, 1))), 5, 4)
             assert schmidt_rank(big).rank == schmidt_rank(st).rank
 
     def test_sn_pure_equals_rank(self):

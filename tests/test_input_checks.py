@@ -40,6 +40,24 @@ def test_ensemble_rejects_bad_probability(p):
         QuantumState.from_branches(layout, [branch])
 
 
+def test_factor_size_is_counted_past_64_bits():
+    # two 2^32-level registers hold 2^64 amplitudes, which a 64-bit product
+    # wraps to 0
+    doc = {
+        "layout": [
+            {"label": "A", "dim": 2**32, "party": "Alice"},
+            {"label": "B", "dim": 2**32, "party": "Bob"},
+        ],
+        "ensemble": [
+            {"p": 1.0, "factors": [{"labels": ["A", "B"], "vector": [[1.0, 0.0]]}]}
+        ],
+    }
+    with pytest.raises(
+        ValidationError, match="has 1 amplitudes, expected 18446744073709551616$"
+    ):
+        QuantumState.from_json(doc)
+
+
 def test_dense_state_rejects_nan():
     entries = np.eye(4, dtype=np.complex128) / 4
     entries[1, 1] = np.nan

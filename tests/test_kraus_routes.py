@@ -116,27 +116,13 @@ def test_channel_is_the_sole_outcome_of_its_instrument(dense):
     out = RegisterLayout((Register("X", 3, ALICE),))
     ch = random_channel(target_layout(), out, gen, kraus_count=2)
     direct = apply_channel(ch, state, TARGETS)
-    ((label, p, via),) = apply_instrument(Instrument.from_channel(ch), state, TARGETS)
+    ((label, p, via),) = apply_instrument(ch, state, TARGETS)
     assert label == "ok"
     assert p == pytest.approx(1.0, abs=1e-12)
     assert via.layout == direct.layout
     np.testing.assert_allclose(
         via.densify().entries, direct.densify().entries, atol=1e-12
     )
-
-
-def test_from_channel_shares_the_kraus_arrays():
-    gen = rng(45)
-    lay = target_layout()
-    ch = random_channel(lay, lay, gen, kraus_count=3)
-    inst = Instrument.from_channel(ch, "done")
-    assert isinstance(ch, Instrument) and ch.outcome_labels == ("ok",)
-    assert inst.outcome_labels == ("done",)
-    assert inst.layout_in is ch.layout_in and inst.layout_out is ch.layout_out
-    shared = inst.branches[0][1]
-    assert len(shared) == len(ch.kraus)
-    for mine, theirs in zip(shared, ch.kraus):
-        assert mine is theirs and not mine.flags.writeable
 
 
 def test_channel_checks_run_in_the_instrument_constructor():

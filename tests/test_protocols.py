@@ -13,6 +13,7 @@ from qcatalyst import (
     Instrument,
     KrausChannel,
     ProtocolError,
+    QcatError,
     QuantumState,
     Register,
     RegisterLayout,
@@ -41,7 +42,12 @@ from qcatalyst import (
     tensor_states,
     trace_distance,
 )
-from qcatalyst.pipelines import qutrit_pair_states, separation_family
+from qcatalyst.pipelines import (
+    _bit_flip_task,
+    _flip_protocol,
+    qutrit_pair_states,
+    separation_family,
+)
 from qcatalyst import states as states_module
 from qcatalyst.sampling import random_instrument, random_pure_vector, rng
 
@@ -52,9 +58,7 @@ def qubit_reg(label, party):
 
 def identity_round(name, label, party, dim=2):
     lay = RegisterLayout((Register(label, dim, party),))
-    return local_round(
-        name, party, Instrument.from_channel(KrausChannel.from_unitary(np.eye(dim), lay))
-    )
+    return local_round(name, party, KrausChannel.from_unitary(np.eye(dim), lay))
 
 
 class TestRoundValidation:
@@ -74,7 +78,7 @@ class TestRoundValidation:
 
     def test_select_by_requires_earlier_broadcast(self):
         lay = qubit_reg("A", ALICE)
-        inst = Instrument.from_channel(KrausChannel.from_unitary(np.eye(2), lay))
+        inst = KrausChannel.from_unitary(np.eye(2), lay)
         adaptive = adaptive_round(
             "fix", ALICE, {"ok": inst}, select_by="missing"
         )
@@ -121,11 +125,9 @@ class TestRoundValidation:
             lay,
         )
         fix = {
-            "0": Instrument.from_channel(KrausChannel.from_unitary(np.eye(2), qubit_reg("B", BOB))),
-            "1": Instrument.from_channel(
-                KrausChannel.from_unitary(
-                    np.array([[0.0, 1.0], [1.0, 0.0]]), qubit_reg("B", BOB)
-                )
+            "0": KrausChannel.from_unitary(np.eye(2), qubit_reg("B", BOB)),
+            "1": KrausChannel.from_unitary(
+                np.array([[0.0, 1.0], [1.0, 0.0]]), qubit_reg("B", BOB)
             ),
         }
         prot = SloccqProtocol(
@@ -511,6 +513,71 @@ class TestProtocolJson:
         rho, sigma = qutrit_pair_states()
         plan = compile_catalyst_prep(build_protocol(rho, sigma, 2).catalyst)
         self._same_final_state(plan.protocol, QuantumState.empty())
+
+    @pytest.mark.parametrize("corruption", [0.0, 0.3])
+    def test_flip_protocol_round_trip(self, corruption):
+        _, start, _ = _bit_flip_task()
+        self._same_final_state(_flip_protocol(corruption), start)
+
+    def test_catalytic_local_protocol_round_trip(self):
+        rho, sigma = qutrit_pair_states()
+        protocol = build_protocol(rho, sigma, 2)
+        self._same_final_state(
+            protocol.local_protocol, tensor_states(rho, protocol.catalyst)
+        )
+
+
+def _flip_document():
+    """``_flip_protocol`` (rounds ``read-bit``, ``alice-flip`` selecting by it
+    with outcomes ``x0``/``x1``, ``bob-flip``) and a send round ``give`` of
+    Alice's qubit, as a document."""
+    flip = _flip_protocol()
+    give = send_round("give", ALICE, "A", BOB, 2)
+    return SloccqProtocol(flip.rounds + (give,), 2).to_json()
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        pytest.param({("rounds", 3, "dim"): 2.7}, id="send-dim-float"),
+        pytest.param({("rounds", 3, "dim"): "2"}, id="send-dim-string"),
+        pytest.param({("dimension_budget",): 2.9}, id="budget-float"),
+        pytest.param(
+            {("rounds", 3): _DROP, ("dimension_budget",): True}, id="budget-bool"
+        ),
+        pytest.param({("rounds", 0, "targets"): "AB"}, id="targets-string"),
+        pytest.param({("rounds", 0, "broadcast"): "yes"}, id="broadcast-string"),
+        pytest.param(
+            {("rounds", 1, "instruments_by_outcome", "x1", "layout_out", 0, "label"): "X"},
+            id="adaptive-outputs-disagree",
+        ),
+        pytest.param({("rounds", 1, "instruments_by_outcome"): {}}, id="no-instruments"),
+        pytest.param({("rounds", 1, "instruments_by_outcome"): []}, id="outcome-map-list"),
+        pytest.param({("rounds", 0, "targets"): _DROP}, id="targets-missing"),
+        pytest.param(
+            {("rounds", 0, "instrument", "branches", 0, "kraus", 0, 1): [[0.0, 0.0]]},
+            id="ragged-kraus-row",
+        ),
+        pytest.param({("rounds", 0, "kind"): "teleport"}, id="unknown-kind"),
+    ],
+)
+def test_malformed_protocol_document_is_refused_in_one_line(edits):
+    doc = _flip_document()
+    SloccqProtocol.from_json(doc)  # the document as written loads
+    for (*parents, last), value in edits.items():
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+    with pytest.raises(QcatError) as err:
+        SloccqProtocol.from_json(doc)
+    assert "\n" not in str(err.value)
 
 
 def test_product_catalyst_halves_stay_separate_factors():

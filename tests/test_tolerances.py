@@ -1,6 +1,7 @@
 """Every numerical cutoff of the package is an entry of ``registers.TOL``,
 only ``registers`` compares against the dense cap, only
-``registers.thin_svd`` calls an SVD routine, and outside ``states`` only
+``registers.thin_svd`` calls an SVD routine, no object is built around its
+constructor with ``__new__``, and outside ``states`` only
 ``protocols.run_protocol`` applies a map.
 
 The source is parsed, not imported: a float literal below 1e-3 anywhere in
@@ -116,6 +117,18 @@ def test_every_svd_goes_through_thin_svd():
             if names_svd(node) and node.lineno not in helper
         ]
     assert not stray, "SVD called outside registers.thin_svd:\n" + "\n".join(stray)
+
+
+def test_no_object_skips_its_constructor():
+    # every check lives in a constructor, and ``cls.__new__`` builds an
+    # object that skips them
+    stray = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+    ]
+    assert not stray, "objects built around their constructor:\n" + "\n".join(stray)
 
 
 def test_maps_are_applied_only_by_the_protocol_engine():
