@@ -387,7 +387,7 @@ class SensitivityReport:
 def _execute(protocol: CatalyticProtocol, input_state: QuantumState) -> QuantumState:
     """The one leaf of ``protocol.local_protocol`` run on input (x) catalyst:
     Alice's outputs and catalyst registers, then Bob's."""
-    joint = tensor_states(input_state.as_ensemble(), protocol.catalyst)
+    joint = tensor_states(input_state, protocol.catalyst)
     (leaf,) = run_protocol(protocol.local_protocol, joint).leaves
     return leaf.state
 

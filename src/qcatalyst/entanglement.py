@@ -26,7 +26,6 @@ from .registers import (
     Register,
     RegisterLayout,
     TOL,
-    eig_hermitian,
     eigh_descending,
     matricize,
     numerical_rank,
@@ -116,17 +115,16 @@ def _local_support_dims(
     sum_i sqrt(p_i) |psi_i>|i>: a side's singular values are those of its
     stacked sqrt(p)-weighted branch kets, and the purifying register sits on
     the other side of the cut. The D x k stack is checked against the cap."""
-    ens = state.as_ensemble()
-    require_dense(state.layout.total_dim, cols=len(ens.branches))
+    require_dense(state.layout.total_dim, cols=len(state.branches))
     vec = np.stack(
-        [math.sqrt(br.probability) * ens.branch_vector(br) for br in ens.branches],
+        [math.sqrt(br.probability) * state.branch_vector(br) for br in state.branches],
         axis=1,
     ).reshape(-1)
     left, right = resolve_cut(state.layout, cut)
     # longer than every label of the state, so it names a new register
     label = "E" * (1 + max(map(len, state.layout.labels)))
     layout = state.layout.concat(
-        RegisterLayout((Register(label, len(ens.branches), REFEREE),))
+        RegisterLayout((Register(label, len(state.branches), REFEREE),))
     )
     sides = {lab: "left" for lab in left} | {lab: "right" for lab in right}
     return tuple(
@@ -168,9 +166,8 @@ def sn_lower_fidelity(
 def sn_decomposition_upper(
     state: QuantumState, cut: Mapping[str, str] | None = None
 ) -> SNCertificate:
-    """Upper bound from an explicit ensemble: max branch Schmidt rank."""
-    if state.is_dense:
-        raise OracleRefusal("decomposition upper bound needs an ensemble state")
+    """Upper bound from the state's ensemble: max branch Schmidt rank. Any
+    decomposition of the state bounds its Schmidt number from above."""
     upper = max(
         _cut(state.branch_vector(br), state.layout, cut)[1] for br in state.branches
     )
@@ -282,36 +279,23 @@ def sn_orthogonal_mixture(
     structural one: the Schmidt number equals the rank of the non-product
     component.
 
-    An ensemble is analysed through the QR of its branch kets: the support
+    The state is analysed through the QR of its branch kets: the support
     eigenpairs come from the k x k core, the component weights from the
     branch overlaps, and the decomposition defect from the core of
-    ``[x, y, kets]`` with weights ``(w_x, w_y, -p)``. A dense state takes the
-    dense route.
+    ``[x, y, kets]`` with weights ``(w_x, w_y, -p)``.
     """
-    if state.is_dense:
-        rho = state.dense.entries
-        spec = eig_hermitian(state.dense)
+    kets, probs = state.branch_kets()
+    q, core = signed_gram_core(kets, probs)
+    spec = eigh_descending(core, basis=q)
 
-        def weight(x):
-            return float(np.real(x.conj() @ rho @ x))
+    def weight(x):
+        return float(np.sum(probs * np.abs(kets.conj().T @ x) ** 2))
 
-        def defect_of(x, y, w_x, w_y):
-            rebuilt = w_x * np.outer(x, x.conj()) + w_y * np.outer(y, y.conj())
-            return float(np.linalg.norm(rebuilt - rho))
-
-    else:
-        kets, probs = state.branch_kets()
-        q, core = signed_gram_core(kets, probs)
-        spec = eigh_descending(core, basis=q)
-
-        def weight(x):
-            return float(np.sum(probs * np.abs(kets.conj().T @ x) ** 2))
-
-        def defect_of(x, y, w_x, w_y):
-            # a Gram-sum difference would cancel to noise of the bound's size
-            stacked = np.column_stack([x, y, kets])
-            signed = np.concatenate([[w_x, w_y], -probs])
-            return float(np.linalg.norm(signed_gram_core(stacked, signed)[1]))
+    def defect_of(x, y, w_x, w_y):
+        # a Gram-sum difference would cancel to noise of the bound's size
+        stacked = np.column_stack([x, y, kets])
+        signed = np.concatenate([[w_x, w_y], -probs])
+        return float(np.linalg.norm(signed_gram_core(stacked, signed)[1]))
 
     vals = spec.eigenvalues
     if vals.size < 2 or vals[1] <= TOL.prob_floor:
@@ -412,10 +396,9 @@ def sn_flagged_blocks(
     branches themselves must have pairwise orthogonal local supports on both
     sides (implicit classical flags readable by a local support measurement).
     Two-sided local projections cannot increase Schmidt rank, so the block
-    maximum is exact in both cases.
+    maximum is exact in both cases. The flag and support checks are sound on
+    any decomposition of the state.
     """
-    if state.is_dense:
-        raise OracleRefusal("flagged-block oracle needs an ensemble state")
     bounds: dict[str, tuple[int, int]] = {}
     if flag_labels is not None:
         fa, fb = flag_labels

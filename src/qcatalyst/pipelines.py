@@ -706,7 +706,7 @@ def pipeline_schmidt(
                 )
             )
         else:
-            cert = sn_flagged_blocks(state.as_ensemble(), cut=cut)
+            cert = sn_flagged_blocks(state, cut=cut)
             quantities.append(q_info("kind", "mixed"))
             quantities.append(q_info("sn-lower", cert.lower, cert.method))
             quantities.append(q_info("sn-upper", cert.upper, cert.method))

@@ -387,7 +387,7 @@ def run_protocol(
     is the same either way.
     """
     schedule = _retirement_schedule(protocol, keep)
-    leaves = [BranchLeaf((), 1.0, initial.as_ensemble())]
+    leaves = [BranchLeaf((), 1.0, initial)]
     sent: list[int] = []
     broadcasts: list[str] = []
     retired: list[str] = []
@@ -465,7 +465,7 @@ def _mix_leaves(leaves: Sequence[BranchLeaf]) -> tuple[QuantumState, float]:
         st = leaf.state
         if st.layout.labels != layout.labels:
             raise ProtocolError("leaves ended on different register sets")
-        st = st.permuted(layout.labels).as_ensemble()
+        st = st.permuted(layout.labels)
         for br in st.branches:
             branches.append(
                 EnsembleBranch(leaf.probability / total * br.probability, br.factors)
@@ -754,12 +754,11 @@ def _split_mixture(mixture: QuantumState):
     registers first, the layouts of her registers and of Bob's, and each
     branch's weight, cut decomposition (Alice's half left, so its left basis
     is indexed like her registers) and Schmidt rank."""
-    mix = mixture.as_ensemble()
-    labels_a = mix.layout.party_labels(ALICE)
-    labels_b = mix.layout.party_labels(BOB)
+    labels_a = mixture.layout.party_labels(ALICE)
+    labels_b = mixture.layout.party_labels(BOB)
     if not labels_a or not labels_b:
         raise ValidationError("a shipped mixture must span both parties")
-    mix = mix.permuted(labels_a + labels_b)
+    mix = mixture.permuted(labels_a + labels_b)
     parts = [
         (br.probability, *_schmidt_data(mix.branch_vector(br), mix.layout))
         for br in mix.branches
@@ -899,7 +898,7 @@ def compile_catalyst_prep(catalyst: QuantumState) -> CatalystPrepPlan:
     """
     if len(catalyst.layout) == 0:
         # a single-stage cycle shares nothing: no rounds, no message
-        return CatalystPrepPlan(SloccqProtocol((), 1), 1, catalyst.as_ensemble())
+        return CatalystPrepPlan(SloccqProtocol((), 1), 1, catalyst)
     cat, alice, bob, parts = _split_mixture(catalyst)
     dim_msg = max(rank for _, _, rank in parts)
     if dim_msg > 1:

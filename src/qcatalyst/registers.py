@@ -44,7 +44,6 @@ class Tolerances:
     channel_trace_atol: float = 1e-10  # a channel keeps the trace
     gate_residual_atol: float = 1e-12  # catalytic stage gates cover the input
     reconstruction_atol: float = 1e-9  # a decomposition rebuilds its input
-    imag_residue_atol: float = 1e-12  # a fidelity is real
     purity_atol: float = 1e-9  # a state counts as pure
     basis_vector_atol: float = 1e-9  # a flag factor is a basis vector
     coalesce_atol: float = 1e-13  # ensemble branches equal up to factor phases
@@ -167,6 +166,8 @@ class Register:
             raise LayoutError(
                 f"register {_brief(self.label)} has invalid dim {_brief(self.dim)}"
             )
+        # a Python int, so that products of dims never wrap at 64 bits
+        object.__setattr__(self, "dim", int(self.dim))
         if self.party not in PARTIES:
             raise LayoutError(
                 f"register {_brief(self.label)} has unknown party "

@@ -1,36 +1,32 @@
 """Quantum states, channels, and instruments over register layouts.
 
-Two state representations coexist:
-
-* Dense: a density matrix over the full layout. Capped at ``DENSE_CAP`` per
-  matrix side.
-* Ensemble: a list of branches, each a probability together with a product of
-  pure factors over register groups. This is the carrier for protocol
-  simulations whose joint dimension is far beyond the dense cap.
+A state is an ensemble: a list of branches, each a probability together
+with a product of pure factors over register groups, the carrier for protocol
+simulations whose joint dimension is far beyond the dense cap. A density
+matrix (``from_dense``, or a ``"dense"`` JSON document) is checked and read
+into its eigen-ensemble, and is written back as that ensemble.
 
 Maps are instruments: labelled lists of Kraus operators, checked once in the
 ``Instrument`` constructor, through which ``Instrument.from_json`` reads every
 map; a ``KrausChannel`` is the one-outcome instrument, in JSON as well.
 ``apply_instrument`` is the single application path and ``apply_channel`` its
-one-outcome case. On an ensemble the factors of a branch that touch the
-targets are merged and matricized once per instrument, and every Kraus
-operator of every outcome maps that matrix to a pure branch on the merged
-register group; on a dense state a Kraus operator is contracted with the
-target axes on both sides (O(D^2 d), no D x D Kronecker embedding).
-``coalesce`` merges ensemble branches that are equal up to a phase on each
-factor, deciding by the factors' vector gaps (``TOL.coalesce_atol``).
+one-outcome case. The factors of a branch that touch the targets are merged
+and matricized once per instrument, and every Kraus operator of every outcome
+maps that matrix to a pure branch on the merged register group. ``coalesce``
+merges branches that are equal up to a phase on each factor, deciding by the
+factors' vector gaps (``TOL.coalesce_atol``).
 
 Spectral metrics of ensembles (trace distance, entropy, purity, support
 spectra) never form a D x D matrix. An ensemble with branch kets ``V`` (D x k)
 and weights ``w`` has density matrix ``V diag(w) V^dagger``; with the reduced
 QR factorization ``V = Q R`` its nonzero spectrum is the spectrum of the k x k
 core ``R diag(w) R^dagger``, and its eigenvectors are ``Q`` times those of the
-core (``signed_gram_core``). Signed weights give differences of states. The
-dense route, through ``densify``, is kept for dense-represented operands and
-for mixed dense/ensemble pairs, and serves as the independent cross-check of
-the low-rank route. Both routes refuse dimensions above ``DENSE_CAP``. Every
-cutoff used here (norms, probability sums, trace preservation, purity, the
-floor below which a branch or outcome is dropped) is an entry of ``TOL``.
+core (``signed_gram_core``). Signed weights give differences of states.
+``densify`` builds the D x D matrix for the dense routes of ``oracle``, the
+independent cross-check of these routes, which only the tests use. Both
+refuse dimensions above ``DENSE_CAP``. Every cutoff used here (norms,
+probability sums, trace preservation, purity, the floor below which a branch
+or outcome is dropped) is an entry of ``TOL``.
 """
 
 from __future__ import annotations
@@ -51,11 +47,11 @@ from .registers import (
     MultipartiteOperator,
     RegisterLayout,
     TOL,
+    _brief,
     eig_hermitian,
+    eigh_descending,
     fits_dense,
     matricize,
-    partial_trace,
-    permute_registers,
     require_dense,
     thin_svd,
 )
@@ -84,20 +80,22 @@ class EnsembleBranch:
 
 
 class QuantumState:
-    """A state over a register layout, dense or ensemble-represented."""
+    """A state over a register layout: an ensemble of pure product branches."""
 
-    def __init__(self, layout, dense=None, branches=None):
+    # read by the benchmark's layer tracer; no state is dense-represented
+    is_dense = False
+
+    def __init__(self, layout, branches):
         # Use the classmethod constructors; this initializer trusts its input.
-        if (dense is None) == (branches is None):
-            raise ValidationError("state needs exactly one of dense/branches")
         self.layout = layout
-        self.dense = dense
-        self.branches = tuple(branches) if branches is not None else None
+        self.branches = tuple(branches)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_dense(cls, op: MultipartiteOperator) -> "QuantumState":
+        """The eigen-ensemble of a checked density matrix: one branch per
+        eigenvalue above ``TOL.prob_floor``, weights not renormalized."""
         if not op.is_square:
             raise ValidationError("a dense state must be a square operator")
         if not np.all(np.isfinite(op.entries)):
@@ -111,7 +109,16 @@ class QuantumState:
         lo = float(np.min(np.linalg.eigvalsh((op.entries + op.entries.conj().T) / 2)))
         if not lo >= -TOL.hermiticity_atol:
             raise ValidationError(f"density matrix has negative eigenvalue {lo:.2e}")
-        return cls(op.layout_out, dense=op)
+        spec = eig_hermitian(op)
+        labels = op.layout_out.labels
+        return cls(
+            op.layout_out,
+            tuple(
+                EnsembleBranch(float(p), (Factor(labels, spec.eigenvectors[:, k]),))
+                for k, p in enumerate(spec.eigenvalues)
+                if p > TOL.prob_floor
+            ),
+        )
 
     @classmethod
     def from_dense_matrix(cls, entries, layout: RegisterLayout) -> "QuantumState":
@@ -182,10 +189,6 @@ class QuantumState:
 
     # -- representation ----------------------------------------------------
 
-    @property
-    def is_dense(self) -> bool:
-        return self.dense is not None
-
     def branch_vector(self, branch: EnsembleBranch) -> np.ndarray:
         """Full ket of a branch, indexed in layout order; refused past the
         dense cap as a D x 1 array before any amplitude is formed."""
@@ -202,8 +205,7 @@ class QuantumState:
         return matricize(vec, dims, order).reshape(-1)
 
     def densify(self) -> MultipartiteOperator:
-        if self.is_dense:
-            return self.dense
+        """The D x D density matrix, for the dense routes of ``oracle``."""
         d = self.layout.total_dim
         require_dense(d)
         acc = np.zeros((d, d), dtype=np.complex128)
@@ -220,37 +222,17 @@ class QuantumState:
         return kets, np.array([br.probability for br in self.branches])
 
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum of the density matrix: from the QR core of the branch kets
-        for ensembles (only the at most k nonzero eigenvalues), from the dense
-        matrix otherwise."""
-        if self.is_dense:
-            op = self.dense.entries
-            return np.linalg.eigvalsh((op + op.conj().T) / 2)
+        """The at most k nonzero eigenvalues of the density matrix, from the QR
+        core of the branch kets."""
         return np.linalg.eigvalsh(signed_gram_core(*self.branch_kets())[1])
 
-    def as_dense_state(self) -> "QuantumState":
-        return QuantumState(self.layout, dense=self.densify())
-
-    def as_ensemble(self) -> "QuantumState":
-        """Branch representation; dense states are eigendecomposed."""
-        if not self.is_dense:
-            return self
-        spec = eig_hermitian(self.dense)
-        labels = self.layout.labels
-        branches = tuple(
-            EnsembleBranch(float(p), (Factor(labels, spec.eigenvectors[:, k]),))
-            for k, p in enumerate(spec.eigenvalues)
-            if p > TOL.prob_floor
-        )
-        return QuantumState(self.layout, branches=branches)
-
     def to_vector(self) -> np.ndarray:
-        """Ket of a pure state; raises if the state is not (numerically) pure."""
-        if not self.is_dense:
-            if len(self.branches) == 1:
-                return self.branch_vector(self.branches[0])
-            return self.as_dense_state().to_vector()
-        spec = eig_hermitian(self.dense)
+        """Ket of a pure state; raises if the state is not (numerically) pure.
+        Several branches are read through the top eigenpair of their QR core."""
+        if len(self.branches) == 1:
+            return self.branch_vector(self.branches[0])
+        q, core = signed_gram_core(*self.branch_kets())
+        spec = eigh_descending(core, basis=q)
         if spec.eigenvalues[0] < 1.0 - TOL.purity_atol:
             raise ValidationError(
                 f"state is not pure (top eigenvalue {spec.eigenvalues[0]!r})"
@@ -258,33 +240,21 @@ class QuantumState:
         return spec.eigenvectors[:, 0].copy()
 
     def is_approx_pure(self) -> bool:
-        if self.is_dense:
-            op = self.dense.entries
-            purity = float(np.real(np.trace(op @ op)))
-        else:
-            if len(self.branches) == 1:
-                return True
-            if not fits_dense(self.layout.total_dim):
-                return False
-            # tr(rho^2) is the squared Frobenius norm of the Hermitian core
-            core = signed_gram_core(*self.branch_kets())[1]
-            purity = float(np.linalg.norm(core) ** 2)
-        return purity >= 1.0 - TOL.purity_atol
+        if len(self.branches) == 1:
+            return True
+        if not fits_dense(self.layout.total_dim):
+            return False
+        # tr(rho^2) is the squared Frobenius norm of the Hermitian core
+        core = signed_gram_core(*self.branch_kets())[1]
+        return float(np.linalg.norm(core) ** 2) >= 1.0 - TOL.purity_atol
 
     # -- reshaping ---------------------------------------------------------
 
     def permuted(self, new_order: Sequence[str]) -> "QuantumState":
-        layout = self.layout.permuted(new_order)
-        if self.is_dense:
-            return QuantumState(layout, dense=permute_registers(self.dense, new_order))
-        return QuantumState(layout, branches=self.branches)
+        return QuantumState(self.layout.permuted(new_order), self.branches)
 
     def with_party(self, label: str, party: str) -> "QuantumState":
-        layout = self.layout.with_party(label, party)
-        if self.is_dense:
-            op = MultipartiteOperator.square(self.dense.entries, layout)
-            return QuantumState(layout, dense=op)
-        return QuantumState(layout, branches=self.branches)
+        return QuantumState(self.layout.with_party(label, party), self.branches)
 
     def marginal(self, keep: Sequence[str]) -> "QuantumState":
         """Partial trace onto the named registers (layout order preserved)."""
@@ -292,16 +262,9 @@ class QuantumState:
         unknown = keep_set - set(self.layout.labels)
         if unknown:
             raise LayoutError(f"marginal onto unknown registers {sorted(unknown)}")
-        keep_ordered = [lab for lab in self.layout.labels if lab in keep_set]
-        discard = [lab for lab in self.layout.labels if lab not in keep_set]
-        if not discard:
+        if keep_set == set(self.layout.labels):
             return self
-        if self.is_dense:
-            return QuantumState(
-                self.layout.subset(keep_ordered),
-                dense=partial_trace(self.dense, discard),
-            )
-        new_layout = self.layout.subset(keep_ordered)
+        new_layout = self.layout.subset(keep_set)
         out: list[EnsembleBranch] = []
         for br in self.branches:
             kept_whole: list[Factor] = []
@@ -327,7 +290,7 @@ class QuantumState:
                 out.append(EnsembleBranch(p, tuple(kept_whole) + fs))
         if not out:
             raise ValidationError("marginal lost all probability mass")
-        return QuantumState(new_layout, branches=tuple(out))
+        return QuantumState(new_layout, out)
 
     def _split_factor(self, f: Factor, keep: list[str]):
         """Marginal of one pure factor: returns weighted pure sub-factors."""
@@ -345,12 +308,9 @@ class QuantumState:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        doc: dict = {"layout": self.layout.to_json()}
-        if self.is_dense:
-            flat = self.dense.entries.reshape(-1)
-            doc["dense"] = [[float(z.real), float(z.imag)] for z in flat]
-        else:
-            doc["ensemble"] = [
+        return {
+            "layout": self.layout.to_json(),
+            "ensemble": [
                 {
                     "p": float(br.probability),
                     "factors": [
@@ -362,8 +322,8 @@ class QuantumState:
                     ],
                 }
                 for br in self.branches
-            ]
-        return doc
+            ],
+        }
 
     @classmethod
     def from_json(cls, doc: dict) -> "QuantumState":
@@ -476,13 +436,6 @@ def tensor_states(a: QuantumState, b: QuantumState) -> QuantumState:
     shared = set(a.layout.labels) & set(b.layout.labels)
     if shared:
         raise LayoutError(f"tensor of states sharing registers {sorted(shared)}")
-    layout = a.layout.concat(b.layout)
-    if a.is_dense or b.is_dense:
-        da = a.densify().entries
-        db = b.densify().entries
-        return QuantumState(
-            layout, dense=MultipartiteOperator.square(np.kron(da, db), layout)
-        )
     branches = []
     for ba in a.branches:
         for bb in b.branches:
@@ -490,12 +443,12 @@ def tensor_states(a: QuantumState, b: QuantumState) -> QuantumState:
             if p < TOL.prob_floor:
                 continue
             branches.append(EnsembleBranch(p, ba.factors + bb.factors))
-    return QuantumState(layout, branches=tuple(branches))
+    return QuantumState(a.layout.concat(b.layout), branches)
 
 
 def coalesce(state: QuantumState) -> QuantumState:
     """Merge the branches of an ensemble that are equal up to a phase on each
-    factor, adding their probabilities; a dense state is returned as it is.
+    factor, adding their probabilities.
 
     Two branches merge when they hold the same factor groups in the same order
     and ``sum_g min_phi ||a_g - e^{i phi} b_g|| <= TOL.coalesce_atol``. The
@@ -503,8 +456,6 @@ def coalesce(state: QuantumState) -> QuantumState:
     overlap does not: an overlap of 1 - 1e-16 hides a gap of up to 1.4e-8.
     A merged branch keeps the factors of the first branch of its class.
     """
-    if state.is_dense:
-        return state
     kept: list[list] = []  # [probability, representative branch]
     by_groups: dict[tuple, list[list]] = {}
     for br in state.branches:
@@ -519,7 +470,7 @@ def coalesce(state: QuantumState) -> QuantumState:
     if len(kept) == len(state.branches):
         return state
     return QuantumState(
-        state.layout, branches=tuple(EnsembleBranch(p, br.factors) for p, br in kept)
+        state.layout, tuple(EnsembleBranch(p, br.factors) for p, br in kept)
     )
 
 
@@ -598,6 +549,8 @@ class Instrument:
         shape = (layout_out.total_dim, layout_in.total_dim)
         parsed = []
         for label, kraus in branches:
+            if not isinstance(label, str):
+                raise ValidationError(f"outcome label {_brief(label)} is not a string")
             ops = []
             for k in kraus:
                 arr = np.array(k, dtype=np.complex128)
@@ -614,7 +567,7 @@ class Instrument:
                 ops.append(arr)
             if not ops:
                 raise ValidationError(f"outcome {label!r} has no Kraus operator")
-            parsed.append((str(label), tuple(ops)))
+            parsed.append((label, tuple(ops)))
         labels = [lab for lab, _ in parsed]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate instrument outcome labels: {labels}")
@@ -685,7 +638,7 @@ class KrausChannel(Instrument):
 # -- applying maps ---------------------------------------------------------
 
 
-def _resolve_targets(state: QuantumState, layout_in: RegisterLayout, targets):
+def _resolve_targets(layout: RegisterLayout, layout_in: RegisterLayout, targets):
     if targets is None:
         targets = layout_in.labels
     targets = list(targets)
@@ -694,19 +647,19 @@ def _resolve_targets(state: QuantumState, layout_in: RegisterLayout, targets):
             f"{len(targets)} targets for a map with {len(layout_in)} input registers"
         )
     for t, r in zip(targets, layout_in.registers):
-        if t not in state.layout:
+        if t not in layout:
             raise LayoutError(f"target register {t!r} not in state layout")
-        if state.layout[t].dim != r.dim:
+        if layout[t].dim != r.dim:
             raise LayoutError(
-                f"target {t!r} has dim {state.layout[t].dim}, map expects {r.dim}"
+                f"target {t!r} has dim {layout[t].dim}, map expects {r.dim}"
             )
     if len(set(targets)) != len(targets):
         raise LayoutError(f"repeated target labels: {targets}")
     return targets
 
 
-def _output_layout(state: QuantumState, targets, layout_out: RegisterLayout):
-    untouched = [r for r in state.layout.registers if r.label not in set(targets)]
+def _output_layout(layout: RegisterLayout, targets, layout_out: RegisterLayout):
+    untouched = [r for r in layout.registers if r.label not in set(targets)]
     clash = {r.label for r in untouched} & set(layout_out.labels)
     if clash:
         raise LayoutError(
@@ -734,77 +687,47 @@ def _target_matrix(state: QuantumState, branch: EnsembleBranch, targets: list[st
     return rest, mat, extras
 
 
-def _dense_kraus_action(rho: np.ndarray, pos: list[int], kraus: np.ndarray) -> np.ndarray:
-    """``K rho K^dagger`` with ``K`` contracted on the register axes ``pos``.
-
-    ``rho`` is a density matrix reshaped to one ket axis then one bra axis per
-    register. The result is a matrix over the untouched registers, in order,
-    then ``K``'s output; the cost is O(D^2 d) for d the output dimension of K.
-    """
-    m = rho.ndim // 2 - len(pos)
-    k = kraus.reshape((kraus.shape[0],) + tuple(rho.shape[p] for p in pos))
-    k_in = list(range(1, len(pos) + 1))
-    # axes (out, untouched kets, all bras), then (..., untouched bras, out bra)
-    left = np.tensordot(k, rho, axes=(k_in, pos))
-    both = np.tensordot(left, k.conj(), axes=([1 + m + p for p in pos], k_in))
-    both = np.moveaxis(both, 0, m)
-    return both.reshape(math.prod(both.shape[: m + 1]), -1)
-
-
 def apply_instrument(
     instrument: Instrument, state: QuantumState, targets: Sequence[str] | None = None
 ) -> list[tuple[str, float, QuantumState]]:
     """Apply an instrument; returns (outcome, probability, normalized state) per
     outcome with probability above the branch floor.
 
-    An ensemble has each branch's target factors merged and matricized once
+    Each branch has its target factors merged and matricized once
     (``_target_matrix``); every Kraus operator of every outcome then acts on
-    that matrix. A dense state has each Kraus operator contracted with its
-    target axes on both sides. Output layout: untouched registers in their
+    that matrix. Output layout: untouched registers in their
     original order, then the instrument's output registers. The outcome
     probabilities must sum to 1 within ``TOL.outcome_sum_atol``; a channel,
     the one-outcome instrument, must keep the trace within
     ``TOL.channel_trace_atol``.
     """
-    targets = _resolve_targets(state, instrument.layout_in, targets)
-    new_layout = _output_layout(state, targets, instrument.layout_out)
+    targets = _resolve_targets(state.layout, instrument.layout_in, targets)
+    new_layout = _output_layout(state.layout, targets, instrument.layout_out)
+    # branch by branch, so one merged matrix is alive at a time; each
+    # outcome still collects its branches in state order
+    collected: list[list] = [[] for _ in instrument.branches]
+    for br in state.branches:
+        rest, mat, extras = _target_matrix(state, br, targets)
+        labels = instrument.layout_out.labels + extras
+        for hits, (_, kraus) in zip(collected, instrument.branches):
+            for k in kraus:
+                out = k @ mat
+                weight = float(np.linalg.norm(out) ** 2)
+                w = br.probability * weight
+                if weight < TOL.prob_floor or w < TOL.prob_floor:
+                    continue
+                if labels:
+                    vec = (out / np.sqrt(weight)).reshape(-1)
+                    hits.append((w, rest + (Factor(labels, vec),)))
+                else:  # a map into the trivial space leaves only a weight
+                    hits.append((w, rest))
     results = []
-    if state.is_dense:
-        require_dense(new_layout.total_dim)
-        rho = state.dense.entries.reshape(state.layout.dims * 2)
-        pos = [state.layout.index_of(lab) for lab in targets]
-        for label, kraus in instrument.branches:
-            acc = sum(_dense_kraus_action(rho, pos, k) for k in kraus)
-            p = float(np.real(np.trace(acc)))
-            if p < TOL.prob_floor:
-                continue
-            op = MultipartiteOperator.square(acc / p, new_layout)
-            results.append((label, p, QuantumState(new_layout, dense=op)))
-    else:
-        # branch by branch, so one merged matrix is alive at a time; each
-        # outcome still collects its branches in state order
-        collected: list[list] = [[] for _ in instrument.branches]
-        for br in state.branches:
-            rest, mat, extras = _target_matrix(state, br, targets)
-            labels = instrument.layout_out.labels + extras
-            for hits, (_, kraus) in zip(collected, instrument.branches):
-                for k in kraus:
-                    out = k @ mat
-                    weight = float(np.linalg.norm(out) ** 2)
-                    w = br.probability * weight
-                    if weight < TOL.prob_floor or w < TOL.prob_floor:
-                        continue
-                    if labels:
-                        vec = (out / np.sqrt(weight)).reshape(-1)
-                        hits.append((w, rest + (Factor(labels, vec),)))
-                    else:  # a map into the trivial space leaves only a weight
-                        hits.append((w, rest))
-        for (label, _), hits in zip(instrument.branches, collected):
-            p = sum(w for w, _ in hits)
-            if p < TOL.prob_floor:
-                continue
-            branches = tuple(EnsembleBranch(w / p, factors) for w, factors in hits)
-            results.append((label, p, QuantumState(new_layout, branches=branches)))
+    for (label, _), hits in zip(instrument.branches, collected):
+        p = sum(w for w, _ in hits)
+        if p < TOL.prob_floor:
+            continue
+        branches = tuple(EnsembleBranch(w / p, factors) for w, factors in hits)
+        results.append((label, p, QuantumState(new_layout, branches)))
     total = sum(p for _, p, _ in results)
     one = len(instrument.branches) == 1
     atol = TOL.channel_trace_atol if one else TOL.outcome_sum_atol
@@ -836,11 +759,6 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     """Overlap <b|a|b> with b pure."""
     _require_same_layout(a, b)
     vec = b.to_vector()
-    if a.is_dense:
-        val = vec.conj() @ a.dense.entries @ vec
-        if abs(val.imag) > TOL.imag_residue_atol:
-            raise ValidationError(f"fidelity has imaginary residue {val.imag:.2e}")
-        return float(val.real)
     acc = 0.0
     for br in a.branches:
         acc += br.probability * float(np.abs(vec.conj() @ a.branch_vector(br)) ** 2)
@@ -868,19 +786,14 @@ def signed_gram_core(
 def trace_distance(a: QuantumState, b: QuantumState) -> float:
     """Half the trace norm of the difference of the two density matrices.
 
-    Two ensembles go through the QR core of their stacked branch kets with
-    weights ``[p, -q]``; any dense operand takes the dense route.
+    It goes through the QR core of the stacked branch kets with weights
+    ``[p, -q]``.
     """
     _require_same_layout(a, b)
-    if a.is_dense or b.is_dense:
-        diff = a.densify().entries - b.densify().entries
-        diff = (diff + diff.conj().T) / 2
-    else:
-        kets_a, p = a.branch_kets()
-        kets_b, q = b.branch_kets()
-        kets = np.hstack([kets_a, kets_b])
-        diff = signed_gram_core(kets, np.concatenate([p, -q]))[1]
-    vals = np.linalg.eigvalsh(diff)
+    kets_a, p = a.branch_kets()
+    kets_b, q = b.branch_kets()
+    kets = np.hstack([kets_a, kets_b])
+    vals = np.linalg.eigvalsh(signed_gram_core(kets, np.concatenate([p, -q]))[1])
     return float(0.5 * np.sum(np.abs(vals)))
 
 

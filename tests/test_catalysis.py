@@ -25,10 +25,9 @@ from qcatalyst import (
     run_clo,
     sn_flagged_blocks,
     tensor_states,
-    trace_distance,
     verify_input_sensitivity,
 )
-from qcatalyst import catalysis, pipelines, protocols
+from qcatalyst import catalysis, oracle, pipelines, protocols
 from qcatalyst.pipelines import (
     pipeline_lemma1,
     pipeline_obs1,
@@ -174,19 +173,17 @@ class TestChannels:
         ]
         for (rho, sigma), mode in cases:
             prot = build_protocol(rho, sigma, 2, mode)
-            joint_e = tensor_states(rho.as_ensemble(), prot.catalyst)
-            joint_d = joint_e.as_dense_state()
+            joint_e = tensor_states(rho, prot.catalyst)
             runs = [[prot.alice_channel], [prot.bob_channel]]
             if mode == "auto":
                 runs.append([prot.alice_channel, prot.bob_channel])
             for channels in runs:
-                outs = []
-                for x in (joint_e, joint_d):
-                    for channel in channels:
-                        x = apply_channel(channel, x)
-                    outs.append(x)
-                assert outs[1].is_dense
-                assert trace_distance(outs[0], outs[1]) < 1e-9
+                out_e, out_d = joint_e, joint_e.densify()
+                for channel in channels:
+                    out_e = apply_channel(channel, out_e)
+                    ((_, _, out_d),) = oracle.apply_instrument(channel, out_d)
+                dense = QuantumState.from_dense(out_d)
+                assert oracle.trace_distance(out_e, dense) < 1e-9
 
 
 class TestTarget:

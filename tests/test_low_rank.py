@@ -1,5 +1,5 @@
 """The low-rank route for ensemble metrics (QR of the branch kets), checked
-against the dense route as the oracle."""
+against the dense routes of ``oracle``."""
 
 import dataclasses
 
@@ -24,6 +24,7 @@ from qcatalyst import (
     trace_distance,
     von_neumann_entropy,
 )
+from qcatalyst import oracle
 from qcatalyst.pipelines import (
     perturbed_channel,
     pipeline_lemma1,
@@ -46,16 +47,13 @@ def _first_branch(state):
 
 def _assert_routes_agree(state, others, label):
     """Distances from ``state`` to each of ``others``, and every entropy, agree
-    between the ensemble (low-rank) and dense routes."""
-    dense = state.as_dense_state()
+    between the ensemble (low-rank) routes and the dense oracle."""
     for i, other in enumerate(others):
-        assert not (state.is_dense or other.is_dense), label
         low = trace_distance(state, other)
-        ref = trace_distance(dense, other.as_dense_state())
+        ref = oracle.trace_distance(state, other)
         assert abs(low - ref) <= AGREE_ATOL, f"{label} [{i}]: {low!r} vs {ref!r}"
     for i, st in enumerate((state, *others)):
-        ref = dense if i == 0 else st.as_dense_state()
-        s_low, s_ref = von_neumann_entropy(st), von_neumann_entropy(ref)
+        s_low, s_ref = von_neumann_entropy(st), oracle.von_neumann_entropy(st)
         assert abs(s_low - s_ref) <= AGREE_ATOL, f"{label} [{i}]: entropy"
 
 
@@ -99,7 +97,7 @@ def test_theorem_converse_agrees_with_dense(n):
 def test_orthogonal_mixture_certificate_matches_dense(n):
     tau = separation_family(n).tau
     low = sn_orthogonal_mixture(tau)
-    dense = sn_orthogonal_mixture(tau.as_dense_state())
+    dense = sn_orthogonal_mixture(QuantumState.from_dense(tau.densify()))
     assert (low.lower, low.upper) == (dense.lower, dense.upper) == (2 ** (n + 1),) * 2
     assert low.details["component_ranks"] == dense.details["component_ranks"]
     assert np.allclose(low.details["weights"], dense.details["weights"], atol=AGREE_ATOL)
@@ -123,7 +121,7 @@ def test_qr_core_spectrum_matches_dense_eigendecomposition():
     assert np.allclose(low.eigenvalues, dense.eigenvalues[:3], atol=AGREE_ATOL)
     assert np.allclose(low.eigenvectors, dense.eigenvectors[:, :3], atol=1e-10)
     assert state.is_approx_pure() is False
-    assert state.as_dense_state().is_approx_pure() is False
+    assert QuantumState.from_dense(state.densify()).is_approx_pure() is False
 
 
 def test_metrics_never_densify_ensembles(monkeypatch):

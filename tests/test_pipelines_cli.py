@@ -150,6 +150,15 @@ def write_state(path, state):
         json.dump(state.to_json(), fh)
 
 
+def dense_document(state, scale=1.0):
+    """``state`` as a ``"dense"`` document: its density matrix times ``scale``."""
+    flat = scale * state.densify().entries.reshape(-1)
+    return {
+        "layout": state.layout.to_json(),
+        "dense": [[float(z.real), float(z.imag)] for z in flat],
+    }
+
+
 class TestCli:
     def test_verified_run_exits_zero(self, capsys):
         code = main(["lemma1", "--n", "1"])
@@ -220,9 +229,7 @@ class TestCli:
 
     def test_invalid_state_refused_exits_two(self, tmp_path, capsys):
         # parses as JSON but fails state validation (trace 2)
-        st = max_entangled(2, ("A", "B")).as_dense_state()
-        doc = st.to_json()
-        doc["dense"] = [[2 * v for v in row] for row in doc["dense"]]
+        doc = dense_document(max_entangled(2, ("A", "B")), scale=2.0)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code = main(["schmidt", "--input", str(path)])
@@ -316,6 +323,77 @@ def test_dense_classically_correlated_schmidt_matches_ensemble(
         reports.append({q["name"]: q["value"] for q in doc["quantities"]})
     assert reports[0] == reports[1]
     assert reports[0]["sn-lower"] == reports[0]["sn-upper"] == 1
+
+
+def _qutrit_pair(gen, orthogonal):
+    """A benchmark-style (rho, sigma) on a qutrit pair, both rotated by
+    random local unitaries. Orthogonal: rank-2 rho on levels {0, 1} and
+    sigma on level 2, so the local supports are orthogonal. Full rank: rho
+    of full Schmidt rank and a random product sigma."""
+    layout = qutrit_pair_states()[0].layout
+
+    def unitary():
+        z = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
+        return np.linalg.qr(z)[0]
+
+    def unit():
+        v = gen.standard_normal(3) + 1j * gen.standard_normal(3)
+        return v / np.linalg.norm(v)
+
+    ua, ub = unitary(), unitary()
+    if orthogonal:
+        theta = gen.uniform(0.35, np.pi / 2 - 0.35)
+        coeffs = np.array([np.cos(theta), np.sin(theta), 0.0])
+        halves = ua[:, 2], ub[:, 2]
+    else:
+        c = gen.uniform(0.3, 1.0, size=3)
+        coeffs = c / np.linalg.norm(c)
+        halves = unit(), unit()
+    core = np.diag(coeffs * np.exp(1j * gen.uniform(0, 2 * np.pi, size=3)))
+    rho = QuantumState.pure(layout, (ua @ core @ ub.T).reshape(-1))
+    sigma = QuantumState.pure_product(layout, [(("A",), halves[0]), (("B",), halves[1])])
+    return rho, sigma
+
+
+def _assert_same_values(a, b, path):
+    if isinstance(a, (int, float)) and not isinstance(a, bool):
+        assert isinstance(b, (int, float)) and abs(a - b) <= 1e-14, (path, a, b)
+    elif isinstance(a, list):
+        assert isinstance(b, list) and len(a) == len(b), (path, a, b)
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same_values(x, y, f"{path}[{i}]")
+    elif isinstance(a, dict):
+        assert isinstance(b, dict) and a.keys() == b.keys(), (path, a, b)
+        for key in a:
+            _assert_same_values(a[key], b[key], f"{path}.{key}")
+    else:
+        assert a == b, (path, a, b)
+
+
+@pytest.mark.parametrize("mode", ["explicit-flags", "support-measurement"])
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "full-rank"])
+def test_lemma1_on_dense_documents_matches_the_ensemble_form(
+    orthogonal, mode, tmp_path, capsys
+):
+    """A dense --rho/--sigma pair is read into its eigen-ensembles and gives
+    the report of the same pair written as ensembles: the same exit code and
+    verdict, and every quantity within 1e-14."""
+    rho, sigma = _qutrit_pair(np.random.default_rng(20261019), orthogonal)
+    runs = []
+    for form in ("ensemble", "dense"):
+        paths = []
+        for name, state in (("rho", rho), ("sigma", sigma)):
+            path = tmp_path / f"{form}-{name}.json"
+            doc = state.to_json() if form == "ensemble" else dense_document(state)
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        argv = ["lemma1", "--rho", paths[0], "--sigma", paths[1], "--n", "2"]
+        code = main(argv + ["--mode", mode])
+        runs.append((code, json.loads(capsys.readouterr().out)))
+    (code_e, ens), (code_d, den) = runs
+    assert code_d == code_e
+    assert den["verdict"] == ens["verdict"]
+    _assert_same_values(ens["quantities"], den["quantities"], "quantities")
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 12])

@@ -562,6 +562,16 @@ _DROP = object()
             id="ragged-kraus-row",
         ),
         pytest.param({("rounds", 0, "kind"): "teleport"}, id="unknown-kind"),
+        *(
+            pytest.param(
+                {
+                    ("rounds", 2, "instruments_by_outcome", x, "branches", 0, "outcome"): label
+                    for x in ("x0", "x1")
+                },
+                id=f"outcome-{name}",
+            )
+            for name, label in (("int", 5), ("list", [1, 2]))
+        ),
     ],
 )
 def test_malformed_protocol_document_is_refused_in_one_line(edits):
@@ -578,6 +588,20 @@ def test_malformed_protocol_document_is_refused_in_one_line(edits):
     with pytest.raises(QcatError) as err:
         SloccqProtocol.from_json(doc)
     assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("label", [5, [1, 2]], ids=["int", "list"])
+def test_non_string_outcome_label_is_refused_in_one_line(label):
+    lay = RegisterLayout((Register("A", 2, ALICE),))
+    doc = KrausChannel.from_unitary(np.eye(2), lay).to_json()
+    doc["branches"][0]["outcome"] = label
+    for build in (
+        lambda: Instrument([(label, [np.eye(2)])], lay, lay),
+        lambda: Instrument.from_json(doc),
+    ):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == f"outcome label {label!r} is not a string"
 
 
 def test_product_catalyst_halves_stay_separate_factors():

@@ -105,7 +105,9 @@ def test_mixture_routes_agree(eps, rank, w):
         "implicit-flags": sn_flagged_blocks(state),
         "explicit-flags": sn_flagged_blocks(_flagged(eps, w), ("FA", "FB")),
         "oracle-ensemble": sn_orthogonal_mixture(state),
-        "oracle-dense": sn_orthogonal_mixture(state.as_dense_state()),
+        "oracle-eigen-ensemble": sn_orthogonal_mixture(
+            QuantumState.from_dense(state.densify())
+        ),
     }
     got = {name: (cert.lower, cert.upper) for name, cert in certs.items()}
     assert got == dict.fromkeys(certs, (rank, rank))

@@ -24,7 +24,7 @@ from qcatalyst import (
     svd_across_cut,
     tensor_product,
 )
-from qcatalyst.registers import TOL, thin_svd
+from qcatalyst.registers import TOL, require_dense, thin_svd
 from qcatalyst.sampling import random_density_matrix, random_pure_vector, rng
 
 
@@ -49,6 +49,14 @@ class TestLayouts:
     def test_bad_dim_rejected(self):
         with pytest.raises(LayoutError):
             Register("A", 0, ALICE)
+
+    def test_numpy_integer_dims_do_not_wrap_at_64_bits(self):
+        regs = tuple(Register(lab, np.int64(2**32), ALICE) for lab in ("A", "B"))
+        assert all(type(r.dim) is int for r in regs)
+        total = RegisterLayout(regs).total_dim
+        assert total == 2**64
+        with pytest.raises(ValidationError, match=f"densify dimension {2**64}"):
+            require_dense(total)
 
     def test_unknown_party_rejected(self):
         with pytest.raises(LayoutError):

@@ -1,4 +1,5 @@
-"""Ensemble and dense states, channels, instruments, serialization, metrics."""
+"""States and their dense cross-checks, channels, instruments, serialization,
+metrics."""
 
 import numpy as np
 import pytest
@@ -21,9 +22,12 @@ from qcatalyst import (
     coalesce,
     fidelity,
     max_entangled,
+    partial_trace,
+    permute_registers,
     tensor_states,
     trace_distance,
 )
+from qcatalyst import oracle
 from qcatalyst.sampling import (
     random_channel,
     random_density_matrix,
@@ -105,7 +109,7 @@ class TestRepresentations:
         lay = layout_ab(2, 2)
         mat = random_density_matrix(4, gen)
         st = QuantumState.from_dense(MultipartiteOperator.square(mat, lay))
-        back = st.as_ensemble().densify().entries
+        back = st.densify().entries  # st is the eigen-ensemble
         np.testing.assert_allclose(back, mat, atol=1e-10)
 
     def test_permuted_ensemble_matches_dense(self):
@@ -119,7 +123,7 @@ class TestRepresentations:
         )
         st = random_mixed_ensemble(lay, gen)
         lhs = st.permuted(["C", "A", "B"]).densify().entries
-        rhs = st.as_dense_state().permuted(["C", "A", "B"]).densify().entries
+        rhs = permute_registers(st.densify(), ["C", "A", "B"]).entries
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_marginal_ensemble_matches_dense(self):
@@ -147,7 +151,7 @@ class TestRepresentations:
             )
             keep = ["A", "B"]
             lhs = st.marginal(keep).densify().entries
-            rhs = st.as_dense_state().marginal(keep).densify().entries
+            rhs = partial_trace(st.densify(), ["C"]).entries
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_marginal_on_the_small_side_of_a_wide_split(self):
@@ -158,7 +162,7 @@ class TestRepresentations:
         for _ in range(3):
             st = QuantumState.pure(lay, random_pure_vector(729, gen))
             lhs = st.marginal(["A"]).densify().entries
-            rhs = st.as_dense_state().marginal(["A"]).densify().entries
+            rhs = partial_trace(st.densify(), ["B"]).entries
             np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
 
 
@@ -220,11 +224,9 @@ class TestChannels:
         ch = KrausChannel.from_unitary(u, reg_a)
         st = QuantumState.pure(lay, random_pure_vector(4, gen))
         out_e = apply_channel(ch, st)
-        out_d = apply_channel(ch, st.as_dense_state())
-        ordered = out_e.permuted(out_d.layout.labels)
-        np.testing.assert_allclose(
-            ordered.densify().entries, out_d.densify().entries, atol=1e-10
-        )
+        ((_, _, out_d),) = oracle.apply_instrument(ch, st.densify())
+        ordered = out_e.permuted(out_d.layout_out.labels)
+        np.testing.assert_allclose(ordered.densify().entries, out_d.entries, atol=1e-10)
 
     def test_random_channel_routes_agree(self):
         gen = rng(31)
@@ -240,10 +242,10 @@ class TestChannels:
             out_lay = RegisterLayout((Register("A2", 2, ALICE),))
             ch = random_channel(target, out_lay, gen, kraus_count=3)
             lhs = apply_channel(ch, st)
-            rhs = apply_channel(ch, st.as_dense_state())
+            ((_, _, rhs),) = oracle.apply_instrument(ch, st.densify())
             np.testing.assert_allclose(
-                lhs.permuted(rhs.layout.labels).densify().entries,
-                rhs.densify().entries,
+                lhs.permuted(rhs.layout_out.labels).densify().entries,
+                rhs.entries,
                 atol=1e-9,
             )
 
@@ -313,6 +315,21 @@ class TestMetrics:
             ),
         )
         assert fidelity(mix, b00) == pytest.approx(0.25, abs=1e-12)
+
+    def test_to_vector_reads_several_branches_through_their_core(self):
+        # one ket written as two equal-phase branches is pure; two distinct
+        # kets are not
+        gen = rng(38)
+        lay = layout_ab(2, 3)
+        v = random_pure_vector(6, gen)
+        twice = tuple(EnsembleBranch(p, (Factor(("A", "B"), v),)) for p in (0.4, 0.6))
+        got = QuantumState.from_branches(lay, twice).to_vector()
+        np.testing.assert_allclose(
+            np.outer(got, got.conj()), np.outer(v, v.conj()), rtol=0, atol=1e-12
+        )
+        mixed = random_mixed_ensemble(lay, gen, branches=2)
+        with pytest.raises(ValidationError, match="not pure"):
+            mixed.to_vector()
 
     def test_trace_distance_extremes(self):
         lay = layout_ab(2, 2)

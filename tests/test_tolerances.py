@@ -1,8 +1,9 @@
 """Every numerical cutoff of the package is an entry of ``registers.TOL``,
 only ``registers`` compares against the dense cap, only
 ``registers.thin_svd`` calls an SVD routine, no object is built around its
-constructor with ``__new__``, and outside ``states`` only
-``protocols.run_protocol`` applies a map.
+constructor with ``__new__``, outside ``states`` only
+``protocols.run_protocol`` applies a map, and the dense routes stay in
+``oracle``.
 
 The source is parsed, not imported: a float literal below 1e-3 anywhere in
 ``src/qcatalyst`` outside the ``Tolerances`` class body is a cutoff written
@@ -149,3 +150,27 @@ def test_maps_are_applied_only_by_the_protocol_engine():
                 stray.append(f"{name}:{node.lineno}: {called}")
     assert not stray, "maps applied outside run_protocol:\n" + "\n".join(stray)
 
+
+def test_the_dense_routes_stay_in_the_oracle():
+    # the dense routes are the tests' cross-check: no module imports the
+    # oracle, and outside it only registers builds or reshapes a D x D matrix
+    dense = {"densify", "partial_trace", "permute_registers", "tensor_product"}
+    stray = []
+    for name, tree in _modules().items():
+        if name == "oracle.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = []
+            if any(m.split(".")[-1] == "oracle" for m in modules):
+                stray.append(f"{name}:{node.lineno}: imports oracle")
+            called = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)
+            )
+            if called in dense and name != "registers.py":
+                stray.append(f"{name}:{node.lineno}: {called}")
+    assert not stray, "dense routes outside the oracle:\n" + "\n".join(stray)
