@@ -6,7 +6,9 @@ here is dense numpy and is meant for desk-scale dimensions (a global matrix is
 never allowed to grow beyond ``DENSE_CAP`` per side). ``TOL`` holds every
 tolerance, floor and relative rank cutoff the package compares against, and
 ``numerical_rank`` is the one place a relative rank cutoff is applied, and
-``thin_svd`` the one place a matrix is factored by SVD.
+``thin_svd`` the one place a matrix is factored by SVD: ket cuts, the
+pencil and square marginal splits. A rectangular marginal split needs no SVD;
+``states`` takes it from the reduced state of the short side.
 """
 
 from __future__ import annotations
@@ -91,17 +93,32 @@ def fits_dense(dim: int, copies: int = 1, cols: int | None = None) -> bool:
 
 def require_dense(dim: int, copies: int = 1, cols: int | None = None) -> None:
     """Refuse a dense array of ``fits_dense``'s shape past ``DENSE_CAP``
-    before anything of that size is allocated. A dimension past 64 bits is
-    named as ``dim^copies`` rather than printed in full."""
+    before anything of that size is allocated. The refusal names each size
+    through ``_size_name``, so it never prints an integer past 2^64."""
     if fits_dense(dim, copies, cols):
         return
     if cols is not None:
         raise ValidationError(
-            f"refusing to build a {dim**copies}x{cols} operator "
-            f"(cap {DENSE_CAP}^2 entries)"
+            f"refusing to build a {_size_name(dim, copies)}x{_size_name(cols)} "
+            f"operator (cap {DENSE_CAP}^2 entries)"
         )
-    size = dim**copies if copies * dim.bit_length() <= 64 else f"{dim}^{copies}"
-    raise ValidationError(f"refusing to densify dimension {size} (cap {DENSE_CAP})")
+    raise ValidationError(
+        f"refusing to densify dimension {_size_name(dim, copies)} (cap {DENSE_CAP})"
+    )
+
+
+def _size_name(dim: int, copies: int = 1) -> str:
+    """``dim ** copies`` for a message: in full up to 2^64; past that as
+    ``dim^copies``, or by its bit length when ``copies`` is 1. The power is
+    formed only when it is small, and no integer past 2^64 is printed (Python
+    refuses to print one of more than 4300 digits)."""
+    if copies * (dim.bit_length() - 1) <= 64 and dim**copies <= 2**64:
+        return str(dim**copies)
+
+    def name(x: int) -> str:
+        return str(x) if x <= 2**64 else f"<{x.bit_length()} bits>"
+
+    return name(dim) if copies == 1 else f"{name(dim)}^{name(copies)}"
 
 
 def numerical_rank(values: np.ndarray, rtol: float) -> int:

@@ -27,6 +27,11 @@ independent cross-check of these routes, which only the tests use. Both
 refuse dimensions above ``DENSE_CAP``. Every cutoff used here (norms,
 probability sums, trace preservation, purity, the floor below which a branch
 or outcome is dropped) is an entry of ``TOL``.
+
+A marginal splits each factor that straddles the kept and dropped registers
+(``_split_factor``). A rectangular split goes through the reduced state of
+its short side, whose eigenvalues are the kept weights; a square one through
+``thin_svd``.
 """
 
 from __future__ import annotations
@@ -293,17 +298,38 @@ class QuantumState:
         return QuantumState(new_layout, out)
 
     def _split_factor(self, f: Factor, keep: list[str]):
-        """Marginal of one pure factor: returns weighted pure sub-factors."""
+        """Marginal of one pure factor: weighted pure sub-factors on ``keep``,
+        heaviest first, each of weight at least ``TOL.prob_floor``.
+
+        The factor's K x D matricization ``M`` (kept rows, dropped columns)
+        has the reduced state ``M M^dagger``. A square ``M`` is split by
+        ``thin_svd``: weights ``s_j^2``, kets the left singular vectors. A
+        rectangular one goes through the reduced state of its short side,
+        which carries every nonzero weight (Schmidt): with K < D the
+        eigenpairs of the K x K matrix ``M M^dagger`` are the options; with
+        K > D each eigenvector ``w_j`` of the D x D matrix ``M^dagger M``
+        whose eigenvalue reaches the floor maps to the kept ket ``M w_j``,
+        normalized, of weight ``||M w_j||^2``. No square root is taken.
+        """
         dims = [self.layout[lab].dim for lab in f.labels]
         mat = matricize(f.vector, dims, [f.labels.index(lab) for lab in keep])
-        u, s, _ = thin_svd(mat)
-        options = []
-        for j in range(s.size):
-            w = float(s[j] ** 2)
-            if w < TOL.prob_floor:
-                continue
-            options.append((w, Factor(tuple(keep), u[:, j])))
-        return options
+        rows, cols = mat.shape
+        if rows == cols:
+            kets, s, _ = thin_svd(mat)
+            weights = s**2
+        elif rows < cols:
+            weights, kets = np.linalg.eigh(mat @ mat.conj().T)
+            weights, kets = weights[::-1], kets[:, ::-1]
+        else:
+            lam, vecs = np.linalg.eigh(mat.conj().T @ mat)
+            kets = mat @ vecs[:, lam >= TOL.prob_floor][:, ::-1]
+            weights = np.linalg.norm(kets, axis=0) ** 2
+            kets = kets / np.sqrt(weights)
+        return [
+            (float(w), Factor(tuple(keep), kets[:, j]))
+            for j, w in enumerate(weights)
+            if w >= TOL.prob_floor
+        ]
 
     # -- serialization -----------------------------------------------------
 

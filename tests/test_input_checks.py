@@ -88,6 +88,38 @@ def test_schmidt_on_nan_document_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_schmidt_past_the_int_print_limit_is_refused(tmp_path, capsys):
+    # 15000 qubit registers: the dimension 2^15000 has more decimal digits
+    # than Python will print, and the refusal must still name it
+    regs = 15_000
+    doc = {
+        "layout": [
+            {"label": f"Q{i}", "dim": 2, "party": "Alice" if i % 2 else "Bob"}
+            for i in range(regs)
+        ],
+        "ensemble": [
+            {
+                "p": 1.0,
+                "factors": [
+                    {"labels": [f"Q{i}"], "vector": [[1.0, 0.0], [0.0, 0.0]]}
+                    for i in range(regs)
+                ],
+            }
+        ],
+    }
+    path = tmp_path / "qubits.json"
+    path.write_text(json.dumps(doc))
+    code = main(["schmidt", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["verdict"] == "refused"
+    assert report["reason"] == (
+        "refusing to build a <15001 bits>x1 operator (cap 2000^2 entries)"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

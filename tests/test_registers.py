@@ -58,6 +58,36 @@ class TestLayouts:
         with pytest.raises(ValidationError, match=f"densify dimension {2**64}"):
             require_dense(total)
 
+    def test_refusals_name_a_size_up_to_2_64_in_full(self):
+        with pytest.raises(ValidationError) as square:
+            require_dense(2**64)
+        assert str(square.value) == (
+            "refusing to densify dimension 18446744073709551616 (cap 2000)"
+        )
+        with pytest.raises(ValidationError) as power:
+            require_dense(3, 50)
+        assert str(power.value) == "refusing to densify dimension 3^50 (cap 2000)"
+
+    def test_refusals_never_print_an_integer_past_2_64(self):
+        # 2^15000 has 4516 digits, past Python's int-to-str limit of 4300
+        huge = 2**15000
+        with pytest.raises(ValidationError) as square:
+            require_dense(huge)
+        assert str(square.value) == (
+            "refusing to densify dimension <15001 bits> (cap 2000)"
+        )
+        with pytest.raises(ValidationError) as cols:
+            require_dense(huge, cols=1)
+        assert str(cols.value) == (
+            "refusing to build a <15001 bits>x1 operator (cap 2000^2 entries)"
+        )
+        with pytest.raises(ValidationError) as power:
+            require_dense(2**70, 3, cols=huge)
+        assert str(power.value) == (
+            "refusing to build a <71 bits>^3x<15001 bits> operator "
+            "(cap 2000^2 entries)"
+        )
+
     def test_unknown_party_rejected(self):
         with pytest.raises(LayoutError):
             Register("A", 2, "Charlie")

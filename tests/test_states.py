@@ -27,7 +27,8 @@ from qcatalyst import (
     tensor_states,
     trace_distance,
 )
-from qcatalyst import oracle
+from qcatalyst import oracle, states
+from qcatalyst.registers import thin_svd
 from qcatalyst.sampling import (
     random_channel,
     random_density_matrix,
@@ -164,6 +165,84 @@ class TestRepresentations:
             lhs = st.marginal(["A"]).densify().entries
             rhs = partial_trace(st.densify(), ["B"]).entries
             np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
+
+
+class TestSplitRoute:
+    """A rectangular factor split goes through the reduced state of its short
+    side; a square one keeps ``thin_svd``."""
+
+    @staticmethod
+    def single_factor(kept, dropped, rank, gen):
+        lay = RegisterLayout((Register("K", kept, ALICE), Register("D", dropped, BOB)))
+        if rank == "one":
+            vec = np.kron(random_pure_vector(kept, gen), random_pure_vector(dropped, gen))
+        else:
+            vec = random_pure_vector(kept * dropped, gen)
+        return QuantumState.pure(lay, vec)
+
+    @staticmethod
+    def check_options(marginal, rank, kept, dropped):
+        probs = [br.probability for br in marginal.branches]
+        assert len(probs) == (1 if rank == "one" else min(kept, dropped))
+        assert probs == sorted(probs, reverse=True)
+
+    @pytest.mark.parametrize("rank", ["one", "full"])
+    @pytest.mark.parametrize("kept, dropped", [(27, 54), (54, 27)])
+    def test_marginal_matches_the_dense_partial_trace(self, kept, dropped, rank):
+        st = self.single_factor(kept, dropped, rank, rng(26))
+        marg = st.marginal(["K"])
+        self.check_options(marg, rank, kept, dropped)
+        rhs = partial_trace(st.densify(), ["D"]).entries
+        np.testing.assert_allclose(marg.densify().entries, rhs, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("rank", ["one", "full"])
+    @pytest.mark.parametrize("kept, dropped", [(81, 729), (729, 81)])
+    def test_benchmark_shaped_splits_match_the_reduced_state(self, kept, dropped, rank):
+        # the whole 59049-dim state is past the dense cap, so the reference is
+        # the reduced state summed over the dropped index of the ket
+        st = self.single_factor(kept, dropped, rank, rng(27))
+        marg = st.marginal(["K"])
+        self.check_options(marg, rank, kept, dropped)
+        psi = st.branches[0].factors[0].vector.reshape(kept, dropped)
+        rhs = np.einsum("id,jd->ij", psi, psi.conj())
+        np.testing.assert_allclose(marg.densify().entries, rhs, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kept, dropped", [(3, 5), (5, 3)])
+    def test_weights_are_cut_at_the_probability_floor(self, kept, dropped):
+        # Schmidt weights 1e-11 and 1e-13 sit either side of the 1e-12 floor
+        gen = rng(28)
+        weights = np.array([1 - 1e-11 - 1e-13, 1e-11, 1e-13])
+        core = np.zeros((kept, dropped), dtype=np.complex128)
+        core[range(3), range(3)] = np.sqrt(weights)
+        psi = random_unitary(kept, gen) @ core @ random_unitary(dropped, gen).T
+        lay = RegisterLayout((Register("K", kept, ALICE), Register("D", dropped, BOB)))
+        marg = QuantumState.pure(lay, psi.reshape(-1)).marginal(["K"])
+        probs = np.array([br.probability for br in marg.branches])
+        np.testing.assert_allclose(probs, weights[:2], rtol=0, atol=1e-15)
+
+    def test_square_split_is_the_direct_thin_svd_split(self):
+        st = self.single_factor(9, 9, "full", rng(29))
+        f = st.branches[0].factors[0]
+        options = st._split_factor(f, ["K"])
+        u, s, _ = thin_svd(f.vector.reshape(9, 9))
+        assert len(options) == s.size
+        for j, (w, fo) in enumerate(options):
+            assert w == float(s[j] ** 2)
+            assert np.array_equal(fo.vector, u[:, j])
+
+    @pytest.mark.parametrize(
+        "kept, dropped, calls", [(9, 81, 0), (81, 9, 0), (27, 27, 1)]
+    )
+    def test_only_square_splits_call_thin_svd(self, monkeypatch, kept, dropped, calls):
+        seen = []
+
+        def counting(mat):
+            seen.append(mat.shape)
+            return np.linalg.svd(mat, full_matrices=False)
+
+        monkeypatch.setattr(states, "thin_svd", counting)
+        self.single_factor(kept, dropped, "full", rng(30)).marginal(["K"])
+        assert len(seen) == calls
 
 
 class TestSerialization:

@@ -1,17 +1,21 @@
 """Record the CLI parity set of a checkout, or compare two recordings.
 
-The parity set is 32 CLI runs: ``lemma1`` n=1..3 in auto and explicit-flags
+The parity set is 36 CLI runs: ``lemma1`` n=1..3 in auto and explicit-flags
 modes, ``obs1`` n=1..3 with and without ``--product-rho``, ``theorem``
-n=1..3 and ``obs3 --seeds 10``, each clean and with ``--corrupt-epsilon
-0.3``. A change that is meant to keep every report must keep this set.
+n=1..3, ``obs3 --seeds 10``, and ``lemma1 --rho/--sigma`` on two seeded
+qutrit pairs (a locally rotated pair with orthogonal supports at n=3 in
+support-measurement mode, a full Schmidt rank pair at n=2 with explicit
+flags), each clean and with ``--corrupt-epsilon 0.3``. A change that is
+meant to keep every report must keep this set.
 
     python3 tools/parity.py --write OUT [--src CHECKOUT/src]
     python3 tools/parity.py --compare A B --atol 1e-14
 
-``--write`` runs each case in a fresh interpreter against the package under
-``--src`` (default: the ``src`` next to this script) and writes
-``OUT/<case>.json`` with the argv, the exit code, stderr and the JSON report
-without its ``timestamp`` (``null`` when no report was printed).
+``--write`` writes the two pairs' state documents into ``OUT/states`` from
+a fixed numpy seed, runs each case in a fresh interpreter inside OUT against
+the package under ``--src`` (default: the ``src`` next to this script) and
+writes ``OUT/<case>.json`` with the argv, the exit code, stderr and the JSON
+report without its ``timestamp`` (``null`` when no report was printed).
 
 ``--compare`` exits 1 when a case is missing on one side, or differs in exit
 code, stderr, verdict, structure, any string or boolean, or any number by
@@ -29,13 +33,70 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORRUPTION = ("--corrupt-epsilon", "0.3")
 RUNNER = "import sys; from qcatalyst.cli import main; sys.exit(main())"
+PAIR_SEED = 1729
+PAIR_RUNS = {  # pair -> (n, mode) of its lemma1 run
+    "rotated": (3, "support-measurement"),
+    "full-rank": (2, "explicit-flags"),
+}
+
+
+def _unitary(gen, dim: int):
+    z = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _state(factors) -> dict:
+    """A one-branch state document on the qutrit pair (A Alice, B Bob)."""
+    return {
+        "layout": [
+            {"label": "A", "dim": 3, "party": "Alice"},
+            {"label": "B", "dim": 3, "party": "Bob"},
+        ],
+        "ensemble": [
+            {
+                "p": 1.0,
+                "factors": [
+                    {"labels": labels, "vector": [[z.real, z.imag] for z in vec.tolist()]}
+                    for labels, vec in factors
+                ],
+            }
+        ],
+    }
+
+
+def pair_states() -> dict[str, dict]:
+    """State documents by file stem, from the fixed seed ``PAIR_SEED``.
+
+    ``rotated``: rho = cos t |00> + sin t |11> and sigma = |22>, both under the
+    same random local unitaries, so their local supports are orthogonal.
+    ``full-rank``: a rotated rho of full Schmidt rank and a random product
+    sigma, whose supports overlap.
+    """
+    gen = np.random.default_rng(PAIR_SEED)
+    ua, ub = _unitary(gen, 3), _unitary(gen, 3)
+    t = gen.uniform(0.4, 1.1)
+    rotated = ua[:, :2] @ np.diag([np.cos(t), np.sin(t)]) @ ub[:, :2].T
+    coeffs = gen.uniform(0.3, 1.0, size=3)
+    va, vb = _unitary(gen, 3), _unitary(gen, 3)
+    full = va @ np.diag(coeffs / np.linalg.norm(coeffs)) @ vb.T
+    sa, sb = _unitary(gen, 3)[:, 0], _unitary(gen, 3)[:, 0]
+    return {
+        "rotated-rho": _state([(["A", "B"], rotated.reshape(-1))]),
+        "rotated-sigma": _state([(["A"], ua[:, 2]), (["B"], ub[:, 2])]),
+        "full-rank-rho": _state([(["A", "B"], full.reshape(-1))]),
+        "full-rank-sigma": _state([(["A"], sa), (["B"], sb)]),
+    }
 
 
 def cases() -> dict[str, list[str]]:
-    """The 32 parity runs by name."""
+    """The 36 parity runs by name; the pairs' state files are named relative
+    to OUT, inside which ``write`` runs every case."""
     clean = {}
     for n in (1, 2, 3):
         clean[f"lemma1-auto-n{n}"] = ["lemma1", "--n", str(n)]
@@ -46,6 +107,12 @@ def cases() -> dict[str, list[str]]:
         clean[f"obs1-product-rho-n{n}"] = ["obs1", "--n", str(n), "--product-rho"]
         clean[f"theorem-n{n}"] = ["theorem", "--n", str(n)]
     clean["obs3-seeds10"] = ["obs3", "--seeds", "10"]
+    for pair, (n, mode) in PAIR_RUNS.items():
+        clean[f"lemma1-{pair}-{mode}-n{n}"] = [
+            "lemma1", "--rho", f"states/{pair}-rho.json",
+            "--sigma", f"states/{pair}-sigma.json",
+            "--n", str(n), "--mode", mode,
+        ]
     out = {}
     for name, argv in clean.items():
         out[name] = argv
@@ -54,7 +121,9 @@ def cases() -> dict[str, list[str]]:
 
 
 def write(out_dir: pathlib.Path, src: pathlib.Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "states").mkdir(parents=True, exist_ok=True)
+    for stem, doc in pair_states().items():
+        (out_dir / "states" / f"{stem}.json").write_text(json.dumps(doc) + "\n")
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     for name, argv in cases().items():
         proc = subprocess.run(
@@ -62,6 +131,7 @@ def write(out_dir: pathlib.Path, src: pathlib.Path) -> None:
             capture_output=True,
             text=True,
             env=env,
+            cwd=out_dir,
         )
         report = json.loads(proc.stdout) if proc.stdout.strip() else None
         if isinstance(report, dict):
