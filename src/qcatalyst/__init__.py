@@ -66,13 +66,11 @@ from .catalysis import (
 from .protocols import (
     BranchLeaf,
     BranchTree,
-    ImpossibilityCertificate,
     ProtocolRound,
     SloccqProtocol,
     adaptive_round,
     bell_basis,
     bell_measurement_instrument,
-    certify_impossible,
     compile_catalyst_prep,
     complete_isometry,
     construct_converse,

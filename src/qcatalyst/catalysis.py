@@ -48,6 +48,7 @@ from .registers import (
     fits_dense,
     matricize,
     require_dense,
+    svd_across_cut,
 )
 from .states import (
     EnsembleBranch,
@@ -58,7 +59,7 @@ from .states import (
     tensor_states,
     trace_distance,
 )
-from .entanglement import SNCertificate, _cut, sn_flagged_blocks
+from .entanglement import SNCertificate, sn_flagged_blocks
 from .protocols import SloccqProtocol, local_round, run_protocol
 
 EXPLICIT_FLAGS = "explicit-flags"
@@ -112,12 +113,12 @@ def _analyze(rho: QuantumState, sigma: QuantumState, n: int, mode: str) -> _Sche
         raise ValidationError("rho and sigma must share a register layout")
 
     rho_vector = rho.to_vector()
-    _, _, rho_halves = _cut(rho_vector, rho.layout, None)
-    _, sig_rank, sig_halves = _cut(sigma.to_vector(), sigma.layout, None)
-    if sig_rank > 1:
+    rho_cut = svd_across_cut(rho_vector, rho.layout, rtol=TOL.rank_rtol)
+    sig_cut = svd_across_cut(sigma.to_vector(), sigma.layout, rtol=TOL.rank_rtol)
+    if sig_cut.rank > 1:
         raise ValidationError("sigma must be a product state across the party cut")
-    rho_basis = dict(zip((ALICE, BOB), rho_halves))
-    sigma_local = {p: half[:, 0] for p, half in zip((ALICE, BOB), sig_halves)}
+    rho_basis = dict(zip((ALICE, BOB), rho_cut.supports))
+    sigma_local = {p: half[:, 0] for p, half in zip((ALICE, BOB), sig_cut.supports)}
 
     a_label = rho.layout.party_labels(ALICE)[0]
     b_label = rho.layout.party_labels(BOB)[0]

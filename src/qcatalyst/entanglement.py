@@ -5,6 +5,11 @@ general computation is out of reach; this module instead provides exact
 oracles for the structured families the protocols actually produce, plus
 witness-based lower bounds and decomposition upper bounds. Every certificate
 records the method that produced it.
+
+Every Schmidt rank and local support of a ket is read off one
+``registers.svd_across_cut``, counted at ``TOL.rank_rtol`` (the product test
+of a pencil element at ``TOL.product_rtol``); a mixed state's local-support
+ranks come from one SVD per side of its weighted branch matricizations.
 """
 
 from __future__ import annotations
@@ -20,11 +25,6 @@ from .errors import OracleRefusal, ValidationError
 from .registers import (
     ALICE,
     BOB,
-    REFEREE,
-    CutDecomposition,
-    MultipartiteOperator,
-    Register,
-    RegisterLayout,
     TOL,
     eigh_descending,
     matricize,
@@ -66,18 +66,6 @@ class SNCertificate:
         return self.lower == self.upper
 
 
-def _cut(
-    vec: np.ndarray, layout: RegisterLayout, cut: Mapping[str, str] | None
-) -> tuple[CutDecomposition, int, tuple[np.ndarray, np.ndarray]]:
-    """The one decomposition of the ket ``vec`` across ``cut``, its Schmidt
-    rank (the singular values above ``TOL.rank_rtol`` times the largest) and
-    its (left, right) local supports: the first ``rank`` columns of either
-    basis."""
-    dec = svd_across_cut(MultipartiteOperator.ket(vec, layout), cut)
-    rank = numerical_rank(dec.singular_values, TOL.rank_rtol)
-    return dec, rank, (dec.left_basis[:, :rank], dec.right_basis[:, :rank])
-
-
 def schmidt_rank(
     state: QuantumState, cut: Mapping[str, str] | None = None
 ) -> SchmidtReport:
@@ -85,16 +73,16 @@ def schmidt_rank(
 
     Rank counts singular values above ``TOL.rank_rtol`` times the largest one.
     """
-    dec, rank, _ = _cut(state.to_vector(), state.layout, cut)
+    dec = svd_across_cut(state.to_vector(), state.layout, cut, rtol=TOL.rank_rtol)
     s = dec.singular_values
-    if rank < 1:
+    if dec.rank < 1:
         raise ValidationError("pure state has vanishing Schmidt spectrum")
     total = float(np.sum(s**2))
     if abs(total - 1.0) > TOL.norm_atol:
         raise ValidationError(f"Schmidt coefficients squared sum to {total!r}")
     return SchmidtReport(
         coefficients=s,
-        rank=rank,
+        rank=dec.rank,
         left_labels=dec.left_labels,
         right_labels=dec.right_labels,
     )
@@ -111,25 +99,19 @@ def sn_pure(
 def _local_support_dims(
     state: QuantumState, cut: Mapping[str, str] | None
 ) -> tuple[int, int]:
-    """Ranks of the two marginals, read as Schmidt ranks of the purification
-    sum_i sqrt(p_i) |psi_i>|i>: a side's singular values are those of its
-    stacked sqrt(p)-weighted branch kets, and the purifying register sits on
-    the other side of the cut. The D x k stack is checked against the cap."""
+    """Ranks of the two marginals. A side's marginal is sum_i p_i M_i M_i^dagger
+    over the matricizations M_i of the branch kets with that side's registers
+    as rows, so its rank is the number of singular values of the
+    sqrt(p_i)-weighted M_i, stacked side by side, above ``TOL.rank_rtol`` of
+    the largest. The D x k branch kets are checked against the cap."""
     require_dense(state.layout.total_dim, cols=len(state.branches))
-    vec = np.stack(
-        [math.sqrt(br.probability) * state.branch_vector(br) for br in state.branches],
-        axis=1,
-    ).reshape(-1)
-    left, right = resolve_cut(state.layout, cut)
-    # longer than every label of the state, so it names a new register
-    label = "E" * (1 + max(map(len, state.layout.labels)))
-    layout = state.layout.concat(
-        RegisterLayout((Register(label, len(state.branches), REFEREE),))
-    )
-    sides = {lab: "left" for lab in left} | {lab: "right" for lab in right}
-    return tuple(
-        _cut(vec, layout, sides | {label: other})[1] for other in ("right", "left")
-    )
+    kets = [math.sqrt(br.probability) * state.branch_vector(br) for br in state.branches]
+    ranks = []
+    for side in resolve_cut(state.layout, cut):
+        rows = [state.layout.index_of(lab) for lab in side]
+        stacked = np.hstack([matricize(ket, state.layout.dims, rows) for ket in kets])
+        ranks.append(numerical_rank(thin_svd(stacked)[1], TOL.rank_rtol))
+    return tuple(ranks)
 
 
 def sn_lower_fidelity(
@@ -169,7 +151,8 @@ def sn_decomposition_upper(
     """Upper bound from the state's ensemble: max branch Schmidt rank. Any
     decomposition of the state bounds its Schmidt number from above."""
     upper = max(
-        _cut(state.branch_vector(br), state.layout, cut)[1] for br in state.branches
+        svd_across_cut(state.branch_vector(br), state.layout, cut, rtol=TOL.rank_rtol).rank
+        for br in state.branches
     )
     return SNCertificate(1, upper, "decomposition-upper", {"branches": len(state.branches)})
 
@@ -322,8 +305,7 @@ def sn_orthogonal_mixture(
         if nrm < TOL.pencil_norm_floor:
             continue
         w = w / nrm
-        _, sv, _ = thin_svd(as_matrix(w))
-        if numerical_rank(sv, TOL.product_rtol) != 1:
+        if svd_across_cut(w, state.layout, cut, rtol=TOL.product_rtol).rank != 1:
             continue
         comp = v1 - (w.conj() @ v1) * w
         if np.linalg.norm(comp) < TOL.complement_floor:
@@ -343,17 +325,19 @@ def sn_orthogonal_mixture(
         if not defect <= TOL.decomposition_atol:
             reasons.append(f"pair is not a decomposition (defect {defect:.2e})")
             continue
-        (_, rx, sx), (_, ry, sy) = (_cut(vec, state.layout, cut) for vec in (x, y))
+        dx, dy = (
+            svd_across_cut(vec, state.layout, cut, rtol=TOL.rank_rtol) for vec in (x, y)
+        )
         overlaps = [
             f"{name} local supports overlap ({ov:.2e})"
-            for name, bx, by in zip(("left", "right"), sx, sy)
+            for name, bx, by in zip(("left", "right"), dx.supports, dy.supports)
             if (ov := float(np.linalg.norm(bx.conj().T @ by, 2)))
             > TOL.support_overlap_atol
         ]
         if overlaps:
             reasons.append(overlaps[0])
             continue
-        ranks = (rx, ry)
+        ranks = (dx.rank, dy.rank)
         rank = max(ranks)
         return SNCertificate(
             rank,
@@ -431,7 +415,9 @@ def sn_flagged_blocks(
                 sub.append(type(b)(b.probability / q, fs))
             block = QuantumState(rest, branches=tuple(sub))
             if len(sub) == 1:
-                lo = hi = _cut(block.to_vector(), rest, cut)[1]
+                lo = hi = svd_across_cut(
+                    block.to_vector(), rest, cut, rtol=TOL.rank_rtol
+                ).rank
             else:
                 try:
                     cert = sn_orthogonal_mixture(block, cut)
@@ -441,16 +427,19 @@ def sn_flagged_blocks(
             bounds[f"flag={val}"] = (lo, hi)
     else:
         # implicit flags: one cut per branch gives its supports and its rank
-        cuts = [_cut(state.branch_vector(br), state.layout, cut) for br in state.branches]
-        for (i, (_, _, si)), (j, (_, _, sj)) in itertools.combinations(enumerate(cuts), 2):
-            for name, bi, bj in zip(("left", "right"), si, sj):
+        cuts = [
+            svd_across_cut(state.branch_vector(br), state.layout, cut, rtol=TOL.rank_rtol)
+            for br in state.branches
+        ]
+        for (i, di), (j, dj) in itertools.combinations(enumerate(cuts), 2):
+            for name, bi, bj in zip(("left", "right"), di.supports, dj.supports):
                 ov = float(np.linalg.norm(bi.conj().T @ bj, 2))
                 if ov > TOL.support_overlap_atol:
                     raise OracleRefusal(
                         f"branches {i} and {j} have overlapping {name} supports "
                         f"({ov:.2e}); blocks are not classically readable"
                     )
-        bounds = {f"branch={i}": (rank, rank) for i, (_, rank, _) in enumerate(cuts)}
+        bounds = {f"branch={i}": (dec.rank, dec.rank) for i, dec in enumerate(cuts)}
     lower = max(lo for lo, _ in bounds.values())
     upper = max(hi for _, hi in bounds.values())
     return SNCertificate(lower, upper, "flagged-block-oracle", {"blocks": bounds})

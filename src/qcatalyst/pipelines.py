@@ -24,7 +24,6 @@ from .registers import (
     BOB,
     MAX_SEEDS,
     REFEREE,
-    MultipartiteOperator,
     Register,
     RegisterLayout,
     TOL,
@@ -55,7 +54,6 @@ from .catalysis import (
 )
 from .protocols import (
     SloccqProtocol,
-    certify_impossible,
     compile_catalyst_prep,
     construct_converse,
     final_state,
@@ -397,14 +395,13 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
         )
 
         # no protocol with the smaller message can reach the target
-        cert = certify_impossible(in_rank, family.d_short, oracle.lower)
+        cap = ledger_bound(in_rank, family.d_short).upper
         quantities.append(
             q_eq(
                 "impossible-with-message-dim",
-                (family.d_short, cert.impossible),
+                (family.d_short, cap < oracle.lower),
                 (family.d_short, True),
-                "ledger: sn cap "
-                f"{cert.achievable_sn_upper} < target {cert.target_sn_lower}",
+                f"ledger: sn cap {cap} < target {oracle.lower}",
             )
         )
 
@@ -416,7 +413,7 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
             keep=[name for name, _ in converse.postselect],
         )
         achieved, prob = final_state(tree, converse.postselect)
-        bound = ledger_bound(in_rank, tree)
+        bound = ledger_bound(in_rank, tree.ledger.quantum_dimension)
         quantities.append(
             q_le(
                 "converse-distance",
@@ -569,9 +566,7 @@ def pipeline_obs3(seeds: int = 10, corruption: float = 0.0) -> ReportDocument:
             candidates.append(
                 (
                     f"random-{i}",
-                    QuantumState.from_dense(
-                        MultipartiteOperator.square(mat, cat_layout)
-                    ),
+                    QuantumState.from_dense_matrix(mat, cat_layout),
                 )
             )
         worst_gap = None

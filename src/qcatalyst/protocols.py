@@ -19,17 +19,19 @@ Execution enumerates every outcome path exactly, producing a tree of leaves
 whose outcomes the caller reads: then each other outcome is retired once no
 later round selects by it, and the leaves that only it told apart merge into
 one, coalesced, carrying their summed probability. A ledger records what was
-sent; Schmidt number is multiplicative under local processing and can grow by
-at most the total sent dimension, which gives the certified impossibility
-bound.
+sent; Schmidt number cannot grow under local processing and classical talk,
+and grows by at most a factor of the total sent dimension, which
+``ledger_bound`` turns into the certified cap.
 
 Two compilers build protocols that ship a mixture state of bipartite pure
 branches: the converse (filter the input to a maximally entangled pair,
 extend it by a transmitted link, teleport a sampled branch) and the catalyst
 preparation (sample a catalyst branch and send Bob's half in one message).
-Both split the mixture the same way (``_split_mixture``) and ship a branch
-through one step, ``_ship``: Alice samples it, prepares it with Bob's half on
-the first levels of a message register, and Bob decompresses that half.
+Both split the mixture the same way (``_split_mixture``: one cut per branch,
+its rank counted at ``TOL.protocol_rank_rtol`` so that no coefficient the
+protocol must reproduce is dropped) and ship a branch through one step,
+``_ship``: Alice samples it, prepares it with Bob's half on the first levels
+of a message register, and Bob decompresses that half.
 """
 
 from __future__ import annotations
@@ -46,13 +48,11 @@ from .registers import (
     BOB,
     EMPTY_LAYOUT,
     CutDecomposition,
-    MultipartiteOperator,
     Register,
     RegisterLayout,
     TOL,
     _brief,
     is_positive_int,
-    numerical_rank,
     svd_across_cut,
 )
 from .states import (
@@ -502,44 +502,19 @@ def final_state(
 # -- ledger bounds ----------------------------------------------------------
 
 
-def ledger_bound(input_sn_upper: int, tree: BranchTree) -> SNCertificate:
-    """Sound Schmidt-number cap for anything the protocol can output."""
-    used = tree.ledger.quantum_dimension
-    return SNCertificate(
-        1,
-        int(input_sn_upper) * used,
-        "ledger",
-        {"input_sn_upper": int(input_sn_upper), "quantum_dimension": used},
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class ImpossibilityCertificate:
-    input_sn_upper: int
-    quantum_dimension: int
-    achievable_sn_upper: int
-    target_sn_lower: int
-    impossible: bool
-    method: str = "ledger"
-
-
-def certify_impossible(
-    input_sn_upper: int, quantum_dimension: int, target_sn_lower: int
-) -> ImpossibilityCertificate:
-    """Decide whether any protocol within the budget could reach the target.
+def ledger_bound(input_sn_upper: int, quantum_dimension: int) -> SNCertificate:
+    """Sound Schmidt-number cap for anything a protocol that sends total
+    quantum dimension ``quantum_dimension`` can output from an input of
+    Schmidt number at most ``input_sn_upper``; the one place the cap is formed.
 
     Local processing and classical talk cannot raise Schmidt number, and a
-    quantum message of dimension q raises it by a factor of at most q. If
-    input_sn_upper * q still falls short of the target's certified lower
-    bound, no protocol in the class can produce the target.
+    quantum message of dimension q raises it by a factor of at most q. A
+    target whose certified lower bound exceeds the cap is out of reach of
+    every protocol in the class.
     """
-    cap = int(input_sn_upper) * int(quantum_dimension)
-    return ImpossibilityCertificate(
-        input_sn_upper=int(input_sn_upper),
-        quantum_dimension=int(quantum_dimension),
-        achievable_sn_upper=cap,
-        target_sn_lower=int(target_sn_lower),
-        impossible=cap < int(target_sn_lower),
+    sn, q = int(input_sn_upper), int(quantum_dimension)
+    return SNCertificate(
+        1, sn * q, "ledger", {"input_sn_upper": sn, "quantum_dimension": q}
     )
 
 
@@ -593,7 +568,8 @@ def filter_to_max_entangled(state: QuantumState) -> FiltrationPlan:
     if parties[0] == BOB:
         state = state.permuted((labels[1], labels[0]))
         labels = state.layout.labels
-    dec, rank = _schmidt_data(state.to_vector(), state.layout)
+    dec = svd_across_cut(state.to_vector(), state.layout, rtol=TOL.protocol_rank_rtol)
+    rank = dec.rank
     coeffs = dec.singular_values
     lam_min = float(coeffs[rank - 1] ** 2)
     da = state.layout[labels[0]].dim
@@ -602,7 +578,8 @@ def filter_to_max_entangled(state: QuantumState) -> FiltrationPlan:
         raise ValidationError("rank exceeds a local dimension")
 
     flatten = np.eye(da, rank) * (math.sqrt(lam_min) / coeffs[:rank])
-    pass_k = flatten @ dec.left_basis[:, :rank].conj().T
+    left, right = dec.supports
+    pass_k = flatten @ left.conj().T
     fail_k = _psd_sqrt(np.eye(da) - pass_k.conj().T @ pass_k)
     reg_a = RegisterLayout((Register(labels[0], da, ALICE),))
     instrument = Instrument(
@@ -610,7 +587,7 @@ def filter_to_max_entangled(state: QuantumState) -> FiltrationPlan:
     )
     # only the first rank columns act on the passed state; the rest of the
     # basis is rotated anywhere orthonormal
-    align = complete_isometry(dec.right_basis[:, :rank], db).conj().T
+    align = complete_isometry(right, db).conj().T
     reg_b = RegisterLayout((Register(labels[1], db, BOB),))
     return FiltrationPlan(
         instrument=instrument,
@@ -618,15 +595,6 @@ def filter_to_max_entangled(state: QuantumState) -> FiltrationPlan:
         schmidt_rank=rank,
         success_probability=rank * lam_min,
     )
-
-
-def _schmidt_data(
-    vector: np.ndarray, layout: RegisterLayout
-) -> tuple[CutDecomposition, int]:
-    """Cut decomposition of a ket across the party cut and the Schmidt rank a
-    compiled protocol must reproduce."""
-    dec = svd_across_cut(MultipartiteOperator.ket(vector, layout))
-    return dec, numerical_rank(dec.singular_values, TOL.protocol_rank_rtol)
 
 
 # -- teleportation ----------------------------------------------------------
@@ -716,7 +684,7 @@ def _sampling_round(weights: Sequence[float]) -> ProtocolRound:
 
 
 def _ship(
-    parts: Sequence[tuple[float, CutDecomposition, int]],
+    parts: Sequence[tuple[float, CutDecomposition]],
     dim: int,
     alice: RegisterLayout,
     bob: RegisterLayout,
@@ -724,23 +692,22 @@ def _ship(
 ) -> tuple[ProtocolRound, ProtocolRound, ProtocolRound]:
     """Sample a pure component and hand Bob his half through a message.
 
-    ``parts`` holds each component's weight, cut decomposition (Alice's
-    registers ``alice`` left, Bob's ``bob`` right) and Schmidt rank. Alice
+    ``parts`` holds each component's weight and cut decomposition (Alice's
+    registers ``alice`` left, Bob's ``bob`` right), whose rank is the one the
+    message must carry. Alice
     prepares the sampled component with Bob's half on the first levels of a
     ``dim``-level register ``S``; once the message sits in Bob's register
     ``source``, he decompresses it onto ``bob``. Returns the sampling,
     preparation and decompression rounds.
     """
-    sample = _sampling_round([w for w, _, _ in parts])
+    sample = _sampling_round([w for w, _ in parts])
     prep_layout = alice.concat(RegisterLayout((Register("S", dim, ALICE),)))
     msg_layout = RegisterLayout((Register(source, dim, BOB),))
     preps, decos = {}, {}
-    for outcome, (_, dec, rank) in zip(sample.instrument.outcome_labels, parts):
-        preps[outcome] = KrausChannel.preparation(
-            _far_half_on_levels(dec, rank, dim), prep_layout
-        )
+    for outcome, (_, dec) in zip(sample.instrument.outcome_labels, parts):
+        preps[outcome] = KrausChannel.preparation(_far_half_on_levels(dec, dim), prep_layout)
         # columns past the Schmidt vectors complete the isometry, never fire
-        cols = complete_isometry(dec.right_basis[:, :rank], bob.total_dim)[:, :dim]
+        cols = complete_isometry(dec.supports[1], bob.total_dim)[:, :dim]
         decos[outcome] = KrausChannel([cols], msg_layout, bob)
     return (
         sample,
@@ -752,26 +719,32 @@ def _ship(
 def _split_mixture(mixture: QuantumState):
     """A mixture as both compilers ship it: its ensemble with Alice's
     registers first, the layouts of her registers and of Bob's, and each
-    branch's weight, cut decomposition (Alice's half left, so its left basis
-    is indexed like her registers) and Schmidt rank."""
+    branch's weight and cut decomposition (Alice's half left, so its left
+    basis is indexed like her registers), ranked at ``TOL.protocol_rank_rtol``
+    so that a shipped branch keeps every coefficient."""
     labels_a = mixture.layout.party_labels(ALICE)
     labels_b = mixture.layout.party_labels(BOB)
     if not labels_a or not labels_b:
         raise ValidationError("a shipped mixture must span both parties")
     mix = mixture.permuted(labels_a + labels_b)
     parts = [
-        (br.probability, *_schmidt_data(mix.branch_vector(br), mix.layout))
+        (
+            br.probability,
+            svd_across_cut(
+                mix.branch_vector(br), mix.layout, rtol=TOL.protocol_rank_rtol
+            ),
+        )
         for br in mix.branches
     ]
     return mix, mix.layout.subset(labels_a), mix.layout.subset(labels_b), parts
 
 
-def _far_half_on_levels(dec: CutDecomposition, rank: int, dim: int) -> np.ndarray:
+def _far_half_on_levels(dec: CutDecomposition, dim: int) -> np.ndarray:
     """The ket sum_m s_m |left_m>|m> of a cut decomposition: its leading
-    ``rank`` Schmidt terms with the far half moved onto the first levels of a
-    ``dim``-level message register."""
+    ``dec.rank`` Schmidt terms with the far half moved onto the first levels
+    of a ``dim``-level message register."""
     mat = np.zeros((dec.left_basis.shape[0], dim), dtype=np.complex128)
-    mat[:, :rank] = dec.left_basis[:, :rank] * dec.singular_values[:rank]
+    mat[:, : dec.rank] = dec.supports[0] * dec.singular_values[: dec.rank]
     return mat.reshape(-1)
 
 
@@ -858,10 +831,10 @@ def construct_converse(
         )
 
     target, alice, bob, parts = _split_mixture(mixture)
-    for i, (_, _, rank) in enumerate(parts):
-        if rank > dk:
+    for i, (_, dec) in enumerate(parts):
+        if dec.rank > dk:
             raise ProtocolError(
-                f"component {i} has Schmidt rank {rank}, beyond the "
+                f"component {i} has Schmidt rank {dec.rank}, beyond the "
                 f"teleportable dimension {dk}"
             )
     sample, prepare, decompress = _ship(parts, dk, alice, bob, "RB")
@@ -900,7 +873,7 @@ def compile_catalyst_prep(catalyst: QuantumState) -> CatalystPrepPlan:
         # a single-stage cycle shares nothing: no rounds, no message
         return CatalystPrepPlan(SloccqProtocol((), 1), 1, catalyst)
     cat, alice, bob, parts = _split_mixture(catalyst)
-    dim_msg = max(rank for _, _, rank in parts)
+    dim_msg = max(dec.rank for _, dec in parts)
     if dim_msg > 1:
         sample, prepare, decompress = _ship(parts, dim_msg, alice, bob, "S")
         send = send_round("send-s", ALICE, "S", BOB, dim_msg)
@@ -911,10 +884,10 @@ def compile_catalyst_prep(catalyst: QuantumState) -> CatalystPrepPlan:
         # the two halves of every branch into one factor, which made
         # `obs1 --n 3 --product-rho` three times slower (6.4 -> 20 ms, median
         # of 15 in-process runs on a 2-core VM).
-        sample = _sampling_round([w for w, _, _ in parts])
+        sample = _sampling_round([w for w, _ in parts])
         halves = [
-            (ALICE, alice, [dec.left_basis[:, 0] for _, dec, _ in parts]),
-            (BOB, bob, [dec.right_basis[:, 0] for _, dec, _ in parts]),
+            (ALICE, alice, [dec.left_basis[:, 0] for _, dec in parts]),
+            (BOB, bob, [dec.right_basis[:, 0] for _, dec in parts]),
         ]
         rounds = (sample,) + tuple(
             adaptive_round(

@@ -7,8 +7,12 @@ never allowed to grow beyond ``DENSE_CAP`` per side). ``TOL`` holds every
 tolerance, floor and relative rank cutoff the package compares against, and
 ``numerical_rank`` is the one place a relative rank cutoff is applied, and
 ``thin_svd`` the one place a matrix is factored by SVD: ket cuts, the
-pencil and square marginal splits. A rectangular marginal split needs no SVD;
-``states`` takes it from the reduced state of the short side.
+pencil, a mixture's local supports and square marginal splits. A rectangular
+marginal split needs no SVD; ``states`` takes it from the reduced state of the
+short side. ``svd_across_cut`` is the one cut of a ket: it takes the ket and
+its layout, and counts the Schmidt rank at the ``TOL`` entry its caller names
+(``rank_rtol`` in certificates, ``protocol_rank_rtol`` in protocol compilers,
+``product_rtol`` in the product test of a pencil element).
 """
 
 from __future__ import annotations
@@ -451,15 +455,14 @@ class SpectralResult:
 
 
 def _canonical_phases(columns: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = np.array(columns, dtype=np.complex128)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        a = col[k]
-        if np.abs(a) > 0:
-            out[:, j] = col * (np.abs(a) / a)
-    return out
+    """Per-column unit phases that make each column's largest-magnitude entry
+    real positive (1 for a zero column)."""
+    cols = np.asarray(columns, dtype=np.complex128)
+    top = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    mag = np.abs(top)
+    phases = np.ones_like(top)
+    np.divide(mag, top, out=phases, where=mag > 0)
+    return phases
 
 
 def eigh_descending(sym: np.ndarray, basis: np.ndarray | None = None) -> SpectralResult:
@@ -480,7 +483,7 @@ def eigh_descending(sym: np.ndarray, basis: np.ndarray | None = None) -> Spectra
         raise ValidationError(f"eigendecomposition reconstruction error {err:.2e}")
     if basis is not None:
         vecs = basis @ vecs
-    return SpectralResult(vals, _canonical_phases(vecs))
+    return SpectralResult(vals, vecs * _canonical_phases(vecs))
 
 
 def eig_hermitian(x: MultipartiteOperator) -> SpectralResult:
@@ -495,13 +498,21 @@ def eig_hermitian(x: MultipartiteOperator) -> SpectralResult:
 
 @dataclasses.dataclass(frozen=True)
 class CutDecomposition:
-    """SVD of a ket across a left/right register bipartition."""
+    """SVD of a ket across a left/right register bipartition, with its
+    Schmidt rank at the relative cutoff the caller named."""
 
     singular_values: np.ndarray
     left_basis: np.ndarray  # columns in the left-side product space
     right_basis: np.ndarray  # columns in the right-side product space
     left_labels: tuple[str, ...]
     right_labels: tuple[str, ...]
+    rank: int  # singular values above the cutoff times the largest
+
+    @property
+    def supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (left, right) local supports: the first ``rank`` columns of
+        either basis."""
+        return self.left_basis[:, : self.rank], self.right_basis[:, : self.rank]
 
 
 def resolve_cut(
@@ -537,28 +548,28 @@ def resolve_cut(
 
 
 def svd_across_cut(
-    v: MultipartiteOperator, cut: Mapping[str, str] | None = None
+    vector, layout: RegisterLayout, cut: Mapping[str, str] | None = None, *, rtol: float
 ) -> CutDecomposition:
-    """Schmidt data of a normalized ket across a register bipartition."""
-    if len(v.layout_in) != 0:
-        raise ValidationError("svd_across_cut expects a ket")
-    norm = float(np.linalg.norm(v.entries))
+    """Schmidt data of a normalized ket over ``layout`` across a register
+    bipartition (``resolve_cut``), the one cut of a ket in the package. Its
+    rank counts the singular values above ``rtol`` times the largest; each
+    caller names the ``TOL`` entry it decides by."""
+    vec = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    if vec.size != layout.total_dim:
+        raise ValidationError(
+            f"ket has {vec.size} amplitudes, layout has dimension {layout.total_dim}"
+        )
+    norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > TOL.norm_atol:
         raise ValidationError(f"ket is not normalized (norm {norm!r})")
-    layout = v.layout_out
     left, right = resolve_cut(layout, cut)
-    mat = matricize(v.entries[:, 0], layout.dims, [layout.index_of(lab) for lab in left])
+    mat = matricize(vec, layout.dims, [layout.index_of(lab) for lab in left])
     u, s, vh = thin_svd(mat)
     # Fix phases on the left factors, compensate on the right so the
     # reconstruction sum_k s_k |l_k>|r_k> is untouched.
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        k = int(np.argmax(np.abs(col)))
-        a = col[k]
-        if np.abs(a) > 0:
-            ph = np.abs(a) / a
-            u[:, j] = col * ph
-            vh[j, :] = vh[j, :] / ph
+    phases = _canonical_phases(u)
+    u = u * phases
+    vh = vh / phases[:, None]
     recon = (u * s) @ vh
     err = float(np.max(np.abs(recon - mat), initial=0.0))
     if err > TOL.reconstruction_atol:
@@ -571,4 +582,5 @@ def svd_across_cut(
         right_basis=vh.T.copy(),
         left_labels=tuple(left),
         right_labels=tuple(right),
+        rank=numerical_rank(s, rtol),
     )

@@ -232,26 +232,22 @@ class QuantumState:
         return np.linalg.eigvalsh(signed_gram_core(*self.branch_kets())[1])
 
     def to_vector(self) -> np.ndarray:
-        """Ket of a pure state; raises if the state is not (numerically) pure.
-        Several branches are read through the top eigenpair of their QR core."""
+        """Ket of a pure state; raises if the state is not pure by the rule of
+        ``is_approx_pure``. Several branches are read through the top
+        eigenpair of their QR core."""
         if len(self.branches) == 1:
             return self.branch_vector(self.branches[0])
         q, core = signed_gram_core(*self.branch_kets())
-        spec = eigh_descending(core, basis=q)
-        if spec.eigenvalues[0] < 1.0 - TOL.purity_atol:
-            raise ValidationError(
-                f"state is not pure (top eigenvalue {spec.eigenvalues[0]!r})"
-            )
-        return spec.eigenvectors[:, 0].copy()
+        if not _is_pure_core(core):
+            raise ValidationError(f"state is not pure (purity {_purity(core)!r})")
+        return eigh_descending(core, basis=q).eigenvectors[:, 0].copy()
 
     def is_approx_pure(self) -> bool:
         if len(self.branches) == 1:
             return True
         if not fits_dense(self.layout.total_dim):
             return False
-        # tr(rho^2) is the squared Frobenius norm of the Hermitian core
-        core = signed_gram_core(*self.branch_kets())[1]
-        return float(np.linalg.norm(core) ** 2) >= 1.0 - TOL.purity_atol
+        return _is_pure_core(signed_gram_core(*self.branch_kets())[1])
 
     # -- reshaping ---------------------------------------------------------
 
@@ -807,6 +803,16 @@ def signed_gram_core(
     q, r = np.linalg.qr(kets)
     core = (r * weights) @ r.conj().T
     return q, (core + core.conj().T) / 2
+
+
+def _purity(core: np.ndarray) -> float:
+    """tr(rho^2): the squared Frobenius norm of the Hermitian QR core."""
+    return float(np.linalg.norm(core) ** 2)
+
+
+def _is_pure_core(core: np.ndarray) -> bool:
+    """The one purity rule: tr(rho^2) within ``TOL.purity_atol`` of 1."""
+    return _purity(core) >= 1.0 - TOL.purity_atol
 
 
 def trace_distance(a: QuantumState, b: QuantumState) -> float:

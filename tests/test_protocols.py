@@ -25,7 +25,6 @@ from qcatalyst import (
     basis_product,
     bell_measurement_instrument,
     build_protocol,
-    certify_impossible,
     complete_isometry,
     compile_catalyst_prep,
     construct_converse,
@@ -381,10 +380,10 @@ class TestRetirement:
 
 class TestLedger:
     def test_impossibility_certificate(self):
-        cert = certify_impossible(2, 3, 8)
-        assert cert.impossible and cert.achievable_sn_upper == 6
-        cert2 = certify_impossible(2, 4, 8)
-        assert not cert2.impossible
+        cap = ledger_bound(2, 3)
+        assert cap.upper == 6 < 8 and cap.method == "ledger"
+        assert cap.details == {"input_sn_upper": 2, "quantum_dimension": 3}
+        assert not ledger_bound(2, 4).upper < 8
 
     def test_ledger_soundness_random_protocols(self):
         # random bounded-message protocols never beat the ledger cap
@@ -416,7 +415,7 @@ class TestLedger:
                 ),
             ]
             tree = run_protocol(SloccqProtocol(tuple(rounds), dm), st)
-            cap = ledger_bound(r0, tree)
+            cap = ledger_bound(r0, tree.ledger.quantum_dimension)
             assert cap.upper == r0 * dm
             for leaf in tree.leaves:
                 rank = schmidt_rank(leaf.state).rank

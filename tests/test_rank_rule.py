@@ -7,6 +7,11 @@ the product |22>. Its second Schmidt coefficient is eps: at 1e-6 it counts and
 every route gives 2, at 1e-12 it is round-off and every route gives 1. A rule
 on squared singular values or on marginal eigenvalues would count it only
 above about 3e-5, and give 1 at 1e-6.
+
+The protocol compilers count at ``TOL.protocol_rank_rtol`` (1e-12) instead,
+since a compiled protocol must reproduce every coefficient. At eps = 1e-10,
+between the two cutoffs, the certificates give 1 and the compilers 2; one
+cut routine serves both only because each call names its cutoff.
 """
 
 import math
@@ -22,6 +27,8 @@ from qcatalyst import (
     QuantumState,
     Register,
     RegisterLayout,
+    compile_catalyst_prep,
+    filter_to_max_entangled,
     schmidt_rank,
     sn_decomposition_upper,
     sn_flagged_blocks,
@@ -83,6 +90,20 @@ def test_pure_routes_agree(eps, rank):
     state = _pure(eps)
     assert schmidt_rank(state).rank == rank
     assert sn_decomposition_upper(state).upper == rank
+
+
+@pytest.mark.parametrize(
+    "route, rank",
+    [
+        (lambda st: schmidt_rank(st).rank, 1),
+        (lambda st: sn_decomposition_upper(st).upper, 1),
+        (lambda st: filter_to_max_entangled(st).schmidt_rank, 2),
+        (lambda st: compile_catalyst_prep(st).quantum_dimension, 2),
+    ],
+    ids=["schmidt-rank", "decomposition-upper", "filtration", "catalyst-prep"],
+)
+def test_certificates_and_compilers_keep_their_own_cutoffs(route, rank):
+    assert route(_pure(1e-10)) == rank
 
 
 @pytest.mark.parametrize("eps, rank", RANKS)

@@ -243,7 +243,7 @@ class TestCuts:
             db = int(gen.integers(2, 5))
             lay = layout_ab(da, db)
             v = random_pure_vector(da * db, gen)
-            dec = svd_across_cut(MultipartiteOperator.ket(v, lay))
+            dec = svd_across_cut(v, lay, rtol=TOL.rank_rtol)
             rebuilt = np.zeros(da * db, dtype=np.complex128)
             for k, s in enumerate(dec.singular_values):
                 rebuilt += s * np.kron(dec.left_basis[:, k], dec.right_basis[:, k])
@@ -253,14 +253,18 @@ class TestCuts:
         gen = rng(9)
         lay = layout_ab(3, 3)
         v = np.kron(random_pure_vector(3, gen), random_pure_vector(3, gen))
-        dec = svd_across_cut(MultipartiteOperator.ket(v, lay))
+        dec = svd_across_cut(v, lay, rtol=TOL.rank_rtol)
         assert dec.singular_values[0] == pytest.approx(1.0, abs=1e-12)
         assert dec.singular_values[1] < 1e-12
 
     def test_unnormalized_ket_rejected(self):
         lay = layout_ab(2, 2)
         with pytest.raises(ValidationError):
-            svd_across_cut(MultipartiteOperator.ket(np.ones(4), lay))
+            svd_across_cut(np.ones(4), lay, rtol=TOL.rank_rtol)
+
+    def test_ket_of_the_wrong_size_rejected(self):
+        with pytest.raises(ValidationError, match="3 amplitudes"):
+            svd_across_cut(np.ones(3) / np.sqrt(3), layout_ab(2, 2), rtol=TOL.rank_rtol)
 
 
 class TestThinSvd:
@@ -311,7 +315,7 @@ class TestThinSvd:
         gen = rng(93)
         lay = RegisterLayout((Register("A", 2, ALICE), Register("B", 27, BOB)))
         v = random_pure_vector(54, gen)
-        dec = svd_across_cut(MultipartiteOperator.ket(v, lay))
+        dec = svd_across_cut(v, lay, rtol=TOL.rank_rtol)
         for k in range(dec.left_basis.shape[1]):
             col = dec.left_basis[:, k]
             top = col[np.argmax(np.abs(col))]

@@ -410,6 +410,26 @@ class TestMetrics:
         with pytest.raises(ValidationError, match="not pure"):
             mixed.to_vector()
 
+    @pytest.mark.parametrize("eps, pure", [(6e-10, False), (1e-11, True)])
+    def test_to_vector_and_is_approx_pure_share_one_rule(self, eps, pure):
+        # weights (1 - eps, eps) on |00> and |11>: the top eigenvalue 1 - eps
+        # is within purity_atol of 1 at both eps, but tr rho^2 ~ 1 - 2 eps,
+        # the quantity purity_atol bounds, is not at eps = 6e-10
+        lay = layout_ab(2, 2)
+        st = QuantumState.from_branches(
+            lay,
+            (
+                EnsembleBranch(1.0 - eps, basis_product(lay, (0, 0)).branches[0].factors),
+                EnsembleBranch(eps, basis_product(lay, (1, 1)).branches[0].factors),
+            ),
+        )
+        assert st.is_approx_pure() is pure
+        if pure:
+            assert abs(st.to_vector()[0]) == pytest.approx(1.0, abs=1e-10)
+        else:
+            with pytest.raises(ValidationError, match="not pure"):
+                st.to_vector()
+
     def test_trace_distance_extremes(self):
         lay = layout_ab(2, 2)
         b00 = basis_product(lay, (0, 0))

@@ -1,6 +1,8 @@
 """Every numerical cutoff of the package is an entry of ``registers.TOL``,
 only ``registers`` compares against the dense cap, only
-``registers.thin_svd`` calls an SVD routine, no object is built around its
+``registers.thin_svd`` calls an SVD routine and only four routines call it,
+every ket cut names the ``TOL`` entry its rank is counted at, no object is
+built around its
 constructor with ``__new__``, outside ``states`` only
 ``protocols.run_protocol`` applies a map, and the dense routes stay in
 ``oracle``.
@@ -118,6 +120,40 @@ def test_every_svd_goes_through_thin_svd():
             if names_svd(node) and node.lineno not in helper
         ]
     assert not stray, "SVD called outside registers.thin_svd:\n" + "\n".join(stray)
+
+
+def test_kets_are_cut_only_by_svd_across_cut():
+    # a ket's Schmidt rank and supports come from one routine; thin_svd is
+    # also called where a marginal splits a square factor, in the pencil, and
+    # where a mixture's local supports are stacked, and nowhere else
+    allowed = {
+        "registers.py": ("svd_across_cut",),
+        "states.py": ("_split_factor",),
+        "entanglement.py": ("_pencil_rank_one_elements", "_local_support_dims"),
+    }
+
+    def names_an_entry(keyword):
+        value = keyword.value
+        return (
+            keyword.arg == "rtol"
+            and isinstance(value, ast.Attribute)
+            and getattr(value.value, "id", None) == "TOL"
+        )
+
+    stray = []
+    for name, tree in _modules().items():
+        inside = set().union(
+            *(_lines_of(tree, ast.FunctionDef, fn) for fn in allowed.get(name, ()))
+        )
+        for node in ast.walk(tree):
+            called = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)
+            )
+            if called == "thin_svd" and node.lineno not in inside:
+                stray.append(f"{name}:{node.lineno}: thin_svd")
+            if called == "svd_across_cut" and not any(map(names_an_entry, node.keywords)):
+                stray.append(f"{name}:{node.lineno}: svd_across_cut without rtol=TOL.<entry>")
+    assert not stray, "kets cut outside svd_across_cut:\n" + "\n".join(stray)
 
 
 def test_no_object_skips_its_constructor():
