@@ -22,7 +22,6 @@ from .registers import (
     permute_registers,
     resolve_cut,
     svd_across_cut,
-    tensor_product,
 )
 from .states import (
     EnsembleBranch,

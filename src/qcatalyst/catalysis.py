@@ -45,7 +45,6 @@ from .registers import (
     Register,
     RegisterLayout,
     TOL,
-    fits_dense,
     matricize,
     require_dense,
     svd_across_cut,
@@ -280,10 +279,11 @@ def _party_channel(scheme: _Scheme, party: str) -> KrausChannel:
 
 
 def _channels(scheme: _Scheme) -> tuple[KrausChannel, KrausChannel]:
-    # every audit measures the n-copy output and the catalyst densely, so a
-    # protocol where either is past the dense cap is refused before anything
-    # that grows with n is built; once the output fits, a pair of dimension
-    # above 1 has n small enough to form every power below
+    # the n-copy output and the catalyst are held to the square dense cap, the
+    # catalytic pipelines' size rule, before anything that grows with n is
+    # built; the audits themselves form only their D x k branch kets. Once
+    # the output fits, a pair of dimension above 1 has n small enough to form
+    # every power below
     pair = scheme.dim[ALICE] * scheme.dim[BOB]
     require_dense(pair, scheme.n)
     require_dense((scheme.n if scheme.flag_label else 1) ** 2 * pair ** (scheme.n - 1))
@@ -375,8 +375,6 @@ class CloRunReport:
     restoration_distance: float
     output_distance: float
     catalyst_sn: SNCertificate
-    joint_available: bool
-    joint_state: QuantumState
 
 
 @dataclasses.dataclass(frozen=True)
@@ -422,8 +420,6 @@ def run_clo(protocol: CatalyticProtocol, input_state: QuantumState) -> CloRunRep
         restoration_distance=restoration,
         output_distance=out_dist,
         catalyst_sn=protocol.catalyst_sn,
-        joint_available=fits_dense(joint.layout.total_dim),
-        joint_state=joint,
     )
 
 

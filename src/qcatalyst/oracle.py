@@ -4,9 +4,10 @@ Every state is an ensemble of pure product branches, and the package computes
 on it without forming a D x D matrix. The routes here do form it, through
 ``QuantumState.densify``, and compute the same quantities the textbook way:
 an instrument acts by contracting each Kraus operator with the target axes of
-a density matrix on both sides, and a trace distance or an entropy reads the
-spectrum of a dense matrix. Only the tests compare against them; no module of
-the package imports this one.
+a density matrix on both sides, a trace distance or an entropy reads the
+spectrum of a dense matrix, and ``tensor_product`` forms the Kronecker product
+of two operators. Only the tests compare against them; no module of the
+package imports this one.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .entanglement import _entropy_from_eigenvalues
+from .errors import LayoutError
 from .registers import TOL, MultipartiteOperator, require_dense
 from .states import (
     Instrument,
@@ -25,6 +27,20 @@ from .states import (
     _require_same_layout,
     _resolve_targets,
 )
+
+
+def tensor_product(x: MultipartiteOperator, y: MultipartiteOperator) -> MultipartiteOperator:
+    """Kronecker product; labels of the two operands must be disjoint."""
+    shared = set(x.layout_out.labels + x.layout_in.labels) & set(
+        y.layout_out.labels + y.layout_in.labels
+    )
+    if shared:
+        raise LayoutError(f"tensor product with shared labels {sorted(shared)}")
+    return MultipartiteOperator(
+        np.kron(x.entries, y.entries),
+        x.layout_out.concat(y.layout_out),
+        x.layout_in.concat(y.layout_in),
+    )
 
 
 def _kraus_action(rho: np.ndarray, pos: list[int], kraus: np.ndarray) -> np.ndarray:

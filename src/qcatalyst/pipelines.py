@@ -328,7 +328,6 @@ def pipeline_lemma1(
                 "flagged-block certificate vs rank^(n-1)",
             )
         )
-        quantities.append(q_info("joint-dense-available", report.joint_available))
     except QcatError as exc:
         return _finish(name, inputs, quantities, corruption, reason=str(exc))
     return _finish(name, inputs, quantities, corruption)

@@ -2,8 +2,10 @@
 
 Operators carry an ordered list of named registers on each side; the leftmost
 register is the most significant index of the row-major matrix. Everything in
-here is dense numpy and is meant for desk-scale dimensions (a global matrix is
-never allowed to grow beyond ``DENSE_CAP`` per side). ``TOL`` holds every
+here is dense numpy; ``require_dense``, the one size rule, refuses any array
+past ``DENSE_CAP`` squared entries before it is allocated. The D x D layer
+(``MultipartiteOperator``, ``partial_trace``, ``permute_registers``,
+``eig_hermitian``) serves ``oracle`` and the tests only. ``TOL`` holds every
 tolerance, floor and relative rank cutoff the package compares against, and
 ``numerical_rank`` is the one place a relative rank cutoff is applied, and
 ``thin_svd`` the one place a matrix is factored by SVD: ket cuts, the
@@ -83,24 +85,18 @@ class Tolerances:
 TOL = Tolerances()
 
 
-def fits_dense(dim: int, copies: int = 1, cols: int | None = None) -> bool:
-    """Whether a dense array with ``dim ** copies`` rows and ``cols`` columns
-    (square by default) holds at most ``DENSE_CAP`` squared entries; the one
-    place the cap is compared. A square array fits when its dimension is
-    within ``DENSE_CAP``. The power is formed only when it is small: past the
-    bit length of the cap's entries in copies, any ``dim`` above 1 is over."""
-    if dim > 1 and copies > (DENSE_CAP**2).bit_length():
-        return False
-    rows = dim**copies
-    return rows * (rows if cols is None else cols) <= DENSE_CAP**2
-
-
 def require_dense(dim: int, copies: int = 1, cols: int | None = None) -> None:
-    """Refuse a dense array of ``fits_dense``'s shape past ``DENSE_CAP``
-    before anything of that size is allocated. The refusal names each size
-    through ``_size_name``, so it never prints an integer past 2^64."""
-    if fits_dense(dim, copies, cols):
-        return
+    """Refuse a dense array with ``dim ** copies`` rows and ``cols`` columns
+    (square by default) past ``DENSE_CAP`` squared entries, before anything
+    of that size is allocated; the one place the cap is compared. A square
+    array passes when its dimension is within ``DENSE_CAP``. The power is
+    formed only when it is small: past the bit length of the cap's entries in
+    copies, any ``dim`` above 1 is over. The refusal names each size through
+    ``_size_name``, so it never prints an integer past 2^64."""
+    if dim <= 1 or copies <= (DENSE_CAP**2).bit_length():
+        rows = dim**copies
+        if rows * (rows if cols is None else cols) <= DENSE_CAP**2:
+            return
     if cols is not None:
         raise ValidationError(
             f"refusing to build a {_size_name(dim, copies)}x{_size_name(cols)} "
@@ -346,63 +342,6 @@ class MultipartiteOperator:
             raise ValidationError("trace requires matching input/output layouts")
         return complex(np.trace(self.entries))
 
-    def max_hermiticity_defect(self) -> float:
-        if not self.is_square:
-            raise ValidationError("hermiticity defect requires a square operator")
-        return float(np.max(np.abs(self.entries - self.entries.conj().T), initial=0.0))
-
-
-def tensor_product(x: MultipartiteOperator, y: MultipartiteOperator) -> MultipartiteOperator:
-    """Kronecker product; labels of the two operands must be disjoint."""
-    shared = set(x.layout_out.labels + x.layout_in.labels) & set(
-        y.layout_out.labels + y.layout_in.labels
-    )
-    if shared:
-        raise LayoutError(f"tensor product with shared labels {sorted(shared)}")
-    return MultipartiteOperator(
-        np.kron(x.entries, y.entries),
-        x.layout_out.concat(y.layout_out),
-        x.layout_in.concat(y.layout_in),
-    )
-
-
-def partial_trace(x: MultipartiteOperator, discard: Sequence[str]) -> MultipartiteOperator:
-    """Trace out the named registers of a square operator."""
-    if not x.is_square:
-        raise ValidationError("partial trace requires a square operator")
-    layout = x.layout_out
-    discard = list(discard)
-    for label in discard:
-        if label not in layout:
-            raise LayoutError(f"cannot trace out unknown register {label!r}")
-    if len(set(discard)) != len(discard):
-        raise LayoutError(f"repeated labels in discard list: {discard}")
-    keep = [lab for lab in layout.labels if lab not in set(discard)]
-    arr = x.entries.reshape(layout.dims + layout.dims)
-    # einsum with integer axis ids: traced registers share an id on both sides.
-    out_ids = []
-    in_ids = []
-    keep_out_ids = []
-    keep_in_ids = []
-    next_id = 0
-    ids_out = {}
-    for lab in layout.labels:
-        ids_out[lab] = next_id
-        out_ids.append(next_id)
-        next_id += 1
-    for lab in layout.labels:
-        if lab in set(discard):
-            in_ids.append(ids_out[lab])
-        else:
-            in_ids.append(next_id)
-            keep_out_ids.append(ids_out[lab])
-            keep_in_ids.append(next_id)
-            next_id += 1
-    reduced = np.einsum(arr, out_ids + in_ids, keep_out_ids + keep_in_ids)
-    new_layout = layout.subset(keep)
-    d = new_layout.total_dim
-    return MultipartiteOperator(reduced.reshape(d, d), new_layout, new_layout)
-
 
 def matricize(vec: np.ndarray, dims: Sequence[int], row_axes: Sequence[int]) -> np.ndarray:
     """Flat tensor over ``dims`` as a matrix: the axes ``row_axes``, in that
@@ -444,6 +383,25 @@ def permute_registers(x: MultipartiteOperator, new_order: Sequence[str]) -> Mult
     arr = arr.transpose(perm + [n + p for p in perm])
     d = new_layout.total_dim
     return MultipartiteOperator(arr.reshape(d, d), new_layout, new_layout)
+
+
+def partial_trace(x: MultipartiteOperator, discard: Sequence[str]) -> MultipartiteOperator:
+    """Trace out the named registers of a square operator: the discarded
+    registers are moved last and contracted by one ``einsum``."""
+    if not x.is_square:
+        raise ValidationError("partial trace requires a square operator")
+    layout = x.layout_out
+    discard = list(discard)
+    for label in discard:
+        if label not in layout:
+            raise LayoutError(f"cannot trace out unknown register {label!r}")
+    if len(set(discard)) != len(discard):
+        raise LayoutError(f"repeated labels in discard list: {discard}")
+    keep = layout.subset([lab for lab in layout.labels if lab not in discard])
+    moved = permute_registers(x, keep.labels + tuple(discard)).entries
+    d, rest = keep.total_dim, layout.total_dim // keep.total_dim
+    reduced = np.einsum("ikjk->ij", moved.reshape(d, rest, d, rest))
+    return MultipartiteOperator(reduced, keep, keep)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -490,7 +448,7 @@ def eig_hermitian(x: MultipartiteOperator) -> SpectralResult:
     """Descending eigendecomposition with a reconstruction guarantee."""
     if not x.is_square:
         raise ValidationError("eig_hermitian requires a square operator")
-    defect = x.max_hermiticity_defect()
+    defect = float(np.max(np.abs(x.entries - x.entries.conj().T), initial=0.0))
     if defect > TOL.hermiticity_atol:
         raise ValidationError(f"operator is not Hermitian (defect {defect:.2e})")
     return eigh_descending((x.entries + x.entries.conj().T) / 2.0)

@@ -3,8 +3,9 @@
 A state is an ensemble: a list of branches, each a probability together
 with a product of pure factors over register groups, the carrier for protocol
 simulations whose joint dimension is far beyond the dense cap. A density
-matrix (``from_dense``, or a ``"dense"`` JSON document) is checked and read
-into its eigen-ensemble, and is written back as that ensemble.
+matrix (``from_dense_matrix``, or a ``"dense"`` JSON document) is checked as
+a raw array and read into its eigen-ensemble, and is written back as that
+ensemble.
 
 Maps are instruments: labelled lists of Kraus operators, checked once in the
 ``Instrument`` constructor, through which ``Instrument.from_json`` reads every
@@ -23,8 +24,9 @@ QR factorization ``V = Q R`` its nonzero spectrum is the spectrum of the k x k
 core ``R diag(w) R^dagger``, and its eigenvectors are ``Q`` times those of the
 core (``signed_gram_core``). Signed weights give differences of states.
 ``densify`` builds the D x D matrix for the dense routes of ``oracle``, the
-independent cross-check of these routes, which only the tests use. Both
-refuse dimensions above ``DENSE_CAP``. Every cutoff used here (norms,
+independent cross-check of these routes, which only the tests use.
+``require_dense`` refuses either array past the dense cap before it is
+formed: the kets as D x k, the matrix as D x D. Every cutoff used here (norms,
 probability sums, trace preservation, purity, the floor below which a branch
 or outcome is dropped) is an entry of ``TOL``.
 
@@ -53,9 +55,8 @@ from .registers import (
     RegisterLayout,
     TOL,
     _brief,
-    eig_hermitian,
+    _size_name,
     eigh_descending,
-    fits_dense,
     matricize,
     require_dense,
     thin_svd,
@@ -98,36 +99,37 @@ class QuantumState:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_dense(cls, op: MultipartiteOperator) -> "QuantumState":
-        """The eigen-ensemble of a checked density matrix: one branch per
-        eigenvalue above ``TOL.prob_floor``, weights not renormalized."""
-        if not op.is_square:
-            raise ValidationError("a dense state must be a square operator")
-        if not np.all(np.isfinite(op.entries)):
+    def from_dense_matrix(cls, entries, layout: RegisterLayout) -> "QuantumState":
+        """The eigen-ensemble of a checked density matrix over ``layout``: one
+        branch per eigenvalue above ``TOL.prob_floor``, weights not
+        renormalized. The PSD check and the ensemble come from one
+        eigendecomposition of the symmetrized matrix."""
+        mat = np.array(entries, dtype=np.complex128)
+        d = layout.total_dim
+        if mat.shape != (d, d):
+            raise ValidationError(
+                f"density matrix has shape {mat.shape}, expected {_size_name(d)}x{_size_name(d)}"
+            )
+        if not np.all(np.isfinite(mat)):
             raise ValidationError("density matrix has non-finite entries")
-        defect = op.max_hermiticity_defect()
+        defect = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
         if not defect <= TOL.hermiticity_atol:
             raise ValidationError(f"density matrix not Hermitian (defect {defect:.2e})")
-        tr = op.trace()
+        tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= TOL.hermiticity_atol:
             raise ValidationError(f"density matrix trace {tr!r} is not 1")
-        lo = float(np.min(np.linalg.eigvalsh((op.entries + op.entries.conj().T) / 2)))
+        spec = eigh_descending((mat + mat.conj().T) / 2.0)
+        lo = float(spec.eigenvalues[-1])
         if not lo >= -TOL.hermiticity_atol:
             raise ValidationError(f"density matrix has negative eigenvalue {lo:.2e}")
-        spec = eig_hermitian(op)
-        labels = op.layout_out.labels
         return cls(
-            op.layout_out,
+            layout,
             tuple(
-                EnsembleBranch(float(p), (Factor(labels, spec.eigenvectors[:, k]),))
+                EnsembleBranch(float(p), (Factor(layout.labels, spec.eigenvectors[:, k]),))
                 for k, p in enumerate(spec.eigenvalues)
                 if p > TOL.prob_floor
             ),
         )
-
-    @classmethod
-    def from_dense_matrix(cls, entries, layout: RegisterLayout) -> "QuantumState":
-        return cls.from_dense(MultipartiteOperator.square(entries, layout))
 
     @classmethod
     def from_branches(
@@ -221,8 +223,9 @@ class QuantumState:
 
     def branch_kets(self) -> tuple[np.ndarray, np.ndarray]:
         """Branch kets of an ensemble as the columns of a D x k matrix, and
-        the branch probabilities; the density matrix is kets diag(p) kets^dagger."""
-        require_dense(self.layout.total_dim)
+        the branch probabilities; the density matrix is kets diag(p) kets^dagger.
+        The D x k array is refused past the dense cap before it is formed."""
+        require_dense(self.layout.total_dim, cols=len(self.branches))
         kets = np.stack([self.branch_vector(br) for br in self.branches], axis=1)
         return kets, np.array([br.probability for br in self.branches])
 
@@ -243,10 +246,9 @@ class QuantumState:
         return eigh_descending(core, basis=q).eigenvectors[:, 0].copy()
 
     def is_approx_pure(self) -> bool:
+        """The purity rule of ``to_vector``; ``branch_kets`` refuses past the cap."""
         if len(self.branches) == 1:
             return True
-        if not fits_dense(self.layout.total_dim):
-            return False
         return _is_pure_core(signed_gram_core(*self.branch_kets())[1])
 
     # -- reshaping ---------------------------------------------------------
@@ -369,7 +371,9 @@ class QuantumState:
             return cls.from_branches(layout, branches)
         d = layout.total_dim
         if flat.size != d * d:
-            raise ValidationError(f"dense payload has {flat.size} entries, expected {d * d}")
+            raise ValidationError(
+                f"dense payload has {flat.size} entries, expected {_size_name(d, 2)}"
+            )
         return cls.from_dense_matrix(flat.reshape(d, d), layout)
 
     def save(self, path) -> None:
@@ -605,8 +609,9 @@ class Instrument:
             )
 
     def trace_preservation_defect(self) -> float:
-        acc = sum(k.conj().T @ k for _, kraus in self.branches for k in kraus)
-        return float(np.max(np.abs(acc - np.eye(self.layout_in.total_dim))))
+        """Largest entry of sum K^dagger K - I, as S^dagger S for S the stacked Kraus operators."""
+        s = np.concatenate([k for _, kraus in self.branches for k in kraus])
+        return float(np.max(np.abs(s.conj().T @ s - np.eye(self.layout_in.total_dim))))
 
     @property
     def outcome_labels(self) -> tuple[str, ...]:

@@ -216,6 +216,7 @@ def test_criterion_6_property_suites():
     prot2 = build_protocol(rho, sigma, 2, "support-measurement")
     clo1 = run_clo(prot1, rho)
     clo2 = run_clo(prot2, rho)
+    (leaf2,) = run_protocol(prot2.local_protocol, tensor_states(rho, prot2.catalyst)).leaves
     _, flip_start, flip_goal = _bit_flip_task()
     states = [
         ("rho", rho),
@@ -225,14 +226,14 @@ def test_criterion_6_property_suites():
         ("catalyst-n2", prot2.catalyst),
         ("clo-output-n1", clo1.output_state),
         ("clo-output-n2", clo2.output_state),
-        ("clo-joint-n2", clo2.joint_state),
+        ("clo-joint-n2", leaf2.state),
         ("flip-start", flip_start),
         ("flip-goal", flip_goal),
     ]
     for name, st in states:
         assert st.layout.total_dim <= 729, name
         dense = st.densify()
-        round_trip = QuantumState.from_dense(dense)
+        round_trip = QuantumState.from_dense_matrix(dense.entries, dense.layout_out)
         assert oracle.trace_distance(st, round_trip) <= 1e-9, name
         for party in (ALICE, BOB):
             side = [r.label for r in st.layout.registers if r.party == party]
@@ -240,7 +241,8 @@ def test_criterion_6_property_suites():
                 continue
             branch_route = st.marginal(side)
             rest = [lab for lab in st.layout.labels if lab not in side]
-            dense_route = QuantumState.from_dense(partial_trace(dense, rest))
+            reduced = partial_trace(dense, rest)
+            dense_route = QuantumState.from_dense_matrix(reduced.entries, reduced.layout_out)
             assert oracle.trace_distance(branch_route, dense_route) <= 1e-9, name
     # channel application through both representations
     for n, prot in ((1, prot1), (2, prot2)):
@@ -255,7 +257,8 @@ def test_criterion_6_property_suites():
         ((_, _, mid),) = oracle.apply_instrument(prot.alice_channel, joint_in.densify())
         ((_, _, den),) = oracle.apply_instrument(prot.bob_channel, mid)
         gap = oracle.trace_distance(
-            ens.permuted(den.layout_out.labels), QuantumState.from_dense(den)
+            ens.permuted(den.layout_out.labels),
+            QuantumState.from_dense_matrix(den.entries, den.layout_out),
         )
         assert gap <= 1e-9, f"n={n} route disagreement {gap:.3e}"
     print(f"criterion 6c: {len(states)} states + 2 channel runs, routes agree")

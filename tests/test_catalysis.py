@@ -23,6 +23,7 @@ from qcatalyst import (
     mixture_target,
     basis_product,
     run_clo,
+    run_protocol,
     sn_flagged_blocks,
     tensor_states,
     verify_input_sensitivity,
@@ -34,6 +35,7 @@ from qcatalyst.pipelines import (
     pipeline_theorem,
     qutrit_pair_states,
 )
+from qcatalyst.registers import require_dense
 from qcatalyst.sampling import random_pure_vector, rng
 
 
@@ -182,7 +184,7 @@ class TestChannels:
                 for channel in channels:
                     out_e = apply_channel(channel, out_e)
                     ((_, _, out_d),) = oracle.apply_instrument(channel, out_d)
-                dense = QuantumState.from_dense(out_d)
+                dense = QuantumState.from_dense_matrix(out_d.entries, out_d.layout_out)
                 assert oracle.trace_distance(out_e, dense) < 1e-9
 
 
@@ -253,14 +255,19 @@ class TestGuards:
         assert rep.restoration_distance < 1e-10
 
 
+def _joint(rho, protocol):
+    (leaf,) = run_protocol(protocol.local_protocol, tensor_states(rho, protocol.catalyst)).leaves
+    return leaf.state
+
+
 def test_joint_state_availability(pair):
     rho, sigma = pair
-    rep2 = run_clo(build_protocol(rho, sigma, 2), rho)
-    assert rep2.joint_available
-    rep3 = run_clo(build_protocol(rho, sigma, 3), rho)
-    assert not rep3.joint_available
+    require_dense(_joint(rho, build_protocol(rho, sigma, 2)).layout.total_dim)
+    joint3 = _joint(rho, build_protocol(rho, sigma, 3))
+    with pytest.raises(ValidationError, match="cap 2000"):
+        require_dense(joint3.layout.total_dim)
     # the joint is still usable as an ensemble even past the dense cap
-    margin = rep3.joint_state.marginal(["A1", "B1"])
+    margin = joint3.marginal(["A1", "B1"])
     assert margin.layout.total_dim == 9
 
 

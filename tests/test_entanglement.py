@@ -33,6 +33,11 @@ from qcatalyst.registers import matricize
 from qcatalyst.sampling import random_pure_vector, rng
 
 
+def _eigen_ensemble(state):
+    """The state read back from its density matrix: a second decomposition."""
+    return QuantumState.from_dense_matrix(state.densify().entries, state.layout)
+
+
 def pure_ab(vec, da, db):
     lay = RegisterLayout((Register("A", da, ALICE), Register("B", db, BOB)))
     return QuantumState.pure(lay, vec)
@@ -167,7 +172,7 @@ class TestOrthogonalMixtureOracle:
             ),
         )
         with pytest.raises(OracleRefusal):
-            sn_orthogonal_mixture(QuantumState.from_dense(mix.densify()) if dense else mix)
+            sn_orthogonal_mixture(_eigen_ensemble(mix) if dense else mix)
 
     def test_rank_three_state_refused(self):
         with pytest.raises(OracleRefusal):
@@ -216,7 +221,7 @@ class TestCompressedPencil:
     )
     def test_separation_certificates_unchanged(self, n, sn, weights, dense):
         tau = separation_family(n).tau
-        cert = sn_orthogonal_mixture(QuantumState.from_dense(tau.densify()) if dense else tau)
+        cert = sn_orthogonal_mixture(_eigen_ensemble(tau) if dense else tau)
         assert (cert.lower, cert.upper, cert.method) == (
             sn,
             sn,
@@ -230,7 +235,7 @@ class TestCompressedPencil:
     def test_rank_two_mixture_in_qudit_nine_registers(self, dense):
         prod, ent = _orthogonal_components(9, 2, seed=91)
         mix = _mixture(9, [(0.3, prod), (0.7, ent)])
-        cert = sn_orthogonal_mixture(QuantumState.from_dense(mix.densify()) if dense else mix)
+        cert = sn_orthogonal_mixture(_eigen_ensemble(mix) if dense else mix)
         assert (cert.lower, cert.upper) == (2, 2)
         assert cert.details["component_ranks"] == (1, 2)
         assert np.allclose(cert.details["weights"], (0.3, 0.7), rtol=0, atol=1e-12)
@@ -248,7 +253,7 @@ class TestCompressedPencil:
             abs(a - b) <= 1e-9 * max(abs(a), abs(b))
             for a, b in _pencil_rank_one_elements(m1, m2)
         )
-        cert = sn_orthogonal_mixture(QuantumState.from_dense(mix.densify()) if dense else mix)
+        cert = sn_orthogonal_mixture(_eigen_ensemble(mix) if dense else mix)
         assert (cert.lower, cert.upper) == (3, 3)
         assert cert.details["component_ranks"] == (1, 3)
         assert np.allclose(cert.details["weights"], (0.5, 0.5), rtol=0, atol=1e-12)

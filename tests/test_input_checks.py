@@ -10,7 +10,6 @@ from qcatalyst import (
     EnsembleBranch,
     Factor,
     KrausChannel,
-    MultipartiteOperator,
     QuantumState,
     ValidationError,
     max_entangled,
@@ -62,7 +61,7 @@ def test_dense_state_rejects_nan():
     entries = np.eye(4, dtype=np.complex128) / 4
     entries[1, 1] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
-        QuantumState.from_dense(MultipartiteOperator.square(entries, _pair_layout()))
+        QuantumState.from_dense_matrix(entries, _pair_layout())
 
 
 def test_channel_rejects_nan():
@@ -117,6 +116,26 @@ def test_schmidt_past_the_int_print_limit_is_refused(tmp_path, capsys):
     assert report["verdict"] == "refused"
     assert report["reason"] == (
         "refusing to build a <15001 bits>x1 operator (cap 2000^2 entries)"
+    )
+
+
+def test_dense_document_past_the_int_print_limit_is_refused(tmp_path, capsys):
+    # the expected payload size (2^15000)^2 is named, not printed in full
+    doc = {
+        "layout": [
+            {"label": f"Q{i}", "dim": 2, "party": "Alice" if i % 2 else "Bob"}
+            for i in range(15_000)
+        ],
+        "dense": [[1.0, 0.0]],
+    }
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    code = main(["schmidt", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "qcatalyst: refused: dense payload has 1 entries, expected <15001 bits>^2\n"
     )
 
 

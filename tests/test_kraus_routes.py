@@ -111,7 +111,7 @@ def test_channel_is_the_sole_outcome_of_its_instrument(dense):
     gen = rng(44)
     state = abc_state(gen)
     if dense:  # the eigen-ensemble, a second decomposition of the state
-        state = QuantumState.from_dense(state.densify())
+        state = QuantumState.from_dense_matrix(state.densify().entries, state.layout)
     out = RegisterLayout((Register("X", 3, ALICE),))
     ch = random_channel(target_layout(), out, gen, kraus_count=2)
     direct = apply_channel(ch, state, TARGETS)

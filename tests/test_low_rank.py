@@ -39,6 +39,10 @@ from qcatalyst.states import signed_gram_core
 AGREE_ATOL = 1e-12
 
 
+def _eigen_ensemble(state):
+    return QuantumState.from_dense_matrix(state.densify().entries, state.layout)
+
+
 def _first_branch(state):
     """One branch of an ensemble as a pure state, a nonzero distance away."""
     branch = EnsembleBranch(1.0, state.branches[0].factors)
@@ -97,7 +101,7 @@ def test_theorem_converse_agrees_with_dense(n):
 def test_orthogonal_mixture_certificate_matches_dense(n):
     tau = separation_family(n).tau
     low = sn_orthogonal_mixture(tau)
-    dense = sn_orthogonal_mixture(QuantumState.from_dense(tau.densify()))
+    dense = sn_orthogonal_mixture(_eigen_ensemble(tau))
     assert (low.lower, low.upper) == (dense.lower, dense.upper) == (2 ** (n + 1),) * 2
     assert low.details["component_ranks"] == dense.details["component_ranks"]
     assert np.allclose(low.details["weights"], dense.details["weights"], atol=AGREE_ATOL)
@@ -121,7 +125,7 @@ def test_qr_core_spectrum_matches_dense_eigendecomposition():
     assert np.allclose(low.eigenvalues, dense.eigenvalues[:3], atol=AGREE_ATOL)
     assert np.allclose(low.eigenvectors, dense.eigenvectors[:, :3], atol=1e-10)
     assert state.is_approx_pure() is False
-    assert QuantumState.from_dense(state.densify()).is_approx_pure() is False
+    assert _eigen_ensemble(state).is_approx_pure() is False
 
 
 def test_metrics_never_densify_ensembles(monkeypatch):

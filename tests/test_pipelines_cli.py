@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import time
 import tracemalloc
 
@@ -491,9 +492,9 @@ def test_one_level_registers_do_not_exhaust_numpy_axes(tmp_path, capsys):
 @pytest.mark.parametrize("branches", [1, 2])
 def test_wide_ket_is_refused_before_its_amplitudes(branches, tmp_path, capsys):
     """15 + 15 qubit registers, each its own basis factor: the full ket has
-    2^30 amplitudes (16 GiB), and it is checked as a D x 1 array against the
-    cap before one is formed (by ``to_vector`` for one branch, by the
-    flagged-block oracle for two)."""
+    2^30 amplitudes (16 GiB), and the D x k array of the branch kets is
+    checked against the cap before one is formed (by ``to_vector`` for one
+    branch, by the purity check for two)."""
     layout = RegisterLayout.build(
         [(f"A{i}", 2, ALICE) for i in range(15)] + [(f"B{i}", 2, BOB) for i in range(15)]
     )
@@ -516,8 +517,57 @@ def test_wide_ket_is_refused_before_its_amplitudes(branches, tmp_path, capsys):
     assert captured.err == ""
     assert report["verdict"] == "refused"
     assert report["reason"] == (
-        f"refusing to build a {2**30}x1 operator (cap 2000^2 entries)"
+        f"refusing to build a {2**30}x{branches} operator (cap 2000^2 entries)"
     )
+    assert peak < 16 << 20
+
+
+def _twice_the_same_product(qubits):
+    """Two branches of weight 1/2, both the product ket |0...0>, on ``qubits``
+    one-qubit registers split between the parties."""
+    layout = RegisterLayout.build(
+        [(f"Q{i}", 2, ALICE if i % 2 else BOB) for i in range(qubits)]
+    )
+    factors = basis_product(layout, [0] * qubits).branches[0].factors
+    return QuantumState.from_branches(
+        layout, [EnsembleBranch(0.5, factors), EnsembleBranch(0.5, factors)]
+    )
+
+
+def test_two_branch_product_past_the_square_cap_is_verified(tmp_path, capsys):
+    """On 11 qubits the D x D matrix is past the cap but the D x 2 kets fit."""
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(_twice_the_same_product(11).to_json()))
+    code = main(["schmidt", "--input", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["verdict"] == "verified"
+    values = {q["name"]: q["value"] for q in report["quantities"]}
+    assert (values["kind"], values["schmidt-rank"]) == ("pure", 1)
+
+
+def test_two_branch_product_past_the_kets_cap_is_refused(tmp_path, capsys):
+    state = _twice_the_same_product(22)
+    message = "refusing to build a 4194304x2 operator (cap 2000^2 entries)"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        state.is_approx_pure()
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(state.to_json()))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["schmidt", "--input", str(path)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert captured.err == ""
+    assert report["verdict"] == "refused"
+    assert report["reason"] == message
+    assert elapsed < 1.0
     assert peak < 16 << 20
 
 

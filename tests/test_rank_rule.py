@@ -127,7 +127,7 @@ def test_mixture_routes_agree(eps, rank, w):
         "explicit-flags": sn_flagged_blocks(_flagged(eps, w), ("FA", "FB")),
         "oracle-ensemble": sn_orthogonal_mixture(state),
         "oracle-eigen-ensemble": sn_orthogonal_mixture(
-            QuantumState.from_dense(state.densify())
+            QuantumState.from_dense_matrix(state.densify().entries, state.layout)
         ),
     }
     got = {name: (cert.lower, cert.upper) for name, cert in certs.items()}

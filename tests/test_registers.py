@@ -22,8 +22,8 @@ from qcatalyst import (
     permute_registers,
     resolve_cut,
     svd_across_cut,
-    tensor_product,
 )
+from qcatalyst.oracle import tensor_product
 from qcatalyst.registers import TOL, require_dense, thin_svd
 from qcatalyst.sampling import random_density_matrix, random_pure_vector, rng
 

@@ -11,7 +11,6 @@ from qcatalyst import (
     Factor,
     Instrument,
     KrausChannel,
-    MultipartiteOperator,
     QuantumState,
     Register,
     RegisterLayout,
@@ -80,7 +79,7 @@ class TestConstruction:
         lay = RegisterLayout((Register("A", 2, ALICE),))
         mat = np.diag([1.5, -0.5]).astype(np.complex128)
         with pytest.raises(ValidationError):
-            QuantumState.from_dense(MultipartiteOperator.square(mat, lay))
+            QuantumState.from_dense_matrix(mat, lay)
 
     def test_max_entangled_marginal_is_uniform(self):
         st = max_entangled(3)
@@ -109,7 +108,7 @@ class TestRepresentations:
         gen = rng(22)
         lay = layout_ab(2, 2)
         mat = random_density_matrix(4, gen)
-        st = QuantumState.from_dense(MultipartiteOperator.square(mat, lay))
+        st = QuantumState.from_dense_matrix(mat, lay)
         back = st.densify().entries  # st is the eigen-ensemble
         np.testing.assert_allclose(back, mat, atol=1e-10)
 
@@ -258,7 +257,7 @@ class TestSerialization:
         gen = rng(27)
         lay = layout_ab(2, 2)
         mat = random_density_matrix(4, gen)
-        st = QuantumState.from_dense(MultipartiteOperator.square(mat, lay))
+        st = QuantumState.from_dense_matrix(mat, lay)
         back = QuantumState.from_json(st.to_json())
         np.testing.assert_allclose(back.densify().entries, mat, atol=1e-12)
 

@@ -68,7 +68,7 @@ def test_every_table_entry_is_read():
 
 
 def test_only_registers_names_the_dense_cap():
-    # every cap decision goes through registers.fits_dense / require_dense
+    # every cap decision goes through registers.require_dense
     stray = [
         f"{name}:{node.lineno}"
         for name, tree in _modules().items()
@@ -189,12 +189,26 @@ def test_maps_are_applied_only_by_the_protocol_engine():
 
 def test_the_dense_routes_stay_in_the_oracle():
     # the dense routes are the tests' cross-check: no module imports the
-    # oracle, and outside it only registers builds or reshapes a D x D matrix
-    dense = {"densify", "partial_trace", "permute_registers", "tensor_product"}
+    # oracle; outside it only registers reshapes or decomposes a D x D
+    # matrix, and only QuantumState.densify builds one; tensor_product lives
+    # in the oracle, and the cap has one rule, require_dense
+    dense = {"densify", "partial_trace", "permute_registers", "tensor_product", "eig_hermitian"}
     stray = []
     for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (
+                node.name == "fits_dense"
+                or (node.name == "tensor_product" and name != "oracle.py")
+            ):
+                stray.append(f"{name}:{node.lineno}: defines {node.name}")
+            called = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)
+            )
+            if called == "fits_dense":
+                stray.append(f"{name}:{node.lineno}: fits_dense")
         if name == "oracle.py":
             continue
+        densify = _lines_of(tree, ast.FunctionDef, "densify") if name == "states.py" else set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""] + [alias.name for alias in node.names]
@@ -204,9 +218,17 @@ def test_the_dense_routes_stay_in_the_oracle():
                 modules = []
             if any(m.split(".")[-1] == "oracle" for m in modules):
                 stray.append(f"{name}:{node.lineno}: imports oracle")
-            called = isinstance(node, ast.Call) and getattr(
-                node.func, "id", getattr(node.func, "attr", None)
-            )
-            if called in dense and name != "registers.py":
+            if not isinstance(node, ast.Call) or name == "registers.py":
+                continue
+            func = node.func
+            called = getattr(func, "id", getattr(func, "attr", None))
+            if called in dense:
                 stray.append(f"{name}:{node.lineno}: {called}")
+            builds = called == "MultipartiteOperator" or (
+                isinstance(func, ast.Attribute)
+                and getattr(func.value, "id", getattr(func.value, "attr", None))
+                == "MultipartiteOperator"
+            )
+            if builds and node.lineno not in densify:
+                stray.append(f"{name}:{node.lineno}: builds a MultipartiteOperator")
     assert not stray, "dense routes outside the oracle:\n" + "\n".join(stray)
