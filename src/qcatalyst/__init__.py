@@ -49,16 +49,12 @@ from .entanglement import (
     sn_flagged_blocks,
     sn_lower_fidelity,
     sn_orthogonal_mixture,
-    sn_pure,
     von_neumann_entropy,
 )
 from .catalysis import (
     CatalyticProtocol,
     CloRunReport,
-    build_catalyst,
-    build_clo_channels,
     build_protocol,
-    mixture_target,
     run_clo,
     verify_input_sensitivity,
 )
@@ -79,7 +75,6 @@ from .protocols import (
     local_round,
     run_protocol,
     send_round,
-    shift_clock_unitary,
     teleport_rounds,
 )
 from .pipelines import (

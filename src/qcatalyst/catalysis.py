@@ -16,16 +16,19 @@ when rho and sigma have locally orthogonal supports, read off by a local
 support measurement of the catalyst slots. Either way a stage's Kraus operator
 is a gate (the flag value, or the slots' local supports), then the n-1 fresh
 sigma halves, then a relabelling of registers, built as one axis transpose.
-A protocol is refused before anything that grows with n is built when its
-n-copy output or its catalyst is past the dense cap, or when a stage operator
-would hold more entries than a dense matrix at the cap.
+In both modes the stages have locally orthogonal supports (a flag value is
+one), so ``entanglement.sn_flagged_blocks`` certifies every catalyst by one
+rule.
 
-One Schmidt analysis of rho and sigma names every register and yields the
-local data from which a protocol's catalyst, both channels, its target mixture
-and the catalyst's Schmidt-number certificate are all formed; the catalyst
-and the target follow one pair rule (a register pair holds rho, or sigma's
-two halves). The two channels run as a zero-message protocol of two local
-rounds (``CatalyticProtocol.local_protocol``) through
+``build_protocol`` is the one constructor. One Schmidt analysis of rho and
+sigma names every register and yields the local data from which the
+protocol's catalyst, both channels, its target mixture and the catalyst's
+certificate are all formed; the catalyst and the target follow one pair rule
+(a register pair holds rho, or sigma's two halves). The analysis refuses an
+n-copy output past the dense cap before its first SVD; the catalyst, and each
+stage operator against a dense matrix at the cap, are checked before anything
+that grows with n is built. The two channels run as a zero-message protocol
+of two local rounds (``CatalyticProtocol.local_protocol``) through
 ``protocols.run_protocol``, which checks that each channel touches only its
 own party's registers and that it keeps the trace. One audit measures every
 run against the protocol's target and catalyst (``states.distance_to``).
@@ -110,6 +113,10 @@ def _analyze(rho: QuantumState, sigma: QuantumState, n: int, mode: str) -> _Sche
             raise ValidationError(f"{name} must be pure for the copy-cycling protocol")
     if rho.layout != sigma.layout:
         raise ValidationError("rho and sigma must share a register layout")
+    # the n-copy output is held to the square dense cap, the catalytic
+    # pipelines' size rule; once it fits, a pair of dimension above 1 has n
+    # small enough to form every power below
+    require_dense(rho.layout.total_dim, n)
 
     rho_vector = rho.to_vector()
     rho_cut = svd_across_cut(rho_vector, rho.layout, rtol=TOL.rank_rtol)
@@ -154,16 +161,18 @@ def _analyze(rho: QuantumState, sigma: QuantumState, n: int, mode: str) -> _Sche
     )
 
 
-def _pair_mixture(scheme: _Scheme, pairs, flag_label: dict, branches) -> QuantumState:
-    """A mixture over the register pairs ``pairs`` (Alice's label, Bob's
-    label), after the flag registers ``flag_label`` (party -> label). A
-    branch (weight, stage, k) holds both flags at ``stage``, rho on its first
-    k pairs and sigma's two halves on the rest."""
+def _pair_mixture(
+    scheme: _Scheme, labels: dict, flag_label: dict, branches
+) -> QuantumState:
+    """A mixture over the register pairs of ``labels`` (party -> tuple of
+    labels, paired in order), after the flag registers ``flag_label`` (party
+    -> label). A branch (weight, stage, k) holds both flags at ``stage``, rho
+    on its first k pairs and sigma's two halves on the rest."""
     regs: list[Register] = []
-    for i, p in enumerate((ALICE, BOB)):
+    for p in (ALICE, BOB):
         if flag_label:
             regs.append(Register(flag_label[p], scheme.n, p))
-        regs.extend(Register(pair[i], scheme.dim[p], p) for pair in pairs)
+        regs.extend(Register(lab, scheme.dim[p], p) for lab in labels[p])
     layout = RegisterLayout(tuple(regs))
     if len(layout) == 0:
         return QuantumState.empty()
@@ -173,7 +182,7 @@ def _pair_mixture(scheme: _Scheme, pairs, flag_label: dict, branches) -> Quantum
             Factor((flag_label[p],), np.eye(1, scheme.n, stage, dtype=np.complex128))
             for p in flag_label
         ]
-        for j, (a, b) in enumerate(pairs):
+        for j, (a, b) in enumerate(zip(labels[ALICE], labels[BOB])):
             if j < k:
                 factors.append(Factor((a, b), scheme.rho_vector))
             else:
@@ -181,28 +190,6 @@ def _pair_mixture(scheme: _Scheme, pairs, flag_label: dict, branches) -> Quantum
                 factors.append(Factor((b,), scheme.sigma_local[BOB]))
         mixture.append(EnsembleBranch(weight, tuple(factors)))
     return QuantumState.from_branches(layout, tuple(mixture))
-
-
-def _catalyst(scheme: _Scheme) -> QuantumState:
-    # stage i holds rho in its first i slot pairs
-    n = scheme.n
-    pairs = list(zip(scheme.slot_labels[ALICE], scheme.slot_labels[BOB]))
-    stages = [(1.0 / n, stage, stage) for stage in range(n)]
-    return _pair_mixture(scheme, pairs, scheme.flag_label, stages)
-
-
-def _target(scheme: _Scheme) -> QuantumState:
-    n = scheme.n
-    pairs = list(zip(scheme.out_labels[ALICE], scheme.out_labels[BOB]))
-    branches = [(1.0 / n, None, n)] + ([((n - 1.0) / n, None, 0)] if n > 1 else [])
-    return _pair_mixture(scheme, pairs, {}, branches)
-
-
-def build_catalyst(
-    rho: QuantumState, sigma: QuantumState, n: int, mode: str = "auto"
-) -> QuantumState:
-    """The stage-cycle catalyst: uniform mixture over loading stages."""
-    return _catalyst(_analyze(rho, sigma, n, mode))
 
 
 def _party_channel(scheme: _Scheme, party: str) -> KrausChannel:
@@ -278,30 +265,6 @@ def _party_channel(scheme: _Scheme, party: str) -> KrausChannel:
     return KrausChannel(kraus, layout_in, layout_out)
 
 
-def _channels(scheme: _Scheme) -> tuple[KrausChannel, KrausChannel]:
-    # the n-copy output and the catalyst are held to the square dense cap, the
-    # catalytic pipelines' size rule, before anything that grows with n is
-    # built; the audits themselves form only their D x k branch kets. Once
-    # the output fits, a pair of dimension above 1 has n small enough to form
-    # every power below
-    pair = scheme.dim[ALICE] * scheme.dim[BOB]
-    require_dense(pair, scheme.n)
-    require_dense((scheme.n if scheme.flag_label else 1) ** 2 * pair ** (scheme.n - 1))
-    return _party_channel(scheme, ALICE), _party_channel(scheme, BOB)
-
-
-def build_clo_channels(
-    rho: QuantumState, sigma: QuantumState, n: int, mode: str = "auto"
-) -> tuple[KrausChannel, KrausChannel]:
-    """The two local channels of the copy-cycling protocol."""
-    return _channels(_analyze(rho, sigma, n, mode))
-
-
-def mixture_target(rho: QuantumState, sigma: QuantumState, n: int) -> QuantumState:
-    """(1/n) rho^(x)n + ((n-1)/n) sigma^(x)n on the protocol's output labels."""
-    return _target(_analyze(rho, sigma, n, "auto"))
-
-
 @dataclasses.dataclass(frozen=True)
 class CatalyticProtocol:
     """The copy-cycling protocol with the target it must reach and its
@@ -316,15 +279,6 @@ class CatalyticProtocol:
     bob_channel: KrausChannel
     target: QuantumState
     catalyst_sn: SNCertificate
-    flag_labels: tuple[str, str] | None
-
-    @property
-    def output_labels(self) -> tuple[str, ...]:
-        return self.target.layout.labels
-
-    @property
-    def catalyst_labels(self) -> tuple[str, ...]:
-        return self.catalyst.layout.labels
 
     @property
     def local_protocol(self) -> SloccqProtocol:
@@ -340,17 +294,22 @@ class CatalyticProtocol:
 def build_protocol(
     rho: QuantumState, sigma: QuantumState, n: int, mode: str = "auto"
 ) -> CatalyticProtocol:
+    """The copy-cycling protocol turning rho into (1/n) rho^(x)n + ((n-1)/n)
+    sigma^(x)n, its stage-cycle catalyst (a uniform mixture over loading
+    stages; stage i holds rho in its first i slot pairs) and its target."""
     scheme = _analyze(rho, sigma, n, mode)
-    alice, bob = _channels(scheme)
-    catalyst = _catalyst(scheme)
-    flags = None
-    if scheme.flag_label:
-        flags = (scheme.flag_label[ALICE], scheme.flag_label[BOB])
+    # the catalyst is held to the square dense cap like the output
+    pair = scheme.dim[ALICE] * scheme.dim[BOB]
+    require_dense((n if scheme.flag_label else 1) ** 2 * pair ** (n - 1))
+    alice, bob = (_party_channel(scheme, p) for p in (ALICE, BOB))
+    stages = [(1.0 / n, stage, stage) for stage in range(n)]
+    catalyst = _pair_mixture(scheme, scheme.slot_labels, scheme.flag_label, stages)
     if n == 1:
         # no quantum slots at all (single-stage cycle): shared randomness only
         sn = SNCertificate(1, 1, "flagged-block-oracle", {"blocks": {}})
     else:
-        sn = sn_flagged_blocks(catalyst, flags)
+        sn = sn_flagged_blocks(catalyst)
+    mix = [(1.0 / n, None, n)] + ([((n - 1.0) / n, None, 0)] if n > 1 else [])
     return CatalyticProtocol(
         n=n,
         mode=scheme.mode,
@@ -359,9 +318,8 @@ def build_protocol(
         catalyst=catalyst,
         alice_channel=alice,
         bob_channel=bob,
-        target=_target(scheme),
+        target=_pair_mixture(scheme, scheme.out_labels, {}, mix),
         catalyst_sn=sn,
-        flag_labels=flags,
     )
 
 

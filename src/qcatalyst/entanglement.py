@@ -6,6 +6,13 @@ oracles for the structured families the protocols actually produce, plus
 witness-based lower bounds and decomposition upper bounds. Every certificate
 records the method that produced it.
 
+The block oracle has one rule: a mixture whose branches have pairwise
+orthogonal local supports on both sides has the largest branch Schmidt rank
+as its Schmidt number, since local projections cannot raise it (Terhal and
+Horodecki, PRA 61, 040301 (2000)). Explicit flag registers hold one basis
+value per block, which is such a support, so flagged catalysts and those
+read by a support measurement are certified by the same rule.
+
 Every Schmidt rank and local support of a ket is read off one
 ``registers.svd_across_cut``, counted at ``TOL.rank_rtol`` (the product test
 of a pencil element at ``TOL.product_rtol``); a mixed state's local-support
@@ -23,8 +30,6 @@ import numpy as np
 
 from .errors import OracleRefusal, ValidationError
 from .registers import (
-    ALICE,
-    BOB,
     TOL,
     eigh_descending,
     matricize,
@@ -51,7 +56,7 @@ class SNCertificate:
 
     lower: int
     upper: int
-    method: str  # pure-rank | fidelity-witness | orthogonal-mixture-oracle |
+    method: str  # fidelity-witness | orthogonal-mixture-oracle |
     #              flagged-block-oracle | decomposition-upper | ledger
     details: dict = dataclasses.field(default_factory=dict)
 
@@ -86,14 +91,6 @@ def schmidt_rank(
         left_labels=dec.left_labels,
         right_labels=dec.right_labels,
     )
-
-
-def sn_pure(
-    state: QuantumState, cut: Mapping[str, str] | None = None
-) -> SNCertificate:
-    """For pure states the Schmidt number is the Schmidt rank."""
-    rep = schmidt_rank(state, cut)
-    return SNCertificate(rep.rank, rep.rank, "pure-rank", {"coefficients_len": rep.coefficients.size})
 
 
 def _local_support_dims(
@@ -358,91 +355,33 @@ def sn_orthogonal_mixture(
 # -- flagged block oracle --------------------------------------------------
 
 
-def _basis_index(factor) -> int | None:
-    v = factor.vector
-    k = int(np.argmax(np.abs(v)))
-    if abs(abs(v[k]) - 1.0) > TOL.basis_vector_atol:
-        return None
-    if np.sum(np.abs(v) > TOL.basis_vector_atol) != 1:
-        return None
-    return k
-
-
 def sn_flagged_blocks(
-    state: QuantumState,
-    flag_labels: tuple[str, str] | None = None,
-    cut: Mapping[str, str] | None = None,
+    state: QuantumState, cut: Mapping[str, str] | None = None
 ) -> SNCertificate:
-    """Schmidt number of a block ensemble: max over blocks.
+    """Schmidt number of a block ensemble: the largest branch Schmidt rank.
 
-    With ``flag_labels`` = (Alice flag, Bob flag), branches must carry equal
-    basis values on both flags; blocks are the flag values. Without flags the
-    branches themselves must have pairwise orthogonal local supports on both
-    sides (implicit classical flags readable by a local support measurement).
-    Two-sided local projections cannot increase Schmidt rank, so the block
-    maximum is exact in both cases. The flag and support checks are sound on
-    any decomposition of the state.
+    The branches must have pairwise orthogonal local supports on both sides,
+    so a local support measurement reads the block classically; flag
+    registers holding one basis value per block are such a support. Two-sided
+    local projections cannot increase Schmidt rank, so the branch maximum is
+    exact. The support check is sound on any decomposition of the state.
     """
-    bounds: dict[str, tuple[int, int]] = {}
-    if flag_labels is not None:
-        fa, fb = flag_labels
-        if state.layout.party_of(fa) != ALICE or state.layout.party_of(fb) != BOB:
-            raise OracleRefusal("flag registers must sit one per party")
-        groups: dict[int, list] = {}
-        for br in state.branches:
-            ia = ib = None
-            for f in br.factors:
-                if f.labels == (fa,):
-                    ia = _basis_index(f)
-                if f.labels == (fb,):
-                    ib = _basis_index(f)
-            if ia is None or ib is None:
+    # one cut per branch gives its supports and its rank
+    cuts = [
+        svd_across_cut(state.branch_vector(br), state.layout, cut, rtol=TOL.rank_rtol)
+        for br in state.branches
+    ]
+    for (i, di), (j, dj) in itertools.combinations(enumerate(cuts), 2):
+        for name, bi, bj in zip(("left", "right"), di.supports, dj.supports):
+            ov = float(np.linalg.norm(bi.conj().T @ bj, 2))
+            if ov > TOL.support_overlap_atol:
                 raise OracleRefusal(
-                    "flag registers must appear as standalone basis factors"
+                    f"branches {i} and {j} have overlapping {name} supports "
+                    f"({ov:.2e}); blocks are not classically readable"
                 )
-            if ia != ib:
-                raise OracleRefusal(f"flag values disagree in a branch ({ia} vs {ib})")
-            groups.setdefault(ia, []).append(br)
-        rest = state.layout.subset(
-            [lab for lab in state.layout.labels if lab not in (fa, fb)]
-        )
-        for val in sorted(groups):
-            brs = groups[val]
-            q = sum(b.probability for b in brs)
-            sub = []
-            for b in brs:
-                fs = tuple(f for f in b.factors if f.labels not in ((fa,), (fb,)))
-                sub.append(type(b)(b.probability / q, fs))
-            block = QuantumState(rest, branches=tuple(sub))
-            if len(sub) == 1:
-                lo = hi = svd_across_cut(
-                    block.to_vector(), rest, cut, rtol=TOL.rank_rtol
-                ).rank
-            else:
-                try:
-                    cert = sn_orthogonal_mixture(block, cut)
-                    lo, hi = cert.lower, cert.upper
-                except OracleRefusal:
-                    lo, hi = 1, sn_decomposition_upper(block, cut).upper
-            bounds[f"flag={val}"] = (lo, hi)
-    else:
-        # implicit flags: one cut per branch gives its supports and its rank
-        cuts = [
-            svd_across_cut(state.branch_vector(br), state.layout, cut, rtol=TOL.rank_rtol)
-            for br in state.branches
-        ]
-        for (i, di), (j, dj) in itertools.combinations(enumerate(cuts), 2):
-            for name, bi, bj in zip(("left", "right"), di.supports, dj.supports):
-                ov = float(np.linalg.norm(bi.conj().T @ bj, 2))
-                if ov > TOL.support_overlap_atol:
-                    raise OracleRefusal(
-                        f"branches {i} and {j} have overlapping {name} supports "
-                        f"({ov:.2e}); blocks are not classically readable"
-                    )
-        bounds = {f"branch={i}": (dec.rank, dec.rank) for i, dec in enumerate(cuts)}
-    lower = max(lo for lo, _ in bounds.values())
-    upper = max(hi for _, hi in bounds.values())
-    return SNCertificate(lower, upper, "flagged-block-oracle", {"blocks": bounds})
+    rank = max(dec.rank for dec in cuts)
+    blocks = {f"branch={i}": (dec.rank, dec.rank) for i, dec in enumerate(cuts)}
+    return SNCertificate(rank, rank, "flagged-block-oracle", {"blocks": blocks})
 
 
 # -- entropies -------------------------------------------------------------

@@ -27,7 +27,6 @@ from .registers import (
     Register,
     RegisterLayout,
     TOL,
-    require_dense,
 )
 from .states import (
     EnsembleBranch,
@@ -49,7 +48,6 @@ from .catalysis import (
     CatalyticProtocol,
     _audit,
     build_protocol,
-    mixture_target,
     run_clo,
 )
 from .protocols import (
@@ -83,15 +81,7 @@ class Quantity:
     ok: bool = True
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "comparison": self.comparison,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "provenance": self.provenance,
-            "ok": self.ok,
-        }
+        return dataclasses.asdict(self)
 
 
 def q_info(name, value, provenance="measured") -> Quantity:
@@ -127,16 +117,7 @@ class ReportDocument:
     timestamp: str
 
     def to_json(self) -> dict:
-        return {
-            "pipeline": self.pipeline,
-            "inputs": self.inputs,
-            "quantities": [q.to_json() for q in self.quantities],
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "corruption": self.corruption,
-            "versions": self.versions,
-            "timestamp": self.timestamp,
-        }
+        return dataclasses.asdict(self)
 
     def to_text(self) -> str:
         lines = [f"pipeline: {self.pipeline}"]
@@ -236,11 +217,12 @@ def _corrupted(protocol: CatalyticProtocol, epsilon: float) -> CatalyticProtocol
 
 @dataclasses.dataclass(frozen=True)
 class SeparationFamily:
+    """The separation at ``n``: the catalytic protocol on m = n + 1 copies of
+    the qutrit pair, whose target is tau, and the message dimensions that
+    suffice (2^n) and that fall one short."""
+
     n: int
-    m: int
-    rho: QuantumState
-    sigma: QuantumState
-    tau: QuantumState
+    protocol: CatalyticProtocol
     d_enough: int
     d_short: int
 
@@ -261,20 +243,8 @@ def qutrit_pair_states() -> tuple[QuantumState, QuantumState]:
 def separation_family(n: int) -> SeparationFamily:
     if n < 1:
         raise QcatError(f"separation parameter must be >= 1, got {n}")
-    rho, sigma = qutrit_pair_states()
-    m = n + 1
-    # the theorem audits the m-copy target densely; refuse it before any
-    # per-copy object exists
-    require_dense(rho.layout.total_dim, m)
-    return SeparationFamily(
-        n=n,
-        m=m,
-        rho=rho,
-        sigma=sigma,
-        tau=mixture_target(rho, sigma, m),
-        d_enough=2**n,
-        d_short=2**n - 1,
-    )
+    protocol = build_protocol(*qutrit_pair_states(), n + 1)
+    return SeparationFamily(n=n, protocol=protocol, d_enough=2**n, d_short=2**n - 1)
 
 
 # -- pipeline: exact catalytic mixing ---------------------------------------
@@ -346,11 +316,12 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
     quantities: list[Quantity] = []
     try:
         family = separation_family(n)
-        m = family.m
+        protocol = family.protocol
+        rho, tau, m = protocol.rho, protocol.target, protocol.n
         # input and target Schmidt data, each certified two independent ways
-        in_rank = schmidt_rank(family.rho).rank
+        in_rank = schmidt_rank(rho).rank
         quantities.append(q_eq("input-schmidt-rank", in_rank, 2, "svd"))
-        oracle = sn_orthogonal_mixture(family.tau)
+        oracle = sn_orthogonal_mixture(tau)
         quantities.append(
             q_eq(
                 "target-sn-oracle",
@@ -359,7 +330,7 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
                 "orthogonal-mixture oracle",
             )
         )
-        blocks = sn_flagged_blocks(family.tau)
+        blocks = sn_flagged_blocks(tau)
         quantities.append(
             q_eq(
                 "target-sn-blocks",
@@ -370,10 +341,7 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
         )
 
         # the catalytic protocol reaches the target exactly
-        protocol = _corrupted(
-            build_protocol(family.rho, family.sigma, m, "auto"), corruption
-        )
-        clo = run_clo(protocol, family.rho)
+        clo = run_clo(_corrupted(protocol, corruption), rho)
         quantities.append(
             q_le("clo-output-distance", clo.output_distance, TOL.distance_exact_atol)
         )
@@ -405,14 +373,15 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
         )
 
         # one dimension more is enough: run the explicit protocol
-        converse = construct_converse(family.rho, family.tau, family.d_enough)
+        converse = construct_converse(rho, tau, family.d_enough)
         tree = run_protocol(
             converse.protocol,
-            family.rho,
+            rho,
             keep=[name for name, _ in converse.postselect],
         )
         achieved, prob = final_state(tree, converse.postselect)
-        bound = ledger_bound(in_rank, tree.ledger.quantum_dimension)
+        sent = converse.protocol.quantum_dimension_used
+        bound = ledger_bound(in_rank, sent)
         quantities.append(
             q_le(
                 "converse-distance",
@@ -427,7 +396,7 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
         quantities.append(
             q_eq(
                 "converse-message-dimension",
-                tree.ledger.quantum_dimension,
+                sent,
                 family.d_enough,
                 "ledger",
             )
@@ -529,12 +498,12 @@ def pipeline_obs3(seeds: int = 10, corruption: float = 0.0) -> ReportDocument:
             )
         )
         quantities.append(
-            q_eq("message-dimension", tree.ledger.quantum_dimension, 1, "ledger")
+            q_eq("message-dimension", protocol.quantum_dimension_used, 1, "ledger")
         )
         quantities.append(
             q_eq(
                 "broadcast-rounds",
-                list(tree.ledger.broadcast_rounds),
+                list(protocol.broadcast_rounds),
                 ["read-bit"],
                 "ledger",
             )

@@ -18,10 +18,12 @@ Execution enumerates every outcome path exactly, producing a tree of leaves
 (path, probability, pure-or-ensemble state), unless ``keep`` names the rounds
 whose outcomes the caller reads: then each other outcome is retired once no
 later round selects by it, and the leaves that only it told apart merge into
-one, coalesced, carrying their summed probability. A ledger records what was
-sent; Schmidt number cannot grow under local processing and classical talk,
-and grows by at most a factor of the total sent dimension, which
-``ledger_bound`` turns into the certified cap.
+one, coalesced, carrying their summed probability. Every round runs on every
+leaf, so what a run sends and broadcasts is read off the protocol itself
+(``quantum_dimension_used``, ``broadcast_rounds``). Schmidt number cannot
+grow under local processing and classical talk, and grows by at most a
+factor of the total sent dimension, which ``ledger_bound`` turns into the
+certified cap.
 
 Two compilers build protocols that ship a mixture state of bipartite pure
 branches: the converse (filter the input to a maximally entangled pair,
@@ -110,7 +112,7 @@ class ProtocolRound:
 
     def _check_local(self) -> None:
         """One instrument, or one per outcome of ``select_by`` on the same
-        input dimensions and output registers, and string targets."""
+        input dimensions and output layout, and string targets."""
         fixed = self.instrument is not None
         if fixed == (self.instruments_by_outcome is not None):
             raise ValidationError(
@@ -129,7 +131,7 @@ class ProtocolRound:
                 raise ValidationError(
                     f"round {self.name!r}: instruments disagree on input dimensions"
                 )
-            if inst.layout_out.labels != maps[0].layout_out.labels:
+            if inst.layout_out != maps[0].layout_out:
                 raise ValidationError(
                     f"round {self.name!r}: instruments disagree on output registers"
                 )
@@ -242,6 +244,10 @@ class SloccqProtocol:
     def quantum_dimension_used(self) -> int:
         return math.prod(r.dim for r in self.rounds if r.kind == SEND)
 
+    @property
+    def broadcast_rounds(self) -> tuple[str, ...]:
+        return tuple(r.name for r in self.rounds if r.kind == LOCAL and r.broadcast)
+
     def to_json(self) -> dict:
         rounds = []
         for r in self.rounds:
@@ -284,26 +290,10 @@ class BranchLeaf:
 
 
 @dataclasses.dataclass(frozen=True)
-class ProtocolLedger:
-    sent_dims: tuple[int, ...]
-    broadcast_rounds: tuple[str, ...]
-    rounds_executed: int
-
-    @property
-    def quantum_dimension(self) -> int:
-        return math.prod(self.sent_dims) if self.sent_dims else 1
-
-
-@dataclasses.dataclass(frozen=True)
 class BranchTree:
     protocol: SloccqProtocol
     leaves: tuple[BranchLeaf, ...]
-    ledger: ProtocolLedger
     retired: tuple[str, ...] = ()  # rounds whose outcomes no path records
-
-    @property
-    def total_probability(self) -> float:
-        return sum(leaf.probability for leaf in self.leaves)
 
 
 def _check_ownership(state: QuantumState, rnd: ProtocolRound) -> None:
@@ -383,13 +373,10 @@ def run_protocol(
     With ``keep=None`` every outcome path is a leaf. Otherwise ``keep`` names
     the rounds whose outcomes the caller reads (a postselection, say); every
     other outcome is retired once no later round selects by it (see
-    ``_retire``), and ``final_state`` refuses to postselect on it. The ledger
-    is the same either way.
+    ``_retire``), and ``final_state`` refuses to postselect on it.
     """
     schedule = _retirement_schedule(protocol, keep)
     leaves = [BranchLeaf((), 1.0, initial)]
-    sent: list[int] = []
-    broadcasts: list[str] = []
     retired: list[str] = []
     for rnd, spent in zip(protocol.rounds, schedule):
         if rnd.kind == SEND:
@@ -419,10 +406,7 @@ def run_protocol(
                     )
                 )
             leaves = new_leaves
-            sent.append(rnd.dim)
             continue
-        if rnd.broadcast:
-            broadcasts.append(rnd.name)
         new_leaves = []
         for leaf in leaves:
             _check_ownership(leaf.state, rnd)
@@ -451,8 +435,7 @@ def run_protocol(
         if spent:
             leaves = _retire(leaves, spent)
             retired.extend(sorted(spent))
-    ledger = ProtocolLedger(tuple(sent), tuple(broadcasts), len(protocol.rounds))
-    return BranchTree(protocol, tuple(leaves), ledger, tuple(retired))
+    return BranchTree(protocol, tuple(leaves), tuple(retired))
 
 
 def _mix_leaves(leaves: Sequence[BranchLeaf]) -> tuple[QuantumState, float]:
@@ -611,11 +594,6 @@ def shift_clock_unitaries(dim: int) -> np.ndarray:
     w = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
     w[k, (m + q) % dim, m] = (np.exp(2j * np.pi / dim) ** m) ** p
     return w
-
-
-def shift_clock_unitary(dim: int, q: int, p: int) -> np.ndarray:
-    """X^q Z^p on C^dim, read off ``shift_clock_unitaries``."""
-    return shift_clock_unitaries(dim)[q * dim + p]
 
 
 def _bell_labels(dim: int) -> list[str]:

@@ -53,7 +53,6 @@ class Tolerances:
     gate_residual_atol: float = 1e-12  # catalytic stage gates cover the input
     reconstruction_atol: float = 1e-9  # a decomposition rebuilds its input
     purity_atol: float = 1e-9  # a state counts as pure
-    basis_vector_atol: float = 1e-9  # a flag factor is a basis vector
     coalesce_atol: float = 1e-13  # ensemble branches equal up to factor phases
     # floors
     prob_floor: float = 1e-12  # a branch, outcome or mixture weight below is zero

@@ -221,8 +221,8 @@ def test_criterion_6_property_suites():
     states = [
         ("rho", rho),
         ("sigma", sigma),
-        ("target-m2", fam1.tau),
-        ("target-m3", fam2.tau),
+        ("target-m2", fam1.protocol.target),
+        ("target-m3", fam2.protocol.target),
         ("catalyst-n2", prot2.catalyst),
         ("clo-output-n1", clo1.output_state),
         ("clo-output-n2", clo2.output_state),

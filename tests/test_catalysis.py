@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -15,12 +16,9 @@ from qcatalyst import (
     RegisterLayout,
     ValidationError,
     apply_channel,
-    build_catalyst,
-    build_clo_channels,
     build_protocol,
     fidelity,
     max_entangled,
-    mixture_target,
     basis_product,
     run_clo,
     run_protocol,
@@ -28,7 +26,7 @@ from qcatalyst import (
     tensor_states,
     verify_input_sensitivity,
 )
-from qcatalyst import catalysis, oracle, pipelines, protocols
+from qcatalyst import catalysis, cli, oracle, pipelines, protocols, registers
 from qcatalyst.pipelines import (
     pipeline_lemma1,
     pipeline_obs1,
@@ -56,19 +54,19 @@ def random_pair(gen, da=3, db=3):
 class TestCatalystStructure:
     def test_stage_count_and_weights(self, pair):
         rho, sigma = pair
-        cat = build_catalyst(rho, sigma, 3)
+        cat = build_protocol(rho, sigma, 3).catalyst
         assert len(cat.branches) == 3
         for br in cat.branches:
             assert br.probability == pytest.approx(1.0 / 3.0)
 
     def test_single_copy_catalyst_is_trivial(self, pair):
         rho, sigma = pair
-        cat = build_catalyst(rho, sigma, 1)
+        cat = build_protocol(rho, sigma, 1).catalyst
         assert cat.layout.total_dim == 1
 
     def test_explicit_flags_carry_matching_stage(self, pair):
         rho, sigma = pair
-        cat = build_catalyst(rho, sigma, 2, "explicit-flags")
+        cat = build_protocol(rho, sigma, 2, "explicit-flags").catalyst
         assert "FA" in cat.layout.labels and "FB" in cat.layout.labels
         for br in cat.branches:
             flags = {
@@ -82,7 +80,7 @@ class TestCatalystStructure:
         gen = rng(51)
         rho, sigma = random_pair(gen)
         with pytest.raises(ProtocolError):
-            build_catalyst(rho, sigma, 2, "support-measurement")
+            build_protocol(rho, sigma, 2, "support-measurement")
 
     def test_mixed_input_rejected(self, pair):
         from qcatalyst import EnsembleBranch
@@ -96,7 +94,7 @@ class TestCatalystStructure:
             ),
         )
         with pytest.raises(ValidationError):
-            build_catalyst(mixed, sigma, 2)
+            build_protocol(mixed, sigma, 2)
 
 
 class TestChannels:
@@ -104,14 +102,15 @@ class TestChannels:
         rho, sigma = pair
         for mode in ("support-measurement", "explicit-flags"):
             for n in (1, 2, 3):
-                alice, bob = build_clo_channels(rho, sigma, n, mode)
-                assert alice.trace_preservation_defect() < 1e-12
-                assert bob.trace_preservation_defect() < 1e-12
+                prot = build_protocol(rho, sigma, n, mode)
+                assert prot.alice_channel.trace_preservation_defect() < 1e-12
+                assert prot.bob_channel.trace_preservation_defect() < 1e-12
 
     def test_flag_advances_by_one_stage(self, pair):
         # at n=2 a flag stepping back is the same map, so this takes n=3
         rho, sigma = pair
-        for channel in build_clo_channels(rho, sigma, 3, "explicit-flags"):
+        prot = build_protocol(rho, sigma, 3, "explicit-flags")
+        for channel in (prot.alice_channel, prot.bob_channel):
             lin, lout = channel.layout_in, channel.layout_out
             flag = next(lab for lab in lin.labels if lab.startswith("F"))
             axes = [lout.index_of(flag), len(lout) + lin.index_of(flag)]
@@ -192,7 +191,7 @@ class TestTarget:
     def test_mixture_target_weights(self, pair):
         rho, sigma = pair
         for n in (1, 2, 3):
-            tau = mixture_target(rho, sigma, n)
+            tau = build_protocol(rho, sigma, n).target
             probs = sorted(br.probability for br in tau.branches)
             if n == 1:
                 assert probs == [pytest.approx(1.0)]
@@ -204,7 +203,7 @@ class TestTarget:
         # frozen: the two-copy mixture has fidelity 1/2 with the pure
         # double pair
         rho, sigma = pair
-        tau = mixture_target(rho, sigma, 2)
+        tau = build_protocol(rho, sigma, 2).target
         rho_vec = rho.to_vector()
         double = QuantumState.pure_product(
             tau.layout, [(("A1", "B1"), rho_vec), (("A2", "B2"), rho_vec)]
@@ -282,8 +281,7 @@ def test_joint_state_availability(pair):
         ),
         (lambda: pipeline_obs1(n=2), "verified", 1),
         (lambda: pipeline_obs1(n=1), "verified", 1),
-        # the separation family's target keeps an analysis of its own
-        (lambda: pipeline_theorem(1), "verified", 2),
+        (lambda: pipeline_theorem(1), "verified", 1),
     ],
     ids=["lemma1", "lemma1-flags-corrupted", "obs1", "obs1-n1", "theorem"],
 )
@@ -300,26 +298,39 @@ def test_one_schmidt_analysis_per_protocol(monkeypatch, report, verdict, analyse
     assert len(calls) == analyses, calls
 
 
+@pytest.mark.parametrize(
+    "argv", [["theorem", "--n", "3"], ["lemma1", "--n", "4"]], ids=["theorem", "lemma1"]
+)
+def test_the_output_cap_refuses_before_any_svd(monkeypatch, capsys, argv):
+    def no_svd(mat):
+        raise AssertionError("an SVD ran before the output cap refused")
+
+    monkeypatch.setattr(registers, "thin_svd", no_svd)
+    assert cli.main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "refused"
+    assert report["reason"] == "refusing to densify dimension 6561 (cap 2000)"
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["explicit-flags", "support-measurement"])
 def test_protocol_carries_its_target_and_certificate(pair, mode, n):
+    # the target does not depend on how the stage is read
     rho, sigma = pair
     protocol = build_protocol(rho, sigma, n, mode)
-    target = mixture_target(rho, sigma, n)
+    target = build_protocol(rho, sigma, n).target
     assert protocol.target.layout == target.layout
-    assert protocol.output_labels == target.layout.labels
     assert len(protocol.target.branches) == len(target.branches)
     for got, want in zip(protocol.target.branches, target.branches):
         assert got.probability == want.probability
         assert [f.labels for f in got.factors] == [f.labels for f in want.factors]
         for f, g in zip(got.factors, want.factors):
             assert np.array_equal(f.vector, g.vector)
-    assert protocol.catalyst_labels == protocol.catalyst.layout.labels
     cert = protocol.catalyst_sn
     if n == 1:
         assert (cert.lower, cert.upper) == (1, 1)
     else:
-        assert cert == sn_flagged_blocks(protocol.catalyst, protocol.flag_labels)
+        assert cert == sn_flagged_blocks(protocol.catalyst)
     # a run reports the protocol's own target and certificate
     report = run_clo(protocol, rho)
     assert report.target_state is protocol.target
@@ -382,9 +393,9 @@ def test_clo_run_sends_nothing_and_broadcasts_nothing(pair, monkeypatch, mode):
     assert report.output_distance < 1e-10
     (tree,) = trees
     assert [r.name for r in tree.protocol.rounds] == ["mix-a", "mix-b"]
-    assert tree.ledger.sent_dims == ()
-    assert tree.ledger.broadcast_rounds == ()
-    assert tree.ledger.quantum_dimension == 1
+    assert [r.kind for r in tree.protocol.rounds] == [protocols.LOCAL] * 2
+    assert tree.protocol.broadcast_rounds == ()
+    assert tree.protocol.quantum_dimension_used == 1
 
 
 def test_obs1_runs_the_compiled_preparation_once(monkeypatch):

@@ -23,7 +23,6 @@ from qcatalyst import (
     sn_flagged_blocks,
     sn_lower_fidelity,
     sn_orthogonal_mixture,
-    sn_pure,
     tensor_states,
     von_neumann_entropy,
 )
@@ -103,9 +102,8 @@ class TestSchmidtRank:
             assert schmidt_rank(big).rank == schmidt_rank(st).rank
 
     def test_sn_pure_equals_rank(self):
-        st = max_entangled(3)
-        cert = sn_pure(st)
-        assert cert.lower == cert.upper == 3
+        # a pure state's Schmidt number is its Schmidt rank
+        assert schmidt_rank(max_entangled(3)).rank == 3
 
 
 class TestFidelityWitness:
@@ -206,7 +204,7 @@ class TestCompressedPencil:
     def test_separation_target_peak_memory(self):
         # 27 x 27 Schmidt matrices: 123201 minor rows and a 17 MB peak
         # uncompressed, a rank <= 9 pencil compressed
-        tau = separation_family(2).tau
+        tau = separation_family(2).protocol.target
         tracemalloc.start()
         try:
             sn_orthogonal_mixture(tau)
@@ -220,7 +218,7 @@ class TestCompressedPencil:
         "n, sn, weights", [(1, 4, (0.5, 0.5)), (2, 8, (2 / 3, 1 / 3))]
     )
     def test_separation_certificates_unchanged(self, n, sn, weights, dense):
-        tau = separation_family(n).tau
+        tau = separation_family(n).protocol.target
         cert = sn_orthogonal_mixture(_eigen_ensemble(tau) if dense else tau)
         assert (cert.lower, cert.upper, cert.method) == (
             sn,
@@ -300,7 +298,8 @@ class TestFlaggedBlocks:
                 ),
             ),
         )
-        cert = sn_flagged_blocks(st, ("FA", "FB"))
+        # each flag value is a local support of its own block
+        cert = sn_flagged_blocks(st)
         assert (cert.lower, cert.upper) == (2, 2)
 
     def test_implicit_flags_from_orthogonal_branches(self):

@@ -78,7 +78,7 @@ def test_clo_outputs_and_catalysts_agree_with_dense(mode, n, corruption):
     _assert_routes_agree(
         clo.output_state, [target, _first_branch(target)], f"{label} output"
     )
-    if protocol.catalyst_labels:
+    if protocol.catalyst.layout.labels:
         catalyst = protocol.catalyst
         _assert_routes_agree(
             clo.catalyst_state, [catalyst, _first_branch(catalyst)], f"{label} catalyst"
@@ -90,8 +90,9 @@ def test_clo_outputs_and_catalysts_agree_with_dense(mode, n, corruption):
 @pytest.mark.parametrize("n", [1, 2])
 def test_theorem_converse_agrees_with_dense(n):
     family = separation_family(n)
-    converse = construct_converse(family.rho, family.tau, family.d_enough)
-    tree = run_protocol(converse.protocol, family.rho)
+    rho, tau = family.protocol.rho, family.protocol.target
+    converse = construct_converse(rho, tau, family.d_enough)
+    tree = run_protocol(converse.protocol, rho)
     achieved, _ = final_state(tree, converse.postselect)
     target = converse.target
     _assert_routes_agree(achieved, [target, _first_branch(target)], f"converse n={n}")
@@ -99,7 +100,7 @@ def test_theorem_converse_agrees_with_dense(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_orthogonal_mixture_certificate_matches_dense(n):
-    tau = separation_family(n).tau
+    tau = separation_family(n).protocol.target
     low = sn_orthogonal_mixture(tau)
     dense = sn_orthogonal_mixture(_eigen_ensemble(tau))
     assert (low.lower, low.upper) == (dense.lower, dense.upper) == (2 ** (n + 1),) * 2

@@ -34,10 +34,10 @@ def recordings(tmp_path, a, b):
     return dirs
 
 
-def test_the_set_has_36_runs(parity):
+def test_the_set_has_43_runs(parity):
     runs = parity.cases()
-    assert len(runs) == 36
-    assert sum("--corrupt-epsilon" in argv for argv in runs.values()) == 18
+    assert len(runs) == 43
+    assert sum("--corrupt-epsilon" in argv for argv in runs.values()) == 22
 
 
 def test_equal_and_near_recordings_pass(parity, tmp_path, capsys):

@@ -36,7 +36,6 @@ from qcatalyst import (
     run_protocol,
     schmidt_rank,
     send_round,
-    shift_clock_unitary,
     teleport_rounds,
     tensor_states,
     trace_distance,
@@ -48,6 +47,7 @@ from qcatalyst.pipelines import (
     separation_family,
 )
 from qcatalyst import states as states_module
+from qcatalyst.protocols import shift_clock_unitaries
 from qcatalyst.sampling import random_instrument, random_pure_vector, rng
 
 
@@ -160,7 +160,8 @@ class TestBranching:
             SloccqProtocol((local_round("m", ALICE, meas, broadcast=True),), 1), st
         )
         assert len(tree.leaves) == 2
-        assert tree.total_probability == pytest.approx(1.0, abs=1e-12)
+        total = sum(leaf.probability for leaf in tree.leaves)
+        assert total == pytest.approx(1.0, abs=1e-12)
         for leaf in tree.leaves:
             assert leaf.probability == pytest.approx(0.5, abs=1e-12)
 
@@ -259,7 +260,7 @@ class TestTeleportation:
         for d in (2, 3, 5):
             for q in range(d):
                 for p in range(d):
-                    w = shift_clock_unitary(d, q, p)
+                    w = shift_clock_unitaries(d)[q * d + p]
                     np.testing.assert_allclose(
                         w.conj().T @ w, np.eye(d), atol=1e-12
                     )
@@ -277,7 +278,7 @@ class TestTeleportation:
             for q in range(d):
                 for p in range(d):
                     ref = np.linalg.matrix_power(x, q) @ np.linalg.matrix_power(z, p)
-                    w = shift_clock_unitary(d, q, p)
+                    w = shift_clock_unitaries(d)[q * d + p]
                     np.testing.assert_array_equal(w != 0, ref != 0)
                     np.testing.assert_allclose(w, ref, rtol=0, atol=np.finfo(float).eps)
 
@@ -324,7 +325,7 @@ class TestTeleportation:
 
 class TestRetirement:
     """``run_protocol(..., keep=...)`` forgets outcomes no later round reads:
-    the leaves they alone told apart merge, and the ledger stays the same."""
+    the leaves they alone told apart merge."""
 
     def test_teleport_tree_retires_to_one_leaf(self):
         gen = rng(68)
@@ -339,7 +340,6 @@ class TestRetirement:
             retired = run_protocol(prot, start, keep=())
             assert len(every.leaves) == d * d
             assert len(retired.leaves) == 1
-            assert retired.ledger == every.ledger
             s_every, p_every = final_state(every)
             s_retired, p_retired = final_state(retired)
             assert p_retired == pytest.approx(p_every, abs=1e-14)
@@ -348,12 +348,11 @@ class TestRetirement:
     @pytest.mark.parametrize("n", [1, 2])
     def test_converse_tree_ends_with_few_leaves(self, n):
         fam = separation_family(n)
-        conv = construct_converse(fam.rho, fam.tau, fam.d_enough)
+        conv = construct_converse(fam.protocol.rho, fam.protocol.target, fam.d_enough)
         keep = [name for name, _ in conv.postselect]
-        every = run_protocol(conv.protocol, fam.rho)
-        tree = run_protocol(conv.protocol, fam.rho, keep=keep)
+        every = run_protocol(conv.protocol, fam.protocol.rho)
+        tree = run_protocol(conv.protocol, fam.protocol.rho, keep=keep)
         assert len(tree.leaves) <= 4 < len(every.leaves)
-        assert tree.ledger == every.ledger
         achieved, prob = final_state(tree, conv.postselect)
         assert prob == pytest.approx(1.0, abs=1e-9)
         assert trace_distance(achieved, conv.target) < 1e-10
@@ -415,7 +414,7 @@ class TestLedger:
                 ),
             ]
             tree = run_protocol(SloccqProtocol(tuple(rounds), dm), st)
-            cap = ledger_bound(r0, tree.ledger.quantum_dimension)
+            cap = ledger_bound(r0, tree.protocol.quantum_dimension_used)
             assert cap.upper == r0 * dm
             for leaf in tree.leaves:
                 rank = schmidt_rank(leaf.state).rank
@@ -443,7 +442,7 @@ class TestLedger:
                     )
                 )
             tree = run_protocol(SloccqProtocol(tuple(rounds), 1), st)
-            assert tree.ledger.quantum_dimension == 1
+            assert tree.protocol.quantum_dimension_used == 1
             for leaf in tree.leaves:
                 assert schmidt_rank(leaf.state).rank <= r0
 
@@ -451,8 +450,8 @@ class TestLedger:
 class TestConverse:
     def test_reaches_target_exactly(self):
         fam = separation_family(1)
-        conv = construct_converse(fam.rho, fam.tau, fam.d_enough)
-        tree = run_protocol(conv.protocol, fam.rho)
+        conv = construct_converse(fam.protocol.rho, fam.protocol.target, fam.d_enough)
+        tree = run_protocol(conv.protocol, fam.protocol.rho)
         achieved, prob = final_state(tree, conv.postselect)
         assert prob == pytest.approx(1.0, abs=1e-9)
         assert trace_distance(achieved, conv.target) < 1e-10
@@ -460,7 +459,7 @@ class TestConverse:
     def test_budget_too_small_refused(self):
         fam = separation_family(1)
         with pytest.raises(ProtocolError):
-            construct_converse(fam.rho, fam.tau, fam.d_short)
+            construct_converse(fam.protocol.rho, fam.protocol.target, fam.d_short)
 
 
 class TestCatalystCompilation:
@@ -496,7 +495,7 @@ class TestProtocolJson:
         assert trace_distance(s1, s2.permuted(s1.layout.labels)) < 1e-12
 
     def test_channel_round_round_trip(self):
-        u = shift_clock_unitary(2, 1, 1)
+        u = shift_clock_unitaries(2)[1 * 2 + 1]
         prot = SloccqProtocol(
             (local_round("u", ALICE, KrausChannel.from_unitary(u, qubit_reg("A", ALICE))),),
             1,
@@ -505,8 +504,8 @@ class TestProtocolJson:
 
     def test_converse_round_trip(self):
         fam = separation_family(1)
-        conv = construct_converse(fam.rho, fam.tau, fam.d_enough)
-        self._same_final_state(conv.protocol, fam.rho, conv.postselect)
+        conv = construct_converse(fam.protocol.rho, fam.protocol.target, fam.d_enough)
+        self._same_final_state(conv.protocol, fam.protocol.rho, conv.postselect)
 
     def test_catalyst_preparation_round_trip(self):
         rho, sigma = qutrit_pair_states()
@@ -589,6 +588,26 @@ def test_malformed_protocol_document_is_refused_in_one_line(edits):
     assert "\n" not in str(err.value)
 
 
+def test_adaptive_outputs_of_another_dimension_are_refused_in_one_line():
+    """Outcome ``x0`` prepares register O at dimension 2 and ``x1`` at
+    dimension 3: the same output labels, but not the same output layout, so
+    no run could hand back one state for both outcomes."""
+
+    def prepare(dim):
+        lay = RegisterLayout((Register("O", dim, ALICE),))
+        return KrausChannel.preparation(np.eye(dim)[0], lay)
+
+    read_bit = _flip_protocol().rounds[0]
+    preps = {"x0": prepare(2), "x1": prepare(2)}
+    prep = adaptive_round("prep", ALICE, preps, select_by=read_bit.name, targets=())
+    doc = SloccqProtocol((read_bit, prep), 1).to_json()
+    SloccqProtocol.from_json(doc)  # the document as written loads
+    doc["rounds"][1]["instruments_by_outcome"]["x1"] = prepare(3).to_json()
+    with pytest.raises(ValidationError) as err:
+        SloccqProtocol.from_json(doc)
+    assert str(err.value) == "round 'prep': instruments disagree on output registers"
+
+
 @pytest.mark.parametrize("label", [5, [1, 2]], ids=["int", "list"])
 def test_non_string_outcome_label_is_refused_in_one_line(label):
     lay = RegisterLayout((Register("A", 2, ALICE),))
@@ -638,5 +657,6 @@ def test_a_channel_round_keeps_the_channel_trace_rule():
         lay,
     )
     tree = run_protocol(SloccqProtocol((local_round("m", ALICE, split),), 1), st)
-    assert tree.total_probability == pytest.approx(1.0 - 5e-10, abs=1e-15)
+    total = sum(leaf.probability for leaf in tree.leaves)
+    assert total == pytest.approx(1.0 - 5e-10, abs=1e-15)
 

@@ -124,7 +124,7 @@ def test_mixture_routes_agree(eps, rank, w):
     assert sn_decomposition_upper(state).upper == rank
     certs = {
         "implicit-flags": sn_flagged_blocks(state),
-        "explicit-flags": sn_flagged_blocks(_flagged(eps, w), ("FA", "FB")),
+        "explicit-flags": sn_flagged_blocks(_flagged(eps, w)),
         "oracle-ensemble": sn_orthogonal_mixture(state),
         "oracle-eigen-ensemble": sn_orthogonal_mixture(
             QuantumState.from_dense_matrix(state.densify().entries, state.layout)

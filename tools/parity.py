@@ -1,12 +1,15 @@
 """Record the CLI parity set of a checkout, or compare two recordings.
 
-The parity set is 36 CLI runs: ``lemma1`` n=1..3 in auto and explicit-flags
+The parity set is 43 CLI runs: ``lemma1`` n=1..3 in auto and explicit-flags
 modes, ``obs1`` n=1..3 with and without ``--product-rho``, ``theorem``
-n=1..3, ``obs3 --seeds 10``, and ``lemma1 --rho/--sigma`` on two seeded
-qutrit pairs (a locally rotated pair with orthogonal supports at n=3 in
+n=1..3, ``obs3 --seeds 10``, ``lemma1 --rho/--sigma`` on two seeded qutrit
+pairs (a locally rotated pair with orthogonal supports at n=3 in
 support-measurement mode, a full Schmidt rank pair at n=2 with explicit
-flags), each clean and with ``--corrupt-epsilon 0.3``. A change that is
-meant to keep every report must keep this set.
+flags), and one refusal per pipeline past its size limit (``lemma1 --n 4``,
+``obs1 --n 4``, ``obs3 --seeds 10001``; ``theorem --n 3`` is above), each
+clean and with ``--corrupt-epsilon 0.3``; plus one small-epsilon control,
+``lemma1 --n 2 --corrupt-epsilon 1e-6``, which must still be falsified. A
+change that is meant to keep every report must keep this set.
 
     python3 tools/parity.py --write OUT [--src CHECKOUT/src]
     python3 tools/parity.py --compare A B --atol 1e-14
@@ -95,7 +98,7 @@ def pair_states() -> dict[str, dict]:
 
 
 def cases() -> dict[str, list[str]]:
-    """The 36 parity runs by name; the pairs' state files are named relative
+    """The 43 parity runs by name; the pairs' state files are named relative
     to OUT, inside which ``write`` runs every case."""
     clean = {}
     for n in (1, 2, 3):
@@ -107,6 +110,9 @@ def cases() -> dict[str, list[str]]:
         clean[f"obs1-product-rho-n{n}"] = ["obs1", "--n", str(n), "--product-rho"]
         clean[f"theorem-n{n}"] = ["theorem", "--n", str(n)]
     clean["obs3-seeds10"] = ["obs3", "--seeds", "10"]
+    clean["lemma1-auto-n4"] = ["lemma1", "--n", "4"]
+    clean["obs1-n4"] = ["obs1", "--n", "4"]
+    clean["obs3-seeds10001"] = ["obs3", "--seeds", "10001"]
     for pair, (n, mode) in PAIR_RUNS.items():
         clean[f"lemma1-{pair}-{mode}-n{n}"] = [
             "lemma1", "--rho", f"states/{pair}-rho.json",
@@ -117,6 +123,7 @@ def cases() -> dict[str, list[str]]:
     for name, argv in clean.items():
         out[name] = argv
         out[f"{name}-corrupted"] = argv + list(CORRUPTION)
+    out["lemma1-auto-n2-small-epsilon"] = ["lemma1", "--n", "2", "--corrupt-epsilon", "1e-6"]
     return out
 
 
