@@ -604,15 +604,6 @@ def pipeline_obs1(
                 "compiled catalyst preparation",
             )
         )
-        quantities.append(
-            q_eq(
-                "budget-respected",
-                plan.protocol.quantum_dimension_used
-                <= plan.protocol.dimension_budget,
-                True,
-                "ledger",
-            )
-        )
         prepared, _ = final_state(run_protocol(plan.protocol, rho))
         quantities.append(
             q_le(

@@ -13,9 +13,12 @@ map; a ``KrausChannel`` is the one-outcome instrument, in JSON as well.
 ``apply_instrument`` is the single application path and ``apply_channel`` its
 one-outcome case. The factors of a branch that touch the targets are merged
 and matricized once per instrument, and every Kraus operator of every outcome
-maps that matrix to a pure branch on the merged register group. ``coalesce``
-merges branches that are equal up to a phase on each factor, deciding by the
-factors' vector gaps (``TOL.coalesce_atol``).
+maps that matrix to a pure branch on the merged register group. A widening
+operator (more output than input levels) is first weighed through its
+``K^dagger K``, formed once per instrument, and its product is not formed
+when that weight is below the floor. ``coalesce`` merges branches that are
+equal up to a phase on each factor, deciding by the factors' vector gaps
+(``TOL.coalesce_atol``).
 
 Spectral metrics of ensembles (trace distance, entropy, purity, support
 spectra) never form a D x D matrix. An ensemble with branch kets ``V`` (D x k)
@@ -32,8 +35,9 @@ or outcome is dropped) is an entry of ``TOL``.
 
 A marginal splits each factor that straddles the kept and dropped registers
 (``_split_factor``). A rectangular split goes through the reduced state of
-its short side, whose eigenvalues are the kept weights; a square one through
-``thin_svd``.
+its short side, decomposed once per factor and cut and kept on the factor,
+so the marginals on the two sides of one cut share one ``eigh``; a square
+split calls ``thin_svd`` each time.
 """
 
 from __future__ import annotations
@@ -68,6 +72,10 @@ class Factor:
 
     labels: tuple[str, ...]
     vector: np.ndarray
+    # short-side eigenpairs per cut, kept by ``QuantumState._split_factor``
+    _cuts: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         vec = np.asarray(self.vector, dtype=np.complex128).reshape(-1)
@@ -303,26 +311,37 @@ class QuantumState:
         has the reduced state ``M M^dagger``. A square ``M`` is split by
         ``thin_svd``: weights ``s_j^2``, kets the left singular vectors. A
         rectangular one goes through the reduced state of its short side,
-        which carries every nonzero weight (Schmidt): with K < D the
-        eigenpairs of the K x K matrix ``M M^dagger`` are the options; with
-        K > D each eigenvector ``w_j`` of the D x D matrix ``M^dagger M``
-        whose eigenvalue reaches the floor maps to the kept ket ``M w_j``,
-        normalized, of weight ``||M w_j||^2``. No square root is taken.
+        which carries every nonzero weight (Schmidt). That state is ``S
+        S^dagger`` for ``S`` the matricization with the short side as rows;
+        it is decomposed once per factor and cut, whichever side is asked for
+        first, and its eigenpairs of eigenvalue at least the floor are kept on
+        the factor. With K < D they are the options. With K > D, ``M = S^T``
+        up to a row order, so each kept eigenvector ``w_j`` maps to the kept
+        ket ``M conj(w_j)``, normalized, of weight ``||M conj(w_j)||^2``. No
+        square root is taken.
         """
         dims = [self.layout[lab].dim for lab in f.labels]
-        mat = matricize(f.vector, dims, [f.labels.index(lab) for lab in keep])
-        rows, cols = mat.shape
+        rows = math.prod(self.layout[lab].dim for lab in keep)
+        cols = f.vector.size // rows
         if rows == cols:
+            mat = matricize(f.vector, dims, [f.labels.index(lab) for lab in keep])
             kets, s, _ = thin_svd(mat)
             weights = s**2
-        elif rows < cols:
-            weights, kets = np.linalg.eigh(mat @ mat.conj().T)
-            weights, kets = weights[::-1], kets[:, ::-1]
         else:
-            lam, vecs = np.linalg.eigh(mat.conj().T @ mat)
-            kets = mat @ vecs[:, lam >= TOL.prob_floor][:, ::-1]
-            weights = np.linalg.norm(kets, axis=0) ** 2
-            kets = kets / np.sqrt(weights)
+            short = keep if rows < cols else [lab for lab in f.labels if lab not in keep]
+            key = (tuple(short), tuple(dims))
+            if key not in f._cuts:
+                s_mat = matricize(f.vector, dims, [f.labels.index(lab) for lab in short])
+                lam, vecs = np.linalg.eigh(s_mat @ s_mat.conj().T)
+                del s_mat  # a long side matricizes again; hold one copy at a time
+                top = lam >= TOL.prob_floor
+                f._cuts[key] = (lam[top][::-1], vecs[:, top][:, ::-1])
+            weights, kets = f._cuts[key]
+            if rows > cols:
+                mat = matricize(f.vector, dims, [f.labels.index(lab) for lab in keep])
+                kets = mat @ kets.conj()
+                weights = np.linalg.norm(kets, axis=0) ** 2
+                kets = kets / np.sqrt(weights)
         return [
             (float(w), Factor(tuple(keep), kets[:, j]))
             for j, w in enumerate(weights)
@@ -602,6 +621,7 @@ class Instrument:
         self.branches = tuple(parsed)
         self.layout_in = layout_in
         self.layout_out = layout_out
+        self._grams = None  # see ``_widening_grams``
         defect = self.trace_preservation_defect()
         if not defect <= TOL.trace_preservation_atol:
             raise ValidationError(
@@ -612,6 +632,18 @@ class Instrument:
         """Largest entry of sum K^dagger K - I, as S^dagger S for S the stacked Kraus operators."""
         s = np.concatenate([k for _, kraus in self.branches for k in kraus])
         return float(np.max(np.abs(s.conj().T @ s - np.eye(self.layout_in.total_dim))))
+
+    def _widening_grams(self) -> tuple[tuple[np.ndarray | None, ...], ...]:
+        """``K^dagger K`` of each widening Kraus operator (more output than
+        input levels), ``None`` for the others, per outcome; formed on the
+        first call. A square or narrowing operator gets none: its Gram would
+        be as large as the operator or larger."""
+        if self._grams is None:
+            self._grams = tuple(
+                tuple(k.conj().T @ k if k.shape[0] > k.shape[1] else None for k in kraus)
+                for _, kraus in self.branches
+            )
+        return self._grams
 
     @property
     def outcome_labels(self) -> tuple[str, ...]:
@@ -722,8 +754,10 @@ def apply_instrument(
 
     Each branch has its target factors merged and matricized once
     (``_target_matrix``); every Kraus operator of every outcome then acts on
-    that matrix. Output layout: untouched registers in their
-    original order, then the instrument's output registers. The outcome
+    that matrix. A widening operator's weight ``<mat, K^dagger K mat>`` is
+    read first, and below the floor its product is skipped; a kept product
+    is formed and weighed as any other. Output layout: untouched registers in
+    their original order, then the instrument's output registers. The outcome
     probabilities must sum to 1 within ``TOL.outcome_sum_atol``; a channel,
     the one-outcome instrument, must keep the trace within
     ``TOL.channel_trace_atol``.
@@ -733,11 +767,16 @@ def apply_instrument(
     # branch by branch, so one merged matrix is alive at a time; each
     # outcome still collects its branches in state order
     collected: list[list] = [[] for _ in instrument.branches]
+    grams = instrument._widening_grams()
     for br in state.branches:
         rest, mat, extras = _target_matrix(state, br, targets)
         labels = instrument.layout_out.labels + extras
-        for hits, (_, kraus) in zip(collected, instrument.branches):
-            for k in kraus:
+        for hits, (_, kraus), gram in zip(collected, instrument.branches, grams):
+            for k, g in zip(kraus, gram):
+                if g is not None:  # weigh a widening product before forming it
+                    ahead = float(np.vdot(mat, g @ mat).real)
+                    if ahead < TOL.prob_floor or br.probability * ahead < TOL.prob_floor:
+                        continue
                 out = k @ mat
                 weight = float(np.linalg.norm(out) ** 2)
                 w = br.probability * weight

@@ -2,6 +2,8 @@
 oracle outcome by outcome on targets given out of layout order, and a channel
 is the one-outcome instrument."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from qcatalyst import (
     permute_registers,
 )
 from qcatalyst import oracle
+from qcatalyst.protocols import bell_measurement_instrument
 from qcatalyst.registers import EMPTY_LAYOUT
 from qcatalyst.sampling import random_channel, random_pure_vector, random_unitary, rng
 
@@ -132,3 +135,50 @@ def test_channel_checks_run_in_the_instrument_constructor():
         with pytest.raises(ValidationError) as inst_err:
             Instrument([("ok", bad)], lay, lay)
         assert str(chan_err.value) == str(inst_err.value)
+
+
+def test_widening_products_are_weighed_before_they_are_formed():
+    # outcome weights 2e-12 and 5e-13 sit either side of the 1e-12 floor, and
+    # "nil" annihilates the state; every operator widens A (2) to X (3)
+    layout = RegisterLayout((Register("A", 2, ALICE), Register("B", 3, BOB)))
+    gen = rng(45)
+    state = QuantumState.pure_product(
+        layout, [(("A",), np.array([1.0, 0.0])), (("B",), random_pure_vector(3, gen))]
+    )
+    out = RegisterLayout((Register("X", 3, ALICE),))
+
+    def ket_bra(i, j):
+        return np.outer(np.eye(3)[i], np.eye(2)[j])
+
+    inst = Instrument(
+        [
+            ("small", [np.sqrt(2e-12) * ket_bra(0, 0)]),
+            ("tiny", [np.sqrt(5e-13) * ket_bra(1, 0)]),
+            ("nil", [ket_bra(2, 1)]),
+            ("bulk", [np.sqrt(1 - 2.5e-12) * ket_bra(1, 0)]),
+        ],
+        RegisterLayout((Register("A", 2, ALICE),)),
+        out,
+    )
+    ens = apply_instrument(inst, state, ["A"])
+    den = oracle.apply_instrument(inst, state.densify(), ["A"])
+    assert [o for o, _, _ in ens] == [o for o, _, _ in den] == ["small", "bulk"]
+    for (_, p_e, s_e), (_, p_d, s_d) in zip(ens, den):
+        assert p_e == pytest.approx(p_d, rel=0, abs=1e-14)
+        np.testing.assert_allclose(s_e.densify().entries, s_d.entries, rtol=0, atol=1e-14)
+
+
+def test_the_bell_measurement_forms_no_per_operator_matrix():
+    # a Gram of one 1 x 256 row is 256 x 256 (1 MiB); the 256 rows would
+    # take 256 MiB, and the Bell rows narrow, so none is formed
+    inst = bell_measurement_instrument("S", "R", 16, ALICE)
+    layout = RegisterLayout((Register("S", 16, ALICE), Register("R", 16, ALICE)))
+    state = QuantumState.pure(layout, random_pure_vector(256, rng(46)))
+    tracemalloc.start()
+    try:
+        results = apply_instrument(inst, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 256
+    assert peak < 16 * 2**20

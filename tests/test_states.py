@@ -27,6 +27,8 @@ from qcatalyst import (
     trace_distance,
 )
 from qcatalyst import oracle, states
+from qcatalyst.catalysis import _audit, _execute, build_protocol
+from qcatalyst.pipelines import qutrit_pair_states
 from qcatalyst.registers import thin_svd
 from qcatalyst.sampling import (
     random_channel,
@@ -242,6 +244,76 @@ class TestSplitRoute:
         monkeypatch.setattr(states, "thin_svd", counting)
         self.single_factor(kept, dropped, "full", rng(30)).marginal(["K"])
         assert len(seen) == calls
+
+
+class TestShortSideReuse:
+    """A rectangular factor's short-side reduced state is decomposed once per
+    cut; both marginals across that cut read its eigenpairs."""
+
+    @staticmethod
+    def counting_eigh(monkeypatch):
+        seen = []
+        real = np.linalg.eigh
+
+        def counting(mat):
+            seen.append(mat.shape)
+            return real(mat)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return seen
+
+    def test_either_order_gives_the_same_marginals(self, monkeypatch):
+        short_dim, long_dim = 27, 243
+        psi = random_pure_vector(short_dim * long_dim, rng(31))
+        lay = RegisterLayout((Register("S", short_dim, ALICE), Register("L", long_dim, BOB)))
+        mat = psi.reshape(short_dim, long_dim)
+        reduced = {"S": mat @ mat.conj().T, "L": mat.T @ mat.conj()}
+        seen = self.counting_eigh(monkeypatch)
+
+        def split_both(order):
+            st = QuantumState.pure(lay, psi)  # a fresh state, so a fresh factor
+            seen.clear()
+            margs = {side: st.marginal([side]) for side in order}
+            assert seen == [(short_dim, short_dim)]  # one decomposition per cut
+            return margs
+
+        got, other = split_both(["L", "S"]), split_both(["S", "L"])
+        for side, want in reduced.items():
+            for a, b in zip(got[side].branches, other[side].branches, strict=True):
+                assert a.probability == b.probability
+                assert np.array_equal(a.factors[0].vector, b.factors[0].vector)
+            for margs in (got, other):
+                np.testing.assert_allclose(
+                    margs[side].densify().entries, want, rtol=0, atol=1e-14
+                )
+        # the short side's options are the eigenpairs of S S^dagger as they are
+        lam, vecs = np.linalg.eigh(reduced["S"])
+        for j, br in enumerate(got["S"].branches):
+            assert br.probability == float(lam[::-1][j])
+            assert np.array_equal(br.factors[0].vector, vecs[:, ::-1][:, j])
+
+    def test_the_cut_is_told_apart_by_its_register_dims(self):
+        # one factor on the same labels, read under two layouts of the same size
+        psi = random_pure_vector(36, rng(32))
+        factor = Factor(("K", "D"), psi)
+        for kept, dropped in [(2, 18), (3, 12)]:
+            lay = RegisterLayout((Register("K", kept, ALICE), Register("D", dropped, BOB)))
+            st = QuantumState.from_branches(lay, (EnsembleBranch(1.0, (factor,)),))
+            mat = psi.reshape(kept, dropped)
+            for side, want in (("K", mat @ mat.conj().T), ("D", mat.T @ mat.conj())):
+                got = st.marginal([side]).densify().entries
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_a_catalytic_audit_decomposes_each_short_side_once(self, monkeypatch):
+        # three branches after the n=3 run, each split for the output and
+        # again for the catalyst across the same cut
+        rho, sigma = qutrit_pair_states()
+        protocol = build_protocol(rho, sigma, 3, "support-measurement")
+        joint = _execute(protocol, rho)
+        seen = self.counting_eigh(monkeypatch)
+        _, _, out_dist, restoration = _audit(protocol, joint)
+        assert len(seen) == 3
+        assert out_dist <= 1e-12 and restoration <= 1e-12
 
 
 class TestSerialization:
