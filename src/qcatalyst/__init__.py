@@ -34,7 +34,6 @@ from .states import (
     basis_product,
     coalesce,
     distance_to,
-    fidelity,
     max_entangled,
     tensor_states,
     trace_distance,
@@ -43,11 +42,8 @@ from .entanglement import (
     SchmidtReport,
     SNCertificate,
     conditional_entropy,
-    entanglement_entropy,
     schmidt_rank,
-    sn_decomposition_upper,
     sn_flagged_blocks,
-    sn_lower_fidelity,
     sn_orthogonal_mixture,
     von_neumann_entropy,
 )
@@ -56,7 +52,6 @@ from .catalysis import (
     CloRunReport,
     build_protocol,
     run_clo,
-    verify_input_sensitivity,
 )
 from .protocols import (
     BranchLeaf,

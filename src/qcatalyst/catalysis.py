@@ -306,7 +306,7 @@ def build_protocol(
     catalyst = _pair_mixture(scheme, scheme.slot_labels, scheme.flag_label, stages)
     if n == 1:
         # no quantum slots at all (single-stage cycle): shared randomness only
-        sn = SNCertificate(1, 1, "flagged-block-oracle", {"blocks": {}})
+        sn = SNCertificate(1, 1, "flagged-block-oracle")
     else:
         sn = sn_flagged_blocks(catalyst)
     mix = [(1.0 / n, None, n)] + ([((n - 1.0) / n, None, 0)] if n > 1 else [])
@@ -333,12 +333,6 @@ class CloRunReport:
     restoration_distance: float
     output_distance: float
     catalyst_sn: SNCertificate
-
-
-@dataclasses.dataclass(frozen=True)
-class SensitivityReport:
-    restoration_distance: float
-    output_distance: float
 
 
 def _execute(protocol: CatalyticProtocol, input_state: QuantumState) -> QuantumState:
@@ -380,11 +374,3 @@ def run_clo(protocol: CatalyticProtocol, input_state: QuantumState) -> CloRunRep
         catalyst_sn=protocol.catalyst_sn,
     )
 
-
-def verify_input_sensitivity(
-    protocol: CatalyticProtocol, wrong_input: QuantumState
-) -> SensitivityReport:
-    """Run the channels on a non-declared input and report how badly the
-    catalyst restoration and the output fail."""
-    _, _, out_dist, restoration = _audit(protocol, _execute(protocol, wrong_input))
-    return SensitivityReport(restoration, out_dist)

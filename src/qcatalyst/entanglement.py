@@ -2,9 +2,8 @@
 
 Schmidt number of a mixed state is a minimum over all pure decompositions, so
 general computation is out of reach; this module instead provides exact
-oracles for the structured families the protocols actually produce, plus
-witness-based lower bounds and decomposition upper bounds. Every certificate
-records the method that produced it.
+oracles for the structured families the protocols actually produce. Every
+certificate records the method that produced it.
 
 The block oracle has one rule: a mixture whose branches have pairwise
 orthogonal local supports on both sides has the largest branch Schmidt rank
@@ -15,15 +14,13 @@ read by a support measurement are certified by the same rule.
 
 Every Schmidt rank and local support of a ket is read off one
 ``registers.svd_across_cut``, counted at ``TOL.rank_rtol`` (the product test
-of a pencil element at ``TOL.product_rtol``); a mixed state's local-support
-ranks come from one SVD per side of its weighted branch matricizations.
+of a pencil element at ``TOL.product_rtol``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,12 +31,11 @@ from .registers import (
     eigh_descending,
     matricize,
     numerical_rank,
-    require_dense,
     resolve_cut,
     svd_across_cut,
     thin_svd,
 )
-from .states import QuantumState, fidelity, signed_gram_core
+from .states import QuantumState, signed_gram_core
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,8 +52,7 @@ class SNCertificate:
 
     lower: int
     upper: int
-    method: str  # fidelity-witness | orthogonal-mixture-oracle |
-    #              flagged-block-oracle | decomposition-upper | ledger
+    method: str  # orthogonal-mixture-oracle | flagged-block-oracle | ledger
     details: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
@@ -65,10 +60,6 @@ class SNCertificate:
             raise ValidationError(
                 f"inconsistent certificate bounds ({self.lower}, {self.upper})"
             )
-
-    @property
-    def exact(self) -> bool:
-        return self.lower == self.upper
 
 
 def schmidt_rank(
@@ -91,67 +82,6 @@ def schmidt_rank(
         left_labels=dec.left_labels,
         right_labels=dec.right_labels,
     )
-
-
-def _local_support_dims(
-    state: QuantumState, cut: Mapping[str, str] | None
-) -> tuple[int, int]:
-    """Ranks of the two marginals. A side's marginal is sum_i p_i M_i M_i^dagger
-    over the matricizations M_i of the branch kets with that side's registers
-    as rows, so its rank is the number of singular values of the
-    sqrt(p_i)-weighted M_i, stacked side by side, above ``TOL.rank_rtol`` of
-    the largest. The D x k branch kets are checked against the cap."""
-    require_dense(state.layout.total_dim, cols=len(state.branches))
-    kets = [math.sqrt(br.probability) * state.branch_vector(br) for br in state.branches]
-    ranks = []
-    for side in resolve_cut(state.layout, cut):
-        rows = [state.layout.index_of(lab) for lab in side]
-        stacked = np.hstack([matricize(ket, state.layout.dims, rows) for ket in kets])
-        ranks.append(numerical_rank(thin_svd(stacked)[1], TOL.rank_rtol))
-    return tuple(ranks)
-
-
-def sn_lower_fidelity(
-    state: QuantumState,
-    witness: QuantumState,
-    cut: Mapping[str, str] | None = None,
-) -> SNCertificate:
-    """Witness bound: overlap F with a rank-d maximally entangled pure state
-    implies Schmidt number >= ceil(d * F)."""
-    wrep = schmidt_rank(witness, cut)
-    d = wrep.rank
-    target = 1.0 / math.sqrt(d)
-    spread = float(np.max(np.abs(wrep.coefficients[:d] - target)))
-    if spread > TOL.witness_uniform_atol:
-        raise ValidationError(
-            "witness is not maximally entangled (non-uniform Schmidt coefficients)"
-        )
-    f = fidelity(state, witness)
-    lower = max(1, math.ceil(d * f - TOL.witness_ceil_slack))
-    la, lb = _local_support_dims(state, cut)
-    upper = min(la, lb)
-    if upper < lower:
-        raise ValidationError(
-            f"witness bound {lower} exceeds local support bound {upper}"
-        )
-    return SNCertificate(
-        lower,
-        upper,
-        "fidelity-witness",
-        {"witness_rank": d, "fidelity": f},
-    )
-
-
-def sn_decomposition_upper(
-    state: QuantumState, cut: Mapping[str, str] | None = None
-) -> SNCertificate:
-    """Upper bound from the state's ensemble: max branch Schmidt rank. Any
-    decomposition of the state bounds its Schmidt number from above."""
-    upper = max(
-        svd_across_cut(state.branch_vector(br), state.layout, cut, rtol=TOL.rank_rtol).rank
-        for br in state.branches
-    )
-    return SNCertificate(1, upper, "decomposition-upper", {"branches": len(state.branches)})
 
 
 # -- exact oracle for rank-2 mixtures with a product component -------------
@@ -380,8 +310,7 @@ def sn_flagged_blocks(
                     f"({ov:.2e}); blocks are not classically readable"
                 )
     rank = max(dec.rank for dec in cuts)
-    blocks = {f"branch={i}": (dec.rank, dec.rank) for i, dec in enumerate(cuts)}
-    return SNCertificate(rank, rank, "flagged-block-oracle", {"blocks": blocks})
+    return SNCertificate(rank, rank, "flagged-block-oracle")
 
 
 # -- entropies -------------------------------------------------------------
@@ -407,11 +336,3 @@ def conditional_entropy(state: QuantumState, condition_on: Sequence[str]) -> flo
     if not rest:
         raise ValidationError("conditioning on every register leaves nothing")
     return von_neumann_entropy(state) - von_neumann_entropy(state.marginal(cond))
-
-
-def entanglement_entropy(
-    state: QuantumState, cut: Mapping[str, str] | None = None
-) -> float:
-    """Entropy of entanglement of a pure state across a party cut, in bits."""
-    rep = schmidt_rank(state, cut)
-    return _entropy_from_eigenvalues(rep.coefficients**2)

@@ -599,7 +599,7 @@ def pipeline_obs1(
         quantities.append(
             q_eq(
                 "message-dimension",
-                plan.quantum_dimension,
+                plan.protocol.quantum_dimension_used,
                 expected_sn,
                 "compiled catalyst preparation",
             )

@@ -291,7 +291,6 @@ class BranchLeaf:
 
 @dataclasses.dataclass(frozen=True)
 class BranchTree:
-    protocol: SloccqProtocol
     leaves: tuple[BranchLeaf, ...]
     retired: tuple[str, ...] = ()  # rounds whose outcomes no path records
 
@@ -435,7 +434,7 @@ def run_protocol(
         if spent:
             leaves = _retire(leaves, spent)
             retired.extend(sorted(spent))
-    return BranchTree(protocol, tuple(leaves), tuple(retired))
+    return BranchTree(tuple(leaves), tuple(retired))
 
 
 def _mix_leaves(leaves: Sequence[BranchLeaf]) -> tuple[QuantumState, float]:
@@ -832,7 +831,6 @@ def construct_converse(
 @dataclasses.dataclass(frozen=True)
 class CatalystPrepPlan:
     protocol: SloccqProtocol
-    quantum_dimension: int
     catalyst: QuantumState
 
 
@@ -849,7 +847,7 @@ def compile_catalyst_prep(catalyst: QuantumState) -> CatalystPrepPlan:
     """
     if len(catalyst.layout) == 0:
         # a single-stage cycle shares nothing: no rounds, no message
-        return CatalystPrepPlan(SloccqProtocol((), 1), 1, catalyst)
+        return CatalystPrepPlan(SloccqProtocol((), 1), catalyst)
     cat, alice, bob, parts = _split_mixture(catalyst)
     dim_msg = max(dec.rank for _, dec in parts)
     if dim_msg > 1:
@@ -882,6 +880,5 @@ def compile_catalyst_prep(catalyst: QuantumState) -> CatalystPrepPlan:
         )
     return CatalystPrepPlan(
         protocol=SloccqProtocol(rounds, dim_msg),
-        quantum_dimension=dim_msg,
         catalyst=cat,
     )

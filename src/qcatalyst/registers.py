@@ -4,15 +4,16 @@ Operators carry an ordered list of named registers on each side; the leftmost
 register is the most significant index of the row-major matrix. Everything in
 here is dense numpy; ``require_dense``, the one size rule, refuses any array
 past ``DENSE_CAP`` squared entries before it is allocated. The D x D layer
-(``MultipartiteOperator``, ``partial_trace``, ``permute_registers``,
-``eig_hermitian``) serves ``oracle`` and the tests only. ``TOL`` holds every
-tolerance, floor and relative rank cutoff the package compares against, and
+(``MultipartiteOperator``, and ``partial_trace``, ``permute_registers`` and
+``eig_hermitian`` on square operators) serves ``oracle`` and the tests; the
+benchmark's tracer patches it by name, which keeps it here. ``TOL`` holds
+every tolerance, floor and relative rank cutoff the package compares against,
 ``numerical_rank`` is the one place a relative rank cutoff is applied, and
-``thin_svd`` the one place a matrix is factored by SVD: ket cuts, the
-pencil, a mixture's local supports and square marginal splits. A rectangular
-marginal split needs no SVD; ``states`` takes it from the reduced state of the
-short side. ``svd_across_cut`` is the one cut of a ket: it takes the ket and
-its layout, and counts the Schmidt rank at the ``TOL`` entry its caller names
+``thin_svd`` the one place a matrix is factored by SVD: ket cuts, the pencil
+and square marginal splits. A rectangular marginal split needs no SVD;
+``states`` takes it from the reduced state of the short side.
+``svd_across_cut`` is the one cut of a ket: it takes the ket and its layout,
+and counts the Schmidt rank at the ``TOL`` entry its caller names
 (``rank_rtol`` in certificates, ``protocol_rank_rtol`` in protocol compilers,
 ``product_rtol`` in the product test of a pencil element).
 """
@@ -68,8 +69,6 @@ class Tolerances:
     complement_floor: float = 1e-6  # an eigenvector is parallel to the product
     decomposition_atol: float = 1e-8  # a candidate pair rebuilds the state
     support_overlap_atol: float = 1e-8  # local supports are orthogonal
-    witness_uniform_atol: float = 1e-9  # witness Schmidt coefficients are uniform
-    witness_ceil_slack: float = 1e-9  # round-off allowed below ceil(d F)
     # catalytic protocol set-up
     input_match_atol: float = 1e-9  # the input equals the protocol's rho
     orthogonality_atol: float = 1e-9  # rho and sigma have orthogonal local supports
@@ -301,8 +300,7 @@ class MultipartiteOperator:
     """Dense complex matrix between two register layouts.
 
     Rectangular shapes are first class: a channel's Kraus operator may consume
-    and emit different registers. A ket is an operator whose input layout is
-    empty (a D x 1 column).
+    and emit different registers.
     """
 
     def __init__(self, entries, layout_out: RegisterLayout, layout_in: RegisterLayout):
@@ -325,21 +323,11 @@ class MultipartiteOperator:
     def square(cls, entries, layout: RegisterLayout) -> "MultipartiteOperator":
         return cls(entries, layout, layout)
 
-    @classmethod
-    def ket(cls, vector, layout: RegisterLayout) -> "MultipartiteOperator":
-        col = np.asarray(vector, dtype=np.complex128).reshape(-1, 1)
-        return cls(col, layout, EMPTY_LAYOUT)
-
     # -- basic structure ---------------------------------------------------
 
     @property
     def is_square(self) -> bool:
         return self.layout_in == self.layout_out
-
-    def trace(self) -> complex:
-        if not self.is_square:
-            raise ValidationError("trace requires matching input/output layouts")
-        return complex(np.trace(self.entries))
 
 
 def matricize(vec: np.ndarray, dims: Sequence[int], row_axes: Sequence[int]) -> np.ndarray:
@@ -362,22 +350,19 @@ def matricize(vec: np.ndarray, dims: Sequence[int], row_axes: Sequence[int]) -> 
 
 
 def permute_registers(x: MultipartiteOperator, new_order: Sequence[str]) -> MultipartiteOperator:
-    """Reorder registers of a square operator or a ket.
+    """Reorder registers of a square operator.
 
     Pure index bookkeeping (reshape/transpose/reshape); applying the inverse
     permutation recovers the original operator bit-exactly.
     """
-    if not (x.is_square or len(x.layout_in) == 0):
-        raise ValidationError("permute_registers handles square operators and kets")
+    if not x.is_square:
+        raise ValidationError("permute_registers handles square operators")
     layout = x.layout_out
     new_layout = layout.permuted(new_order)
     perm = [layout.index_of(lab) for lab in new_order]
     n = len(layout)
     if n == 0:
         return x
-    if len(x.layout_in) == 0:
-        vec = matricize(x.entries[:, 0], layout.dims, perm)
-        return MultipartiteOperator(vec, new_layout, EMPTY_LAYOUT)
     arr = x.entries.reshape(layout.dims + layout.dims)
     arr = arr.transpose(perm + [n + p for p in perm])
     d = new_layout.total_dim

@@ -192,13 +192,6 @@ class QuantumState:
         )
 
     @classmethod
-    def pure_product(
-        cls, layout: RegisterLayout, factors: Iterable[tuple[Sequence[str], np.ndarray]]
-    ) -> "QuantumState":
-        fs = tuple(Factor(tuple(labels), vec) for labels, vec in factors)
-        return cls.from_branches(layout, (EnsembleBranch(1.0, fs),))
-
-    @classmethod
     def empty(cls) -> "QuantumState":
         return cls(EMPTY_LAYOUT, branches=(EnsembleBranch(1.0, ()),))
 
@@ -394,18 +387,6 @@ class QuantumState:
                 f"dense payload has {flat.size} entries, expected {_size_name(d, 2)}"
             )
         return cls.from_dense_matrix(flat.reshape(d, d), layout)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "QuantumState":
-        try:
-            doc = read_json(path)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"state file is not valid JSON: {exc}") from exc
-        return cls.from_json(doc)
 
 
 @contextlib.contextmanager
@@ -819,16 +800,6 @@ def _require_same_layout(a: QuantumState, b: QuantumState):
         raise LayoutError(
             f"states live on different layouts: {a.layout.labels} vs {b.layout.labels}"
         )
-
-
-def fidelity(a: QuantumState, b: QuantumState) -> float:
-    """Overlap <b|a|b> with b pure."""
-    _require_same_layout(a, b)
-    vec = b.to_vector()
-    acc = 0.0
-    for br in a.branches:
-        acc += br.probability * float(np.abs(vec.conj() @ a.branch_vector(br)) ** 2)
-    return acc
 
 
 def signed_gram_core(

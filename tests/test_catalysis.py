@@ -10,6 +10,8 @@ import pytest
 from qcatalyst import (
     ALICE,
     BOB,
+    EnsembleBranch,
+    Factor,
     ProtocolError,
     QuantumState,
     Register,
@@ -17,14 +19,12 @@ from qcatalyst import (
     ValidationError,
     apply_channel,
     build_protocol,
-    fidelity,
     max_entangled,
     basis_product,
     run_clo,
     run_protocol,
     sn_flagged_blocks,
     tensor_states,
-    verify_input_sensitivity,
 )
 from qcatalyst import catalysis, cli, oracle, pipelines, protocols, registers
 from qcatalyst.pipelines import (
@@ -155,12 +155,12 @@ class TestChannels:
         rho, sigma = pair
         n = 2
         rep = run_clo(build_protocol(rho, sigma, n), rho)
-        lay = rep.output_state.layout
+        out = rep.output_state
         rho_vec = rho.to_vector()
-        comp_rho = QuantumState.pure_product(
-            lay, [(("A1", "B1"), rho_vec), (("A2", "B2"), rho_vec)]
-        )
-        f = fidelity(rep.output_state, comp_rho)
+        pairs = (Factor(("A1", "B1"), rho_vec), Factor(("A2", "B2"), rho_vec))
+        comp_rho = QuantumState.from_branches(out.layout, (EnsembleBranch(1.0, pairs),))
+        v = comp_rho.to_vector()
+        f = sum(br.probability * abs(v.conj() @ out.branch_vector(br)) ** 2 for br in out.branches)
         assert f == pytest.approx(1.0 / n, abs=1e-10)
 
     def test_dense_and_ensemble_routes_agree(self, pair):
@@ -205,10 +205,11 @@ class TestTarget:
         rho, sigma = pair
         tau = build_protocol(rho, sigma, 2).target
         rho_vec = rho.to_vector()
-        double = QuantumState.pure_product(
-            tau.layout, [(("A1", "B1"), rho_vec), (("A2", "B2"), rho_vec)]
-        )
-        assert fidelity(tau, double) == pytest.approx(0.5, abs=1e-12)
+        pairs = (Factor(("A1", "B1"), rho_vec), Factor(("A2", "B2"), rho_vec))
+        double = QuantumState.from_branches(tau.layout, (EnsembleBranch(1.0, pairs),))
+        v = double.to_vector()
+        f = sum(br.probability * abs(v.conj() @ tau.branch_vector(br)) ** 2 for br in tau.branches)
+        assert f == pytest.approx(0.5, abs=1e-12)
 
 
 class TestGuards:
@@ -223,9 +224,9 @@ class TestGuards:
         # catalyst stuck at the all-sigma stage: distance exactly 1/2
         rho, sigma = pair
         prot = build_protocol(rho, sigma, 2)
-        rep = verify_input_sensitivity(prot, sigma)
-        assert rep.restoration_distance == pytest.approx(0.5, abs=1e-12)
-        assert rep.output_distance > 0.1
+        _, _, out_dist, restoration = catalysis._audit(prot, catalysis._execute(prot, sigma))
+        assert restoration == pytest.approx(0.5, abs=1e-12)
+        assert out_dist > 0.1
 
     def test_sigma_must_be_product(self, pair):
         rho, _ = pair
@@ -371,38 +372,36 @@ def test_each_channel_touches_only_its_own_party(pair):
 
 
 def _spy_on_protocol_runs(monkeypatch, modules):
-    """Record every protocol tree built through ``run_protocol`` as bound in
+    """Record every protocol run through ``run_protocol`` as bound in
     ``modules``."""
-    trees = []
+    runs = []
 
-    def spy(*args, **kwargs):
-        trees.append(protocols.run_protocol(*args, **kwargs))
-        return trees[-1]
+    def spy(protocol, *args, **kwargs):
+        runs.append(protocol)
+        return protocols.run_protocol(protocol, *args, **kwargs)
 
     for module in modules:
         monkeypatch.setattr(module, "run_protocol", spy, raising=False)
-    return trees
+    return runs
 
 
 @pytest.mark.parametrize("mode", ["explicit-flags", "support-measurement"])
 def test_clo_run_sends_nothing_and_broadcasts_nothing(pair, monkeypatch, mode):
     rho, sigma = pair
     protocol = build_protocol(rho, sigma, 2, mode)
-    trees = _spy_on_protocol_runs(monkeypatch, [catalysis])
+    runs = _spy_on_protocol_runs(monkeypatch, [catalysis])
     report = run_clo(protocol, rho)
     assert report.output_distance < 1e-10
-    (tree,) = trees
-    assert [r.name for r in tree.protocol.rounds] == ["mix-a", "mix-b"]
-    assert [r.kind for r in tree.protocol.rounds] == [protocols.LOCAL] * 2
-    assert tree.protocol.broadcast_rounds == ()
-    assert tree.protocol.quantum_dimension_used == 1
+    (ran,) = runs
+    assert [r.name for r in ran.rounds] == ["mix-a", "mix-b"]
+    assert [r.kind for r in ran.rounds] == [protocols.LOCAL] * 2
+    assert ran.broadcast_rounds == ()
+    assert ran.quantum_dimension_used == 1
 
 
 def test_obs1_runs_the_compiled_preparation_once(monkeypatch):
-    trees = _spy_on_protocol_runs(monkeypatch, [catalysis, pipelines])
+    runs = _spy_on_protocol_runs(monkeypatch, [catalysis, pipelines])
     assert pipeline_obs1(n=2).verdict == "verified"
-    with_send = [
-        t for t in trees if any(r.kind == protocols.SEND for r in t.protocol.rounds)
-    ]
+    with_send = [p for p in runs if any(r.kind == protocols.SEND for r in p.rounds)]
     assert len(with_send) == 1
 

@@ -142,9 +142,8 @@ def test_widening_products_are_weighed_before_they_are_formed():
     # "nil" annihilates the state; every operator widens A (2) to X (3)
     layout = RegisterLayout((Register("A", 2, ALICE), Register("B", 3, BOB)))
     gen = rng(45)
-    state = QuantumState.pure_product(
-        layout, [(("A",), np.array([1.0, 0.0])), (("B",), random_pure_vector(3, gen))]
-    )
+    factors = (Factor(("A",), np.array([1.0, 0.0])), Factor(("B",), random_pure_vector(3, gen)))
+    state = QuantumState.from_branches(layout, (EnsembleBranch(1.0, factors),))
     out = RegisterLayout((Register("X", 3, ALICE),))
 
     def ket_bra(i, j):

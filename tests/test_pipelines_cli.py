@@ -352,7 +352,8 @@ def _qutrit_pair(gen, orthogonal):
         halves = unit(), unit()
     core = np.diag(coeffs * np.exp(1j * gen.uniform(0, 2 * np.pi, size=3)))
     rho = QuantumState.pure(layout, (ua @ core @ ub.T).reshape(-1))
-    sigma = QuantumState.pure_product(layout, [(("A",), halves[0]), (("B",), halves[1])])
+    factors = (Factor(("A",), halves[0]), Factor(("B",), halves[1]))
+    sigma = QuantumState.from_branches(layout, (EnsembleBranch(1.0, factors),))
     return rho, sigma
 
 

@@ -413,8 +413,9 @@ class TestLedger:
                     "b-op2", BOB, random_instrument(lay.subset(["A2", "B"]).with_party("A2", BOB), gen)
                 ),
             ]
-            tree = run_protocol(SloccqProtocol(tuple(rounds), dm), st)
-            cap = ledger_bound(r0, tree.protocol.quantum_dimension_used)
+            protocol = SloccqProtocol(tuple(rounds), dm)
+            tree = run_protocol(protocol, st)
+            cap = ledger_bound(r0, protocol.quantum_dimension_used)
             assert cap.upper == r0 * dm
             for leaf in tree.leaves:
                 rank = schmidt_rank(leaf.state).rank
@@ -441,8 +442,9 @@ class TestLedger:
                         broadcast=True,
                     )
                 )
-            tree = run_protocol(SloccqProtocol(tuple(rounds), 1), st)
-            assert tree.protocol.quantum_dimension_used == 1
+            protocol = SloccqProtocol(tuple(rounds), 1)
+            tree = run_protocol(protocol, st)
+            assert protocol.quantum_dimension_used == 1
             for leaf in tree.leaves:
                 assert schmidt_rank(leaf.state).rank <= r0
 
@@ -467,7 +469,7 @@ class TestCatalystCompilation:
         rho, sigma = qutrit_pair_states()
         prot = build_protocol(rho, sigma, 2)
         plan = compile_catalyst_prep(prot.catalyst)
-        assert plan.quantum_dimension == 2
+        assert plan.protocol.quantum_dimension_used == 2
         tree = run_protocol(plan.protocol, QuantumState.empty())
         prepared, _ = final_state(tree)
         labels = list(plan.catalyst.layout.labels)
@@ -479,7 +481,6 @@ class TestCatalystCompilation:
         prod = basis_product(rho.layout, (0, 0))
         prot = build_protocol(prod, sigma, 3)
         plan = compile_catalyst_prep(prot.catalyst)
-        assert plan.quantum_dimension == 1
         assert plan.protocol.quantum_dimension_used == 1
 
 

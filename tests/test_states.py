@@ -19,7 +19,6 @@ from qcatalyst import (
     apply_instrument,
     basis_product,
     coalesce,
-    fidelity,
     max_entangled,
     partial_trace,
     permute_registers,
@@ -333,13 +332,6 @@ class TestSerialization:
         back = QuantumState.from_json(st.to_json())
         np.testing.assert_allclose(back.densify().entries, mat, atol=1e-12)
 
-    def test_save_load(self, tmp_path):
-        st = max_entangled(2)
-        path = tmp_path / "state.json"
-        st.save(path)
-        back = QuantumState.load(path)
-        assert trace_distance(st, back) < 1e-12
-
     def test_channel_json_round_trip(self):
         gen = rng(28)
         lay = layout_ab(2, 2)
@@ -464,7 +456,9 @@ class TestMetrics:
                 EnsembleBranch(0.75, b11.branches[0].factors),
             ),
         )
-        assert fidelity(mix, b00) == pytest.approx(0.25, abs=1e-12)
+        v = b00.to_vector()
+        f = sum(br.probability * abs(v.conj() @ mix.branch_vector(br)) ** 2 for br in mix.branches)
+        assert f == pytest.approx(0.25, abs=1e-12)
 
     def test_to_vector_reads_several_branches_through_their_core(self):
         # one ket written as two equal-phase branches is pure; two distinct
@@ -581,19 +575,3 @@ class TestCoalesce:
         lay = layout_ab(2, 2)
         dense = QuantumState.from_dense_matrix(random_density_matrix(4, gen), lay)
         assert coalesce(dense) is dense
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
-    ids=["not-utf8", "nested-100000-deep"],
-)
-def test_load_refuses_an_undecodable_file_in_one_line(payload, tmp_path):
-    # the same reader serves the command line, which exits 1 on both files
-    path = tmp_path / "state.json"
-    path.write_bytes(payload)
-    with pytest.raises(ValidationError) as info:
-        QuantumState.load(path)
-    message = str(info.value)
-    assert message.startswith("state file is not valid JSON")
-    assert "\n" not in message

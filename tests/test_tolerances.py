@@ -1,6 +1,6 @@
 """Every numerical cutoff of the package is an entry of ``registers.TOL``,
 only ``registers`` compares against the dense cap, only
-``registers.thin_svd`` calls an SVD routine and only four routines call it,
+``registers.thin_svd`` calls an SVD routine and only three routines call it,
 every ket cut names the ``TOL`` entry its rank is counted at, no object is
 built around its
 constructor with ``__new__``, outside ``states`` only
@@ -124,12 +124,12 @@ def test_every_svd_goes_through_thin_svd():
 
 def test_kets_are_cut_only_by_svd_across_cut():
     # a ket's Schmidt rank and supports come from one routine; thin_svd is
-    # also called where a marginal splits a square factor, in the pencil, and
-    # where a mixture's local supports are stacked, and nowhere else
+    # also called where a marginal splits a square factor and in the pencil,
+    # and nowhere else
     allowed = {
         "registers.py": ("svd_across_cut",),
         "states.py": ("_split_factor",),
-        "entanglement.py": ("_pencil_rank_one_elements", "_local_support_dims"),
+        "entanglement.py": ("_pencil_rank_one_elements",),
     }
 
     def names_an_entry(keyword):

@@ -34,7 +34,8 @@ from qcatalyst import cli
 import tracing
 
 state = os.path.join(workdir, "state.json")
-qcatalyst.max_entangled(2).save(state)
+with open(state, "w") as fh:
+    json.dump(qcatalyst.max_entangled(2).to_json(), fh)
 tracer = tracing.Tracer()
 tracing.install(tracer)
 codes = []
