@@ -39,7 +39,6 @@ from .states import (
     trace_distance,
 )
 from .entanglement import (
-    SchmidtReport,
     SNCertificate,
     conditional_entropy,
     schmidt_rank,
@@ -49,7 +48,6 @@ from .entanglement import (
 )
 from .catalysis import (
     CatalyticProtocol,
-    CloRunReport,
     build_protocol,
     run_clo,
 )

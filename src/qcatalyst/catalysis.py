@@ -31,7 +31,9 @@ that grows with n is built. The two channels run as a zero-message protocol
 of two local rounds (``CatalyticProtocol.local_protocol``) through
 ``protocols.run_protocol``, which checks that each channel touches only its
 own party's registers and that it keeps the trace. One audit measures every
-run against the protocol's target and catalyst (``states.distance_to``).
+run against the protocol's target and catalyst (``states.distance_to``), and
+``run_clo`` returns just those two distances: a report reads the mode and the
+certificate off the protocol itself.
 """
 
 from __future__ import annotations
@@ -273,7 +275,6 @@ class CatalyticProtocol:
     n: int
     mode: str
     rho: QuantumState
-    sigma: QuantumState
     catalyst: QuantumState
     alice_channel: KrausChannel
     bob_channel: KrausChannel
@@ -314,25 +315,12 @@ def build_protocol(
         n=n,
         mode=scheme.mode,
         rho=rho,
-        sigma=sigma,
         catalyst=catalyst,
         alice_channel=alice,
         bob_channel=bob,
         target=_pair_mixture(scheme, scheme.out_labels, {}, mix),
         catalyst_sn=sn,
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class CloRunReport:
-    n: int
-    mode: str
-    output_state: QuantumState
-    target_state: QuantumState
-    catalyst_state: QuantumState
-    restoration_distance: float
-    output_distance: float
-    catalyst_sn: SNCertificate
 
 
 def _execute(protocol: CatalyticProtocol, input_state: QuantumState) -> QuantumState:
@@ -343,34 +331,19 @@ def _execute(protocol: CatalyticProtocol, input_state: QuantumState) -> QuantumS
     return leaf.state
 
 
-def _audit(
-    protocol: CatalyticProtocol, state: QuantumState
-) -> tuple[QuantumState, QuantumState, float, float]:
-    """The output and catalyst marginals of ``state`` after a run and their
-    trace distances to ``protocol.target`` and ``protocol.catalyst``."""
-    output, out_dist = distance_to(state, protocol.target)
-    catalyst, restoration = distance_to(state, protocol.catalyst)
-    return output, catalyst, out_dist, restoration
+def _audit(protocol: CatalyticProtocol, state: QuantumState) -> tuple[float, float]:
+    """The trace distances of ``state``'s marginals after a run to
+    ``protocol.target`` and to ``protocol.catalyst``."""
+    return distance_to(state, protocol.target), distance_to(state, protocol.catalyst)
 
 
-def run_clo(protocol: CatalyticProtocol, input_state: QuantumState) -> CloRunReport:
-    """Run both local channels on input (x) catalyst and audit the result."""
+def run_clo(protocol: CatalyticProtocol, input_state: QuantumState) -> tuple[float, float]:
+    """Run both local channels on input (x) catalyst and audit the result:
+    (output distance to the target, restoration distance of the catalyst)."""
     dist = trace_distance(input_state, protocol.rho)
     if dist > TOL.input_match_atol:
         raise ProtocolError(
             f"input is {dist:.3e} away from the protocol's rho; the catalyst "
             f"is only guaranteed for the declared input"
         )
-    joint = _execute(protocol, input_state)
-    output, catalyst, out_dist, restoration = _audit(protocol, joint)
-    return CloRunReport(
-        n=protocol.n,
-        mode=protocol.mode,
-        output_state=output,
-        target_state=protocol.target,
-        catalyst_state=catalyst,
-        restoration_distance=restoration,
-        output_distance=out_dist,
-        catalyst_sn=protocol.catalyst_sn,
-    )
-
+    return _audit(protocol, _execute(protocol, input_state))

@@ -2,8 +2,10 @@
 
 Schmidt number of a mixed state is a minimum over all pure decompositions, so
 general computation is out of reach; this module instead provides exact
-oracles for the structured families the protocols actually produce. Every
-certificate records the method that produced it.
+oracles for the structured families the protocols actually produce. A
+certificate is its two bounds and the method that produced them; a pure
+state's ``schmidt_rank`` is the ``registers.CutDecomposition`` it was read
+off, whose singular values are the Schmidt coefficients.
 
 The block oracle has one rule: a mixture whose branches have pairwise
 orthogonal local supports on both sides has the largest branch Schmidt rank
@@ -27,6 +29,7 @@ import numpy as np
 
 from .errors import OracleRefusal, ValidationError
 from .registers import (
+    CutDecomposition,
     TOL,
     eigh_descending,
     matricize,
@@ -39,21 +42,12 @@ from .states import QuantumState, signed_gram_core
 
 
 @dataclasses.dataclass(frozen=True)
-class SchmidtReport:
-    coefficients: np.ndarray
-    rank: int
-    left_labels: tuple[str, ...]
-    right_labels: tuple[str, ...]
-
-
-@dataclasses.dataclass(frozen=True)
 class SNCertificate:
     """Bounds on the Schmidt number with the certifying method."""
 
     lower: int
     upper: int
     method: str  # orthogonal-mixture-oracle | flagged-block-oracle | ledger
-    details: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
         if self.lower < 1 or self.upper < self.lower:
@@ -64,24 +58,17 @@ class SNCertificate:
 
 def schmidt_rank(
     state: QuantumState, cut: Mapping[str, str] | None = None
-) -> SchmidtReport:
-    """Schmidt coefficients and rank of a pure state across a party cut.
-
-    Rank counts singular values above ``TOL.rank_rtol`` times the largest one.
-    """
+) -> CutDecomposition:
+    """The cut decomposition of a pure state across a party cut: its Schmidt
+    coefficients are ``singular_values``, its rank counts those above
+    ``TOL.rank_rtol`` times the largest one."""
     dec = svd_across_cut(state.to_vector(), state.layout, cut, rtol=TOL.rank_rtol)
-    s = dec.singular_values
     if dec.rank < 1:
         raise ValidationError("pure state has vanishing Schmidt spectrum")
-    total = float(np.sum(s**2))
+    total = float(np.sum(dec.singular_values**2))
     if abs(total - 1.0) > TOL.norm_atol:
         raise ValidationError(f"Schmidt coefficients squared sum to {total!r}")
-    return SchmidtReport(
-        coefficients=s,
-        rank=dec.rank,
-        left_labels=dec.left_labels,
-        right_labels=dec.right_labels,
-    )
+    return dec
 
 
 # -- exact oracle for rank-2 mixtures with a product component -------------
@@ -264,18 +251,8 @@ def sn_orthogonal_mixture(
         if overlaps:
             reasons.append(overlaps[0])
             continue
-        ranks = (dx.rank, dy.rank)
-        rank = max(ranks)
-        return SNCertificate(
-            rank,
-            rank,
-            "orthogonal-mixture-oracle",
-            {
-                "weights": (w_x, w_y),
-                "component_ranks": tuple(ranks),
-                "decomposition_defect": defect,
-            },
-        )
+        rank = max(dx.rank, dy.rank)
+        return SNCertificate(rank, rank, "orthogonal-mixture-oracle")
     raise OracleRefusal(
         "no orthogonal decomposition with two-sided locally orthogonal "
         "supports found: " + "; ".join(reasons or ["support holds no product"])

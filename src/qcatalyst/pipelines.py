@@ -221,7 +221,6 @@ class SeparationFamily:
     the qutrit pair, whose target is tau, and the message dimensions that
     suffice (2^n) and that fall one short."""
 
-    n: int
     protocol: CatalyticProtocol
     d_enough: int
     d_short: int
@@ -244,7 +243,7 @@ def separation_family(n: int) -> SeparationFamily:
     if n < 1:
         raise QcatError(f"separation parameter must be >= 1, got {n}")
     protocol = build_protocol(*qutrit_pair_states(), n + 1)
-    return SeparationFamily(n=n, protocol=protocol, d_enough=2**n, d_short=2**n - 1)
+    return SeparationFamily(protocol=protocol, d_enough=2**n, d_short=2**n - 1)
 
 
 # -- pipeline: exact catalytic mixing ---------------------------------------
@@ -271,13 +270,13 @@ def pipeline_lemma1(
     quantities: list[Quantity] = []
     try:
         protocol = _corrupted(build_protocol(rho, sigma, n, mode), corruption)
-        report = run_clo(protocol, rho)
+        out_dist, restoration = run_clo(protocol, rho)
         rank = schmidt_rank(rho).rank
-        quantities.append(q_info("mode", report.mode, "construction"))
+        quantities.append(q_info("mode", protocol.mode, "construction"))
         quantities.append(
             q_le(
                 "output-distance",
-                report.output_distance,
+                out_dist,
                 TOL.distance_exact_atol,
                 "trace distance to the analytic mixture",
             )
@@ -285,7 +284,7 @@ def pipeline_lemma1(
         quantities.append(
             q_le(
                 "catalyst-restoration-distance",
-                report.restoration_distance,
+                restoration,
                 TOL.distance_exact_atol,
                 "trace distance catalyst out vs in",
             )
@@ -293,7 +292,7 @@ def pipeline_lemma1(
         quantities.append(
             q_eq(
                 "catalyst-sn",
-                (report.catalyst_sn.lower, report.catalyst_sn.upper),
+                (protocol.catalyst_sn.lower, protocol.catalyst_sn.upper),
                 (rank ** (n - 1), rank ** (n - 1)),
                 "flagged-block certificate vs rank^(n-1)",
             )
@@ -341,21 +340,21 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
         )
 
         # the catalytic protocol reaches the target exactly
-        clo = run_clo(_corrupted(protocol, corruption), rho)
+        out_dist, restoration = run_clo(_corrupted(protocol, corruption), rho)
         quantities.append(
-            q_le("clo-output-distance", clo.output_distance, TOL.distance_exact_atol)
+            q_le("clo-output-distance", out_dist, TOL.distance_exact_atol)
         )
         quantities.append(
             q_le(
                 "clo-catalyst-restoration",
-                clo.restoration_distance,
+                restoration,
                 TOL.distance_exact_atol,
             )
         )
         quantities.append(
             q_eq(
                 "catalyst-sn",
-                (clo.catalyst_sn.lower, clo.catalyst_sn.upper),
+                (protocol.catalyst_sn.lower, protocol.catalyst_sn.upper),
                 (2**n, 2**n),
                 "flagged-block certificate",
             )
@@ -385,7 +384,7 @@ def pipeline_theorem(n: int, corruption: float = 0.0) -> ReportDocument:
         quantities.append(
             q_le(
                 "converse-distance",
-                distance_to(achieved, converse.target)[1],
+                distance_to(achieved, converse.target),
                 TOL.distance_compiled_atol,
                 f"explicit protocol with one message of dimension {family.d_enough}",
             )
@@ -492,7 +491,7 @@ def pipeline_obs3(seeds: int = 10, corruption: float = 0.0) -> ReportDocument:
         quantities.append(
             q_le(
                 "locc-distance",
-                distance_to(achieved, goal)[1],
+                distance_to(achieved, goal),
                 TOL.distance_exact_atol,
                 "one broadcast bit plus conditioned flips",
             )
@@ -608,7 +607,7 @@ def pipeline_obs1(
         quantities.append(
             q_le(
                 "prepared-catalyst-distance",
-                distance_to(prepared, plan.catalyst)[1],
+                distance_to(prepared, plan.catalyst),
                 TOL.distance_compiled_atol,
                 "compiled preparation vs catalyst",
             )
@@ -616,7 +615,7 @@ def pipeline_obs1(
 
         # the catalytic channels, as their zero-message rounds, on that state
         achieved, _ = final_state(run_protocol(protocol.local_protocol, prepared))
-        _, _, out_dist, restoration = _audit(protocol, achieved)
+        out_dist, restoration = _audit(protocol, achieved)
         quantities.append(
             q_le(
                 "output-distance",
@@ -655,7 +654,7 @@ def pipeline_schmidt(
             quantities.append(
                 q_info(
                     "schmidt-coefficients",
-                    [round(float(c), 12) for c in rep.coefficients],
+                    [round(float(c), 12) for c in rep.singular_values],
                     "svd",
                 )
             )

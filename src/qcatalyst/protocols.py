@@ -494,10 +494,7 @@ def ledger_bound(input_sn_upper: int, quantum_dimension: int) -> SNCertificate:
     target whose certified lower bound exceeds the cap is out of reach of
     every protocol in the class.
     """
-    sn, q = int(input_sn_upper), int(quantum_dimension)
-    return SNCertificate(
-        1, sn * q, "ledger", {"input_sn_upper": sn, "quantum_dimension": q}
-    )
+    return SNCertificate(1, int(input_sn_upper) * int(quantum_dimension), "ledger")
 
 
 # -- linear-algebra helpers -------------------------------------------------
@@ -529,7 +526,6 @@ class FiltrationPlan:
     instrument: Instrument
     other_party_alignment: KrausChannel
     schmidt_rank: int
-    success_probability: float
 
 
 def filter_to_max_entangled(state: QuantumState) -> FiltrationPlan:
@@ -575,7 +571,6 @@ def filter_to_max_entangled(state: QuantumState) -> FiltrationPlan:
         instrument=instrument,
         other_party_alignment=KrausChannel.from_unitary(align, reg_b),
         schmidt_rank=rank,
-        success_probability=rank * lam_min,
     )
 
 

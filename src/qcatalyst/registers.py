@@ -441,13 +441,12 @@ def eig_hermitian(x: MultipartiteOperator) -> SpectralResult:
 @dataclasses.dataclass(frozen=True)
 class CutDecomposition:
     """SVD of a ket across a left/right register bipartition, with its
-    Schmidt rank at the relative cutoff the caller named."""
+    Schmidt rank at the relative cutoff the caller named; a pure state's
+    ``entanglement.schmidt_rank`` is this decomposition."""
 
     singular_values: np.ndarray
     left_basis: np.ndarray  # columns in the left-side product space
     right_basis: np.ndarray  # columns in the right-side product space
-    left_labels: tuple[str, ...]
-    right_labels: tuple[str, ...]
     rank: int  # singular values above the cutoff times the largest
 
     @property
@@ -522,7 +521,5 @@ def svd_across_cut(
         singular_values=s,
         left_basis=u,
         right_basis=vh.T.copy(),
-        left_labels=tuple(left),
-        right_labels=tuple(right),
         rank=numerical_rank(s, rtol),
     )

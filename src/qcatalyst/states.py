@@ -93,6 +93,17 @@ class EnsembleBranch:
         object.__setattr__(self, "factors", tuple(self.factors))
 
 
+def _merged(factors: Sequence[Factor]) -> tuple[np.ndarray, list[str]]:
+    """The Kronecker product of the factors' kets, in their order, and the
+    labels it runs over; no factors merge to the one-amplitude ket."""
+    vec = np.ones(1, dtype=np.complex128)
+    labels: list[str] = []
+    for f in factors:
+        vec = np.kron(vec, f.vector) if labels else f.vector
+        labels.extend(f.labels)
+    return vec, labels
+
+
 class QuantumState:
     """A state over a register layout: an ensemble of pure product branches."""
 
@@ -200,14 +211,8 @@ class QuantumState:
     def branch_vector(self, branch: EnsembleBranch) -> np.ndarray:
         """Full ket of a branch, indexed in layout order; refused past the
         dense cap as a D x 1 array before any amplitude is formed."""
-        if not branch.factors:
-            return np.ones(1, dtype=np.complex128)
         require_dense(self.layout.total_dim, cols=1)
-        vec = branch.factors[0].vector
-        labels = list(branch.factors[0].labels)
-        for f in branch.factors[1:]:
-            vec = np.kron(vec, f.vector)
-            labels.extend(f.labels)
+        vec, labels = _merged(branch.factors)
         dims = [self.layout[lab].dim for lab in labels]
         order = [labels.index(lab) for lab in self.layout.labels if lab in labels]
         return matricize(vec, dims, order).reshape(-1)
@@ -716,11 +721,7 @@ def _target_matrix(state: QuantumState, branch: EnsembleBranch, targets: list[st
     target_set = set(targets)
     overlapping = [f for f in branch.factors if set(f.labels) & target_set]
     rest = tuple(f for f in branch.factors if not (set(f.labels) & target_set))
-    merged = np.ones(1, dtype=np.complex128)
-    labels: list[str] = []
-    for f in overlapping:
-        merged = np.kron(merged, f.vector) if labels else f.vector
-        labels.extend(f.labels)
+    merged, labels = _merged(overlapping)
     extras = tuple(lab for lab in labels if lab not in target_set)
     dims = [state.layout[lab].dim for lab in labels]
     mat = matricize(merged, dims, [labels.index(lab) for lab in targets])
@@ -844,14 +845,11 @@ def trace_distance(a: QuantumState, b: QuantumState) -> float:
     return float(0.5 * np.sum(np.abs(vals)))
 
 
-def distance_to(
-    state: QuantumState, reference: QuantumState
-) -> tuple[QuantumState, float]:
-    """The marginal of ``state`` on the registers of ``reference``, in the
-    reference's order, and its trace distance to ``reference``. Every state
+def distance_to(state: QuantumState, reference: QuantumState) -> float:
+    """The trace distance of ``state``'s marginal on the registers of
+    ``reference``, in the reference's order, to ``reference``. Every state
     meets a reference on no registers exactly."""
     labels = reference.layout.labels
     if not labels:
-        return QuantumState.empty(), 0.0
-    marginal = state.marginal(labels).permuted(labels)
-    return marginal, trace_distance(marginal, reference)
+        return 0.0
+    return trace_distance(state.marginal(labels).permuted(labels), reference)

@@ -22,7 +22,6 @@ from qcatalyst import (
     build_protocol,
     filter_to_max_entangled,
     local_round,
-    run_clo,
     run_protocol,
     schmidt_rank,
     send_round,
@@ -31,6 +30,7 @@ from qcatalyst import (
     partial_trace,
 )
 from qcatalyst import oracle
+from qcatalyst.catalysis import _execute
 from qcatalyst.pipelines import (
     _bit_flip_task,
     pipeline_lemma1,
@@ -214,9 +214,10 @@ def test_criterion_6_property_suites():
     fam2 = separation_family(2)
     prot1 = build_protocol(rho, sigma, 1, "auto")
     prot2 = build_protocol(rho, sigma, 2, "support-measurement")
-    clo1 = run_clo(prot1, rho)
-    clo2 = run_clo(prot2, rho)
-    (leaf2,) = run_protocol(prot2.local_protocol, tensor_states(rho, prot2.catalyst)).leaves
+    joint1, joint2 = _execute(prot1, rho), _execute(prot2, rho)
+    labels1, labels2 = prot1.target.layout.labels, prot2.target.layout.labels
+    out1 = joint1.marginal(labels1).permuted(labels1)
+    out2 = joint2.marginal(labels2).permuted(labels2)
     _, flip_start, flip_goal = _bit_flip_task()
     states = [
         ("rho", rho),
@@ -224,9 +225,9 @@ def test_criterion_6_property_suites():
         ("target-m2", fam1.protocol.target),
         ("target-m3", fam2.protocol.target),
         ("catalyst-n2", prot2.catalyst),
-        ("clo-output-n1", clo1.output_state),
-        ("clo-output-n2", clo2.output_state),
-        ("clo-joint-n2", leaf2.state),
+        ("clo-output-n1", out1),
+        ("clo-output-n2", out2),
+        ("clo-joint-n2", joint2),
         ("flip-start", flip_start),
         ("flip-goal", flip_goal),
     ]
@@ -274,7 +275,7 @@ def test_criterion_6_property_suites():
         )
         state = QuantumState.pure(layout, random_pure_vector(da * db, gen))
         rep = schmidt_rank(state)
-        lam_min = float(rep.coefficients[rep.rank - 1] ** 2)
+        lam_min = float(rep.singular_values[rep.rank - 1] ** 2)
         plan = filter_to_max_entangled(state)
         measured = {
             o: p for o, p, _ in apply_instrument(plan.instrument, state)

@@ -194,6 +194,9 @@ class TestBranching:
 
 
 class TestFiltration:
+    """The pass probability is read off the instrument and refereed by the
+    Schmidt coefficients of the state, never by the plan's own numbers."""
+
     def test_known_success_probability(self):
         # frozen: coefficients sqrt(0.8), sqrt(0.2) filter at probability 0.4
         lay = RegisterLayout((Register("A", 2, ALICE), Register("B", 2, BOB)))
@@ -201,7 +204,8 @@ class TestFiltration:
         st = QuantumState.pure(lay, v)
         plan = filter_to_max_entangled(st)
         assert plan.schmidt_rank == 2
-        assert plan.success_probability == pytest.approx(0.4, abs=1e-12)
+        p_pass = {o: p for o, p, _ in apply_instrument(plan.instrument, st)}["pass"]
+        assert p_pass == pytest.approx(0.4, abs=1e-12)
 
     def test_filter_output_is_max_entangled(self):
         gen = rng(61)
@@ -214,12 +218,16 @@ class TestFiltration:
             st = QuantumState.pure(lay, random_pure_vector(da * db, gen))
             plan = filter_to_max_entangled(st)
             k = plan.schmidt_rank
+            dec = schmidt_rank(st)
+            assert dec.rank == k
+            # the referee: rank times the smallest squared Schmidt coefficient
+            lam_min = float(dec.singular_values[dec.rank - 1] ** 2)
             outcomes = {
                 o: (p, s) for o, p, s in apply_instrument(plan.instrument, st)
             }
             assert "pass" in outcomes
             p_pass, passed = outcomes["pass"]
-            assert p_pass == pytest.approx(plan.success_probability, abs=1e-9)
+            assert p_pass == pytest.approx(dec.rank * lam_min, abs=1e-9)
             aligned = apply_channel(plan.other_party_alignment, passed)
             phi = np.zeros(da * db, dtype=np.complex128)
             for j in range(k):
@@ -381,7 +389,6 @@ class TestLedger:
     def test_impossibility_certificate(self):
         cap = ledger_bound(2, 3)
         assert cap.upper == 6 < 8 and cap.method == "ledger"
-        assert cap.details == {"input_sn_upper": 2, "quantum_dimension": 3}
         assert not ledger_bound(2, 4).upper < 8
 
     def test_ledger_soundness_random_protocols(self):

@@ -310,7 +310,7 @@ class TestShortSideReuse:
         protocol = build_protocol(rho, sigma, 3, "support-measurement")
         joint = _execute(protocol, rho)
         seen = self.counting_eigh(monkeypatch)
-        _, _, out_dist, restoration = _audit(protocol, joint)
+        out_dist, restoration = _audit(protocol, joint)
         assert len(seen) == 3
         assert out_dist <= 1e-12 and restoration <= 1e-12
 

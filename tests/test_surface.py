@@ -14,6 +14,13 @@ class-level statements and dunder methods. A name is matched by its last
 component, so a method is reached wherever an attribute of that name is read,
 except an attribute of a module imported from outside the package
 (``json.load`` reaches no ``load``). Importing a name does not use it.
+
+Every field of a production dataclass must be read, or sit in ``KEPT``: an
+attribute of its name is read somewhere in the package but ``oracle``, in
+``tools/`` or in ``perfbench/``, or its class serializes itself whole with
+``dataclasses.asdict``. Matching by name cannot see a field whose name is
+also read elsewhere: ``CatalyticProtocol.sigma`` or ``SeparationFamily.n``
+would pass through ``args.sigma`` and ``args.n`` alone.
 """
 
 import ast
@@ -49,18 +56,21 @@ def _foreign(tree):
     return names
 
 
+def _of_foreign_module(attribute, foreign):
+    base = attribute.value
+    while isinstance(base, ast.Attribute):
+        base = base.value
+    return isinstance(base, ast.Name) and base.id in foreign
+
+
 def _used(node, foreign):
     """Every name ``node`` reads, as a variable or as an attribute."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and sub.id not in foreign:
             names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            base = sub.value
-            while isinstance(base, ast.Attribute):
-                base = base.value
-            if not (isinstance(base, ast.Name) and base.id in foreign):
-                names.add(sub.attr)
+        elif isinstance(sub, ast.Attribute) and not _of_foreign_module(sub, foreign):
+            names.add(sub.attr)
     return names
 
 
@@ -138,17 +148,67 @@ def _unreached():
         for qualified, _ in entries
         if not qualified.rsplit(".", 1)[-1].startswith("_")
     }
-    return public - reached, public
+    return public - reached
+
+
+def _name(node):
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _is_dataclass(cls):
+    return any(
+        _name(deco.func if isinstance(deco, ast.Call) else deco) == "dataclass"
+        for deco in cls.decorator_list
+    )
+
+
+def _serializes_whole(cls):
+    return any(
+        isinstance(call, ast.Call) and _name(call.func) == "asdict" for call in ast.walk(cls)
+    )
+
+
+def _unread_fields():
+    """Qualified dataclass fields that nothing outside the tests reads."""
+    fields, read = {}, set()
+    outside = sorted((ROOT / "tools").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in sorted(SRC.glob("*.py")) + outside:
+        if path.name == "oracle.py":
+            continue
+        tree = ast.parse(path.read_text())
+        foreign = _foreign(tree)
+        read |= {
+            sub.attr
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Load)
+            and not _of_foreign_module(sub, foreign)
+        }
+        if path.parent != SRC or path.name in NOT_PRODUCTION:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls):
+                continue
+            if _serializes_whole(cls):  # every field is read
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    fields[f"{path.stem}.{cls.name}.{node.target.id}"] = node.target.id
+    return {qualified for qualified, name in fields.items() if name not in read}
 
 
 def test_every_public_name_is_reached_or_kept():
-    unreached, _ = _unreached()
-    stray = sorted(unreached - set(KEPT))
+    stray = sorted(_unreached() - set(KEPT))
     assert not stray, "public names only the tests reach:\n" + "\n".join(stray)
 
 
+def test_every_field_is_read_or_kept():
+    stray = sorted(_unread_fields() - set(KEPT))
+    assert not stray, "dataclass fields only the tests read:\n" + "\n".join(stray)
+
+
 def test_every_kept_name_is_defined_and_unreached():
-    # a kept name that something now reaches, or that is gone, leaves the list
-    unreached, public = _unreached()
-    stale = sorted(name for name in KEPT if name not in public or name not in unreached)
+    # a kept name or field that something now reaches or reads, or that is
+    # gone, leaves the list
+    stale = sorted(set(KEPT) - _unreached() - _unread_fields())
     assert not stale, "stale KEPT entries:\n" + "\n".join(stale)
