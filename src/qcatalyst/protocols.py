@@ -18,9 +18,12 @@ Execution enumerates every outcome path exactly, producing a tree of leaves
 (path, probability, pure-or-ensemble state), unless ``keep`` names the rounds
 whose outcomes the caller reads: then each other outcome is retired once no
 later round selects by it, and the leaves that only it told apart merge into
-one, coalesced, carrying their summed probability. Every round runs on every
-leaf, so what a run sends and broadcasts is read off the protocol itself
-(``quantum_dimension_used``, ``broadcast_rounds``). Schmidt number cannot
+one, coalesced, carrying their summed probability. A measurement whose
+outcome only the next round reads, and is retired there, runs with that
+round as one step (``states.measure_and_correct``), so its outcomes form no
+leaves. Every round runs on every leaf, so what a run sends and broadcasts
+is read off the protocol itself (``quantum_dimension_used``,
+``broadcast_rounds``). Schmidt number cannot
 grow under local processing and classical talk, and grows by at most a
 factor of the total sent dimension, which ``ledger_bound`` turns into the
 certified cap.
@@ -39,6 +42,7 @@ of a message register, and Bob decompresses that half.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections.abc import Mapping, Sequence
 
@@ -66,6 +70,7 @@ from .states import (
     coalesce,
     malformed_json,
     max_entangled_vector,
+    measure_and_correct,
 )
 from .entanglement import SNCertificate
 
@@ -295,9 +300,9 @@ class BranchTree:
     retired: tuple[str, ...] = ()  # rounds whose outcomes no path records
 
 
-def _check_ownership(state: QuantumState, rnd: ProtocolRound) -> None:
+def _check_ownership(layout: RegisterLayout, rnd: ProtocolRound) -> None:
     for lab in rnd.targets:
-        owner = state.layout.party_of(lab)
+        owner = layout.party_of(lab)
         if owner != rnd.party:
             raise ProtocolError(
                 f"round {rnd.name!r}: party {rnd.party} cannot touch register "
@@ -306,21 +311,29 @@ def _check_ownership(state: QuantumState, rnd: ProtocolRound) -> None:
 
 
 def _round_instrument(rnd: ProtocolRound, path) -> Instrument:
-    if rnd.instrument is not None:
-        return rnd.instrument
-    for name, outcome in path:
-        if name == rnd.select_by:
-            try:
-                return rnd.instruments_by_outcome[outcome]
-            except KeyError:
-                raise ProtocolError(
-                    f"round {rnd.name!r} has no instrument for outcome "
-                    f"{outcome!r} of {rnd.select_by!r}"
-                ) from None
-    raise ProtocolError(
-        f"round {rnd.name!r} selects by {rnd.select_by!r} which has no "
-        f"recorded outcome"
-    )
+    """The instrument ``rnd`` applies on ``path``; it may create registers
+    only for the round's party."""
+    inst = rnd.instrument
+    if inst is None:
+        outcome = next((o for name, o in path if name == rnd.select_by), None)
+        if outcome is None:
+            raise ProtocolError(
+                f"round {rnd.name!r} selects by {rnd.select_by!r} which has no "
+                f"recorded outcome"
+            )
+        inst = rnd.instruments_by_outcome.get(outcome)
+        if inst is None:
+            raise ProtocolError(
+                f"round {rnd.name!r} has no instrument for outcome "
+                f"{outcome!r} of {rnd.select_by!r}"
+            )
+    for reg in inst.layout_out.registers:
+        if reg.party != rnd.party:
+            raise ProtocolError(
+                f"round {rnd.name!r} would create register "
+                f"{reg.label!r} for {reg.party}"
+            )
+    return inst
 
 
 def _retirement_schedule(
@@ -362,6 +375,39 @@ def _retire(leaves: list[BranchLeaf], spent: set[str]) -> list[BranchLeaf]:
     return merged
 
 
+def _corrections(
+    measure: ProtocolRound,
+    correct: ProtocolRound,
+    path,
+    outcomes: list[str],
+    layout: RegisterLayout,
+) -> list[Instrument]:
+    """The instruments ``correct`` applies once ``measure`` has given each of
+    ``outcomes`` on ``path``, leaving a state on ``layout``."""
+    _check_ownership(layout, correct)
+    return [_round_instrument(correct, path + ((measure.name, o),)) for o in outcomes]
+
+
+def _fused_pairs(rounds: Sequence[ProtocolRound], schedule: list[set[str]]) -> set[int]:
+    """The rounds that run together with the round after them, as one
+    ``measure_and_correct`` step: each has a fixed instrument, its outcome is
+    read only by the next round's ``select_by``, and both outcomes are spent
+    once that round has run."""
+    return {
+        i
+        for i, (rnd, nxt) in enumerate(zip(rounds, rounds[1:]))
+        if rnd.instrument is not None
+        and nxt.select_by == rnd.name
+        and schedule[i + 1] == {rnd.name, nxt.name}
+    }
+
+
+def _fan_out(rnd: ProtocolRound) -> int:
+    """The most outcomes any instrument of a local round has."""
+    maps = [rnd.instrument] if rnd.instrument is not None else rnd.instruments_by_outcome.values()
+    return max(len(inst.branches) for inst in maps)
+
+
 def run_protocol(
     protocol: SloccqProtocol,
     initial: QuantumState,
@@ -370,14 +416,30 @@ def run_protocol(
     """Enumerate all outcome paths of the protocol on the given input.
 
     With ``keep=None`` every outcome path is a leaf. Otherwise ``keep`` names
-    the rounds whose outcomes the caller reads (a postselection, say); every
-    other outcome is retired once no later round selects by it (see
-    ``_retire``), and ``final_state`` refuses to postselect on it.
+    the rounds whose outcomes the caller reads (a postselection, say), and
+    naming a round the protocol does not have is refused. Every other outcome
+    is retired once no later round selects by it (see ``_retire``), and
+    ``final_state`` refuses to postselect on it. A round whose outcome only
+    the next round reads, and which is retired with that round's outcome
+    (a teleportation's Bell measurement and correction, say), runs with it as
+    one ``measure_and_correct`` step per leaf, which forms no leaf per
+    outcome; every other round applies its instrument to each leaf through
+    ``apply_instrument``. Before a round runs, the leaves it could form
+    (leaves times outcomes per leaf; none added by a combined step) are
+    bounded by ``MAX_LEAVES``.
     """
+    if keep is not None:
+        unknown = sorted(set(keep) - {rnd.name for rnd in protocol.rounds})
+        if unknown:
+            raise ProtocolError(f"keep names rounds the protocol does not have: {unknown}")
     schedule = _retirement_schedule(protocol, keep)
+    rounds = protocol.rounds
+    fused = _fused_pairs(rounds, schedule)
     leaves = [BranchLeaf((), 1.0, initial)]
     retired: list[str] = []
-    for rnd, spent in zip(protocol.rounds, schedule):
+    for i, rnd in enumerate(rounds):
+        if i - 1 in fused:
+            continue  # ran with the round before it
         if rnd.kind == SEND:
             new_leaves = []
             for leaf in leaves:
@@ -406,34 +468,43 @@ def run_protocol(
                 )
             leaves = new_leaves
             continue
-        new_leaves = []
-        for leaf in leaves:
-            _check_ownership(leaf.state, rnd)
-            inst = _round_instrument(rnd, leaf.path)
-            for reg in inst.layout_out.registers:
-                if reg.party != rnd.party:
-                    raise ProtocolError(
-                        f"round {rnd.name!r} would create register "
-                        f"{reg.label!r} for {reg.party}"
-                    )
-            for outcome, prob, state in apply_instrument(
-                inst, leaf.state, rnd.targets
-            ):
-                new_leaves.append(
-                    BranchLeaf(
-                        leaf.path + ((rnd.name, outcome),),
-                        leaf.probability * prob,
-                        state,
-                    )
-                )
-        leaves = new_leaves
-        if len(leaves) > MAX_LEAVES:
+        bound = len(leaves) * (1 if i in fused else _fan_out(rnd))
+        if bound > MAX_LEAVES:
             raise ProtocolError(
-                f"branch tree exceeded {MAX_LEAVES} leaves at round {rnd.name!r}"
+                f"round {rnd.name!r} would form up to {bound} leaves, over the "
+                f"limit of {MAX_LEAVES}"
             )
-        if spent:
-            leaves = _retire(leaves, spent)
-            retired.extend(sorted(spent))
+        new_leaves = []
+        if i in fused:
+            nxt = rounds[i + 1]
+            for leaf in leaves:
+                _check_ownership(leaf.state.layout, rnd)
+                inst = _round_instrument(rnd, leaf.path)
+                prob, state = measure_and_correct(
+                    inst,
+                    functools.partial(_corrections, rnd, nxt, leaf.path),
+                    leaf.state,
+                    rnd.targets,
+                    nxt.targets,
+                )
+                new_leaves.append(BranchLeaf(leaf.path, leaf.probability * prob, state))
+            leaves, spent = new_leaves, schedule[i + 1]
+        else:
+            for leaf in leaves:
+                _check_ownership(leaf.state.layout, rnd)
+                inst = _round_instrument(rnd, leaf.path)
+                for outcome, prob, state in apply_instrument(inst, leaf.state, rnd.targets):
+                    new_leaves.append(
+                        BranchLeaf(
+                            leaf.path + ((rnd.name, outcome),),
+                            leaf.probability * prob,
+                            state,
+                        )
+                    )
+            leaves, spent = new_leaves, schedule[i]
+            if spent:
+                leaves = _retire(leaves, spent)
+        retired.extend(sorted(spent))
     return BranchTree(tuple(leaves), tuple(retired))
 
 

@@ -10,15 +10,22 @@ ensemble.
 Maps are instruments: labelled lists of Kraus operators, checked once in the
 ``Instrument`` constructor, through which ``Instrument.from_json`` reads every
 map; a ``KrausChannel`` is the one-outcome instrument, in JSON as well.
-``apply_instrument`` is the single application path and ``apply_channel`` its
-one-outcome case. The factors of a branch that touch the targets are merged
-and matricized once per instrument, and every Kraus operator of every outcome
-maps that matrix to a pure branch on the merged register group. A widening
-operator (more output than input levels) is first weighed through its
-``K^dagger K``, formed once per instrument, and its product is not formed
-when that weight is below the floor. ``coalesce`` merges branches that are
-equal up to a phase on each factor, deciding by the factors' vector gaps
-(``TOL.coalesce_atol``).
+There are two application paths. ``apply_instrument`` returns one state per
+outcome, and ``apply_channel`` is its one-outcome case. The factors of a
+branch that touch the targets are merged and matricized once per instrument,
+and every Kraus operator of every outcome maps that matrix to a pure branch
+on the merged register group. A widening operator (more output than input
+levels) is first weighed through its ``K^dagger K``, formed once per
+instrument, and its product is not formed when that weight is below the
+floor. ``measure_and_correct`` runs a measurement, a correction selected by
+its outcome and the forgetting of both outcomes as one step: one product
+for all the measurement's operators, one batched ``matmul`` for the
+corrections, and the outcome kets coalesced as arrays. It gives the state
+that merging the per-outcome states of ``apply_instrument`` gives, with the
+same floor drops and sum checks. ``coalesce`` merges branches that are equal
+up to a phase on each factor, deciding by the factors' vector gaps
+(``TOL.coalesce_atol``); both it and ``measure_and_correct`` decide by one
+rule, ``_classes``.
 
 Spectral metrics of ensembles (trace distance, entropy, purity, support
 spectra) never form a D x D matrix. An ensemble with branch kets ``V`` (D x k)
@@ -46,7 +53,7 @@ import contextlib
 import dataclasses
 import json
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -487,47 +494,101 @@ def coalesce(state: QuantumState) -> QuantumState:
     overlap does not: an overlap of 1 - 1e-16 hides a gap of up to 1.4e-8.
     A merged branch keeps the factors of the first branch of its class.
     """
-    kept: list[list] = []  # [probability, representative branch]
-    by_groups: dict[tuple, list[list]] = {}
-    for br in state.branches:
-        peers = by_groups.setdefault(tuple(f.labels for f in br.factors), [])
-        for slot in peers:
-            if _phase_gap(slot[1], br) <= TOL.coalesce_atol:
-                slot[0] += br.probability
-                break
-        else:
-            peers.append([br.probability, br])
-            kept.append(peers[-1])
-    if len(kept) == len(state.branches):
+    branches = state.branches
+    groups: dict[tuple, list[int]] = {}
+    for i, br in enumerate(branches):
+        groups.setdefault(tuple(f.labels for f in br.factors), []).append(i)
+    first = list(range(len(branches)))
+    for members in groups.values():
+        if len(members) == 1:
+            continue
+        rows = [
+            [branches[i].factors[g].vector for i in members]
+            for g in range(len(branches[members[0]].factors))
+        ]
+        for i, lead in zip(members, _classes(rows, np.arange(len(members)))):
+            first[i] = members[lead]
+    if first == list(range(len(branches))):
         return state
+    probs = [0.0] * len(branches)
+    for i, lead in enumerate(first):
+        probs[lead] += branches[i].probability
     return QuantumState(
-        state.layout, tuple(EnsembleBranch(p, br.factors) for p, br in kept)
+        state.layout,
+        tuple(
+            EnsembleBranch(probs[i], br.factors)
+            for i, br in enumerate(branches)
+            if first[i] == i
+        ),
     )
 
 
-def _phase_gap(a: EnsembleBranch, b: EnsembleBranch) -> float:
-    """``sum_g ||a_g - e^{i phi_g} b_g||`` over the factors, each phase the
-    one that minimizes its term; ``inf`` once it is surely past
+def _classes(rows: Sequence, order: np.ndarray) -> np.ndarray:
+    """The coalescing rule: for the branches ``order`` lists, of one factor
+    structure, the first branch of each one's class, in the same order.
+    ``rows[g][i]`` is the ket of factor ``g`` of branch ``i``.
+
+    A branch joins the first earlier class whose first branch is within
+    ``TOL.coalesce_atol`` of it (``_phase_gaps``), or starts its own. The
+    classes are formed one at a time, each against every branch not yet
+    placed, which gives the same classes as visiting the branches in order.
+    """
+    if not rows:  # branches without factors are all one branch
+        return np.full(len(order), order[0])
+    first = np.empty(len(order), dtype=np.intp)
+    todo = np.arange(len(order))
+    while todo.size:
+        lead = first[todo[0]] = order[todo[0]]
+        todo = todo[1:]
+        if not todo.size:
+            break
+        same = _phase_gaps([r[lead] for r in rows], rows, order[todo]) <= TOL.coalesce_atol
+        first[todo[same]] = lead
+        todo = todo[~same]
+    return first
+
+
+def _phase_gaps(ref: Sequence[np.ndarray], rows: Sequence, among: np.ndarray) -> np.ndarray:
+    """``sum_g ||a_g - e^{i phi_g} b_g||`` over the factors, for ``a`` the
+    branch with factor kets ``ref`` and ``b`` each branch ``among`` those of
+    ``rows`` (factor ``g`` of branch ``i`` is ``rows[g][i]``), each phase the
+    one that minimizes its term; ``inf`` where it is surely past
     ``TOL.coalesce_atol``.
 
     The Gram form ``|a|^2 + |b|^2 - 2|<b|a>|`` of a squared term is exact up
     to rounding below ``8 n eps (|a|^2 + |b|^2)``. Past that margin the term
-    surely exceeds the cutoff, so distinct factors are turned away by three
-    dot products; only near-parallel ones form their difference vector.
+    surely exceeds the cutoff, so distinct factors are turned away by their
+    dot products; only near-parallel ones form their difference vectors.
+    ``rows[g]`` is a matrix with one ket per row, whose dot products are one
+    product, or a list of kets, which are dotted one by one so that distinct
+    large kets are never copied.
     """
-    gap = 0.0
-    for fa, fb in zip(a.factors, b.factors):
-        va, vb = fa.vector, fb.vector
-        overlap = np.vdot(vb, va)
-        norms = np.vdot(va, va).real + np.vdot(vb, vb).real
+    gap = np.zeros(len(among))
+    alive = np.arange(len(among))
+    for va, vb in zip(ref, rows):
+        at = among[alive]
+        if isinstance(vb, np.ndarray):
+            overlap = np.conj(vb @ va.conj())[at]
+            norms = _sq_norms(vb)[at]
+        else:
+            overlap = np.array([np.vdot(vb[i], va) for i in at], dtype=np.complex128)
+            norms = np.array([np.vdot(vb[i], vb[i]).real for i in at])
+        norms += np.vdot(va, va).real
         slack = 8 * va.size * np.finfo(np.float64).eps * norms
-        if norms - 2 * abs(overlap) > TOL.coalesce_atol**2 + slack:
-            return math.inf
-        phase = overlap / abs(overlap) if overlap else 1.0
-        gap += float(np.linalg.norm(va - phase * vb))
-        if gap > TOL.coalesce_atol:
-            return math.inf
-    return gap
+        near = np.flatnonzero(norms - 2 * np.abs(overlap) <= TOL.coalesce_atol**2 + slack)
+        if not near.size:
+            return np.full(len(among), math.inf)
+        alive, overlap, at = alive[near], overlap[near], at[near]
+        size = np.abs(overlap)
+        phase = overlap / np.where(size > 0, size, 1.0)  # a zero overlap is never near
+        diff = vb[at] if isinstance(vb, np.ndarray) else np.array([vb[i] for i in at])
+        diff *= -phase[:, None]
+        diff += va
+        gap[alive] += np.sqrt(_sq_norms(diff))
+        alive = alive[gap[alive] <= TOL.coalesce_atol]
+    out = np.full(len(among), math.inf)
+    out[alive] = gap[alive]
+    return out
 
 
 # -- channels and instruments ----------------------------------------------
@@ -608,6 +669,7 @@ class Instrument:
         self.layout_in = layout_in
         self.layout_out = layout_out
         self._grams = None  # see ``_widening_grams``
+        self._stack = None  # see ``_stacked``
         defect = self.trace_preservation_defect()
         if not defect <= TOL.trace_preservation_atol:
             raise ValidationError(
@@ -630,6 +692,16 @@ class Instrument:
                 for _, kraus in self.branches
             )
         return self._grams
+
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every Kraus operator, outcome by outcome, as one (operators, out,
+        in) array, and the outcome index of each; formed on the first call."""
+        if self._stack is None:
+            self._stack = (
+                np.stack([k for _, kraus in self.branches for k in kraus]),
+                np.repeat(np.arange(len(self.branches)), [len(k) for _, k in self.branches]),
+            )
+        return self._stack
 
     @property
     def outcome_labels(self) -> tuple[str, ...]:
@@ -776,12 +848,24 @@ def apply_instrument(
             continue
         branches = tuple(EnsembleBranch(w / p, factors) for w, factors in hits)
         results.append((label, p, QuantumState(new_layout, branches)))
-    total = sum(p for _, p, _ in results)
+    _check_total(sum(p for _, p, _ in results), instrument)
+    return results
+
+
+def _check_total(total: float, instrument: Instrument) -> None:
+    """The kept outcome probabilities of ``instrument`` sum to 1 within
+    ``TOL.outcome_sum_atol``, or, for a channel, ``TOL.channel_trace_atol``."""
     one = len(instrument.branches) == 1
     atol = TOL.channel_trace_atol if one else TOL.outcome_sum_atol
     if not abs(total - 1.0) <= atol:
         raise ValidationError(f"instrument outcome probabilities sum to {total!r}")
-    return results
+
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a complex matrix, read off its real
+    view, so that no product array is formed."""
+    real = np.ascontiguousarray(rows).view(np.float64)
+    return np.einsum("ij,ij->i", real, real)
 
 
 def apply_channel(
@@ -791,6 +875,219 @@ def apply_channel(
     ``apply_instrument``."""
     ((_, _, out),) = apply_instrument(channel, state, targets)
     return out
+
+
+@dataclasses.dataclass(frozen=True)
+class _Rows:
+    """The output branches that one input branch gives in
+    ``measure_and_correct``, one per row: the ``fixed`` factors, shared by
+    all rows, then one factor per entry of ``varying`` (labels, one ket per
+    row). ``keys`` (outcome pair, input branch, measurement operator,
+    correction operator) order the rows as the per-outcome path lists them."""
+
+    keys: tuple[np.ndarray, ...]
+    w: np.ndarray
+    fixed: tuple[Factor, ...]
+    varying: tuple[tuple[tuple[str, ...], np.ndarray], ...]
+
+    def structure(self) -> tuple:
+        return tuple(f.labels for f in self.fixed) + tuple(lab for lab, _ in self.varying)
+
+    def columns(self) -> list[np.ndarray]:
+        """The kets of each factor, one row per output branch."""
+        n = len(self.w)
+        fixed = [np.broadcast_to(f.vector, (n, f.vector.size)) for f in self.fixed]
+        return fixed + [kets for _, kets in self.varying]
+
+    def factors(self, i: int) -> tuple[Factor, ...]:
+        # a copy, so that a kept ket does not hold the whole array alive
+        return self.fixed + tuple(Factor(lab, kets[i].copy()) for lab, kets in self.varying)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integer ranges ``[s, s + l)``, concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def measure_and_correct(
+    measurement: Instrument,
+    corrections_for: Callable[[list[str], RegisterLayout], list[Instrument]],
+    state: QuantumState,
+    measure_targets: Sequence[str],
+    correct_targets: Sequence[str],
+) -> tuple[float, QuantumState]:
+    """Measure, correct by the outcome, and forget both outcomes, in one step.
+
+    Gives what ``apply_instrument`` of ``measurement`` on ``measure_targets``,
+    then of each kept outcome's correction on ``correct_targets`` of that
+    outcome's state, gives once the leaves of all kept outcome pairs are
+    merged: their summed probability and their mixture, coalesced when there
+    are two or more leaves. Measuring, correcting and forgetting the outcome
+    is one channel (deferred measurement, Nielsen & Chuang sec. 4.4).
+    ``corrections_for(outcomes, layout)`` is called once, with the kept
+    outcomes in order and the layout of their states, and returns their
+    corrections, which share their input dimensions and output layout, as the
+    instruments of one adaptive round do.
+
+    Each branch has its measured factors merged and matricized once
+    (``_target_matrix``), and all Kraus operators of the measurement act on
+    that matrix in one product; the selected corrections act on every kept
+    output in one batched ``matmul``. The floor drops and the probability-sum
+    checks are those of ``apply_instrument``, but a widening product is formed
+    before it is weighed. The output kets are coalesced as arrays
+    (``_classes``), so only the branches that remain become ``Factor``s.
+    """
+    floor = TOL.prob_floor
+    m_targets = _resolve_targets(state.layout, measurement.layout_in, measure_targets)
+    mid = _output_layout(state.layout, m_targets, measurement.layout_out)
+    ops, owner = measurement._stacked()
+    flat = ops.reshape(-1, ops.shape[2])
+    measured = []  # per branch: rest, extras, kept operators, weights, kets
+    for br in state.branches:
+        rest, mat, extras = _target_matrix(state, br, m_targets)
+        out = (flat @ mat).reshape(len(ops), -1)
+        weight = _sq_norms(out)
+        w = br.probability * weight
+        kept = np.flatnonzero((weight >= floor) & (w >= floor))
+        kets = out if len(kept) == len(out) else out[kept]
+        kets *= (1 / np.sqrt(weight[kept]))[:, None]  # a real scale, not a complex division
+        measured.append((rest, extras, kept, w[kept], kets))
+    outcomes = measurement.outcome_labels
+    p = np.bincount(
+        np.concatenate([owner[kept] for _, _, kept, _, _ in measured]),
+        weights=np.concatenate([w for _, _, _, w, _ in measured]),
+        minlength=len(outcomes),
+    )
+    live = np.flatnonzero(p >= floor)
+    _check_total(sum(p[live].tolist()), measurement)
+
+    # the selected corrections' operators in one stack; the outcome pair
+    # (m, o) is indexed by base[m] + o
+    chosen = corrections_for([outcomes[m] for m in live], mid)
+    c_targets = _resolve_targets(mid, chosen[0].layout_in, correct_targets)
+    new_layout = _output_layout(mid, c_targets, chosen[0].layout_out)
+    stacks = [inst._stacked() for inst in chosen]
+    c_ops = np.concatenate([s[0] for s in stacks])
+    counts = np.zeros(len(outcomes), dtype=np.intp)
+    counts[live] = [len(s[0]) for s in stacks]
+    starts = np.cumsum(counts) - counts
+    sizes = np.array([len(inst.branches) for inst in chosen])
+    base = np.zeros(len(outcomes), dtype=np.intp)
+    base[live] = np.cumsum(sizes) - sizes
+    pair_of_op = np.repeat(base[live], counts[live]) + np.concatenate([s[1] for s in stacks])
+    cset = set(c_targets)
+    blocks: list[_Rows] = []
+    for b, (rest, extras, kept, w, kets) in enumerate(measured):
+        if not len(kept):
+            continue
+        ms = owner[kept]  # every kept operator's outcome is kept: p[m] >= w
+        mid_labels = measurement.layout_out.labels + extras
+        fixed, labels = _merged([f for f in rest if set(f.labels) & cset])
+        corrected = bool(set(mid_labels) & cset)  # the measured ket is corrected
+        if corrected and labels:
+            merged = (fixed[None, :, None] * kets[:, None, :]).reshape(len(kets), -1)
+        elif corrected:
+            merged = kets
+        else:
+            merged = fixed[None, :]
+        if corrected:
+            labels = labels + list(mid_labels)
+        dims = [len(merged)] + [mid[lab].dim for lab in labels]
+        axes = [0] + [labels.index(t) + 1 for t in c_targets]
+        mats = matricize(merged.reshape(-1), dims, axes).reshape(
+            len(merged), chosen[0].layout_in.total_dim, -1
+        )
+        row = np.repeat(np.arange(len(ms)), counts[ms])
+        op = _ranges(starts[ms], counts[ms])
+        if not corrected:
+            mats = mats[0]
+        elif len(row) > len(mats):  # some outcome's correction has several operators
+            mats = mats[row]
+        out = np.matmul(c_ops[op], mats).reshape(len(op), -1)
+        weight = _sq_norms(out)
+        wc = (w / p[ms])[row] * weight
+        keep = np.flatnonzero((weight >= floor) & (wc >= floor))
+        if not len(keep):
+            continue
+        row, op = row[keep], op[keep]
+        out = out if len(keep) == len(out) else out[keep]
+        out *= (1 / np.sqrt(weight[keep]))[:, None]
+        varying = []
+        if mid_labels and not corrected:
+            varying.append((mid_labels, kets[row]))
+        out_labels = chosen[0].layout_out.labels + tuple(
+            lab for lab in labels if lab not in cset
+        )
+        if out_labels:
+            varying.append((out_labels, out))
+        blocks.append(
+            _Rows(
+                keys=(pair_of_op[op], np.full(len(op), b), kept[row], op),
+                w=wc[keep],
+                fixed=tuple(f for f in rest if not set(f.labels) & cset),
+                varying=tuple(varying),
+            )
+        )
+
+    q = np.bincount(
+        np.concatenate([blk.keys[0] for blk in blocks] or [np.zeros(0, dtype=np.intp)]),
+        weights=np.concatenate([blk.w for blk in blocks] or [np.zeros(0)]),
+        minlength=int(sizes.sum()),
+    )
+    totals = np.add.reduceat(np.where(q >= floor, q, 0.0), base[live])
+    for total, inst in zip(totals.tolist(), chosen):
+        _check_total(total, inst)
+
+    # the rows of the kept pairs, in the order the per-outcome path lists them
+    keys = [np.concatenate([blk.keys[k] for blk in blocks]) for k in range(4)]
+    order = np.lexsort(keys[::-1])
+    order = order[q[keys[0][order]] >= floor]
+    wc = np.concatenate([blk.w for blk in blocks]) / q[keys[0]]
+    pq = p[np.repeat(live, sizes)] * q  # each pair's leaf probability
+    leaves = np.flatnonzero(q >= floor)
+    if len(leaves) == 1:
+        total = float(pq[leaves[0]])
+        rows, probs = order, wc[order]
+    else:
+        total = sum(float(x) for x in pq[leaves])
+        rows, probs = _coalesce_rows(blocks, order, pq[keys[0]] / total * wc)
+    offsets = np.cumsum([len(blk.w) for blk in blocks])
+    at = np.searchsorted(offsets, rows, side="right")
+    return total, QuantumState(
+        new_layout,
+        tuple(
+            EnsembleBranch(float(pr), blocks[i].factors(r - offsets[i] + len(blocks[i].w)))
+            for i, r, pr in zip(at, rows, probs)
+        ),
+    )
+
+
+def _coalesce_rows(
+    blocks: Sequence[_Rows], order: np.ndarray, probs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``coalesce`` on the rows of ``blocks``, numbered across them, taken as
+    branches in ``order`` with probabilities ``probs``: the first row of each
+    class, in that order, and the class's summed probability."""
+    n = len(probs)
+    rank = np.full(n, -1)
+    rank[order] = np.arange(len(order))
+    first = np.arange(n)
+    offsets = np.cumsum([len(blk.w) for blk in blocks]) - [len(blk.w) for blk in blocks]
+    groups: dict[tuple, list[int]] = {}
+    for i, blk in enumerate(blocks):
+        groups.setdefault(blk.structure(), []).append(i)
+    for members in groups.values():
+        ids = np.concatenate([offsets[i] + np.arange(len(blocks[i].w)) for i in members])
+        cols = blocks[members[0]].columns()
+        if len(members) > 1:
+            cols = [np.concatenate(c) for c in zip(*(blocks[i].columns() for i in members))]
+        sel = np.argsort(rank[ids])
+        sel = sel[rank[ids[sel]] >= 0]
+        first[ids[sel]] = ids[_classes(cols, sel)]
+    sums = np.bincount(first[order], weights=probs[order], minlength=n)
+    reps = order[np.unique(rank[first[order]])]
+    return reps, sums[reps]
 
 
 # -- comparisons -----------------------------------------------------------

@@ -46,9 +46,11 @@ from qcatalyst.pipelines import (
     qutrit_pair_states,
     separation_family,
 )
+from qcatalyst import protocols
 from qcatalyst import states as states_module
 from qcatalyst.protocols import shift_clock_unitaries
-from qcatalyst.sampling import random_instrument, random_pure_vector, rng
+from qcatalyst.registers import EMPTY_LAYOUT
+from qcatalyst.sampling import random_channel, random_instrument, random_pure_vector, rng
 
 
 def qubit_reg(label, party):
@@ -336,22 +338,113 @@ class TestRetirement:
     the leaves they alone told apart merge."""
 
     def test_teleport_tree_retires_to_one_leaf(self):
+        # keep=() runs the Bell measurement and its correction as one step;
+        # keep=None forms a leaf per outcome, the reference
         gen = rng(68)
         for d in (2, 3, 4):
-            msg = QuantumState.pure(
-                RegisterLayout((Register("S", d, ALICE),)),
-                random_pure_vector(d, gen),
-            )
+            lay = RegisterLayout((Register("S", d, ALICE),))
+            for weights in ((1.0,), (0.2, 0.3, 0.5)):
+                msg = QuantumState.from_branches(
+                    lay,
+                    [
+                        EnsembleBranch(w, (Factor(("S",), random_pure_vector(d, gen)),))
+                        for w in weights
+                    ],
+                )
+                start = tensor_states(msg, max_entangled(d, ("RA", "RB")))
+                prot = SloccqProtocol(tuple(teleport_rounds("S", "RA", "RB", d)), 1)
+                every = run_protocol(prot, start)
+                retired = run_protocol(prot, start, keep=())
+                assert len(every.leaves) == d * d
+                assert len(retired.leaves) == 1
+                assert retired.retired == ("teleport-correct", "teleport-measure")
+                _assert_same_mixture(retired, every)
+                # the d * d phase-equal copies of each message branch coalesce
+                assert len(retired.leaves[0].state.branches) == len(weights)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_converse_teleport_matches_the_per_outcome_path(self, n):
+        fam = separation_family(n)
+        conv = construct_converse(fam.protocol.rho, fam.protocol.target, fam.d_enough)
+        keep = [name for name, _ in conv.postselect]
+        every = run_protocol(conv.protocol, fam.protocol.rho)
+        tree = run_protocol(conv.protocol, fam.protocol.rho, keep=keep)
+        _assert_same_mixture(tree, every, conv.postselect)
+        per_leaf = run_protocol(conv.protocol, fam.protocol.rho, keep=keep + ["teleport-correct"])
+        _assert_same_leaves(tree, per_leaf, "teleport-correct")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_measure_and_correct_matches_the_per_outcome_path(self, seed, monkeypatch):
+        # seeds 8 and 9 measure M in a state where one outcome alone is kept
+        gen = rng(700 + seed)
+        prot, start = _measure_correct_protocol(gen, lone=seed >= 8)
+        every = run_protocol(prot, start)
+        # keeping the correction's outcome retires only the measurement's,
+        # leaf by leaf: with channel corrections, the same leaves
+        per_leaf = run_protocol(prot, start, keep=("sample", "correct"))
+        calls = _count_instrument_calls(monkeypatch)
+        tree = run_protocol(prot, start, keep=("sample",))
+        assert len(calls) == 1  # the sampling round; the pair ran as one step
+        assert len(tree.leaves) == 2
+        for outcome in ("c0", "c1"):
+            _assert_same_mixture(tree, every, [("sample", outcome)])
+        (correct,) = [r for r in prot.rounds if r.name == "correct"]
+        if all(len(m.branches) == 1 for m in correct.instruments_by_outcome.values()):
+            _assert_same_leaves(tree, per_leaf, "correct")
+
+    def test_converse_teleport_forms_no_leaf_per_outcome(self, monkeypatch):
+        # at n=2 the per-outcome path makes 140 apply_instrument calls and
+        # forms 2 * 8**2 leaves at the Bell round; every round's leaf bound,
+        # which no leaf list exceeds, now fits in one leaf per component
+        fam = separation_family(2)
+        conv = construct_converse(fam.protocol.rho, fam.protocol.target, fam.d_enough)
+        (sample,) = [r for r in conv.protocol.rounds if r.name == "sample"]
+        monkeypatch.setattr(protocols, "MAX_LEAVES", len(sample.instrument.branches))
+        calls = _count_instrument_calls(monkeypatch)
+        tree = run_protocol(conv.protocol, fam.protocol.rho, keep=["filter"])
+        assert len(calls) <= 16
+        achieved, prob = final_state(tree, conv.postselect)
+        assert prob == pytest.approx(1.0, abs=1e-9)
+        assert trace_distance(achieved, conv.target) < 1e-10
+
+    @pytest.mark.parametrize(
+        "break_it, message",
+        [
+            ("leaky", "sum to"),
+            ("missing", "has no instrument for outcome"),
+            ("foreign", "cannot touch register"),
+            ("creates", "would create register"),
+        ],
+    )
+    def test_a_measure_and_correct_step_keeps_the_round_checks(self, break_it, message):
+        d = 2
+        msg = QuantumState.pure(RegisterLayout((Register("S", d, ALICE),)), [0.6, 0.8])
+        start = tensor_states(msg, max_entangled(d, ("RA", "RB")))
+        measure, correct = teleport_rounds("S", "RA", "RB", d)
+        fixes = dict(correct.instruments_by_outcome)
+        targets = None
+        if break_it == "leaky":  # loses 5e-10 of the trace: past the channel rule
+            fixes = {
+                k: KrausChannel([math.sqrt(1.0 - 5e-10) * v.kraus[0]], v.layout_in, v.layout_out)
+                for k, v in fixes.items()
+            }
+        elif break_it == "missing":
+            del fixes["q1p1"]
+        elif break_it == "foreign":  # Bob's correction on Alice's register
+            msg = tensor_states(msg, max_entangled(d, ("X", "Y")))
             start = tensor_states(msg, max_entangled(d, ("RA", "RB")))
-            prot = SloccqProtocol(tuple(teleport_rounds("S", "RA", "RB", d)), 1)
-            every = run_protocol(prot, start)
-            retired = run_protocol(prot, start, keep=())
-            assert len(every.leaves) == d * d
-            assert len(retired.leaves) == 1
-            s_every, p_every = final_state(every)
-            s_retired, p_retired = final_state(retired)
-            assert p_retired == pytest.approx(p_every, abs=1e-14)
-            assert trace_distance(s_retired, s_every) < 1e-14
+            targets = ("X",)
+        else:  # Bob's correction prepares a register for Alice
+            out = RegisterLayout((Register("RB", d, BOB), Register("O", 1, ALICE)))
+            fixes = {k: KrausChannel([v.kraus[0]], v.layout_in, out) for k, v in fixes.items()}
+        correct = adaptive_round(correct.name, BOB, fixes, select_by=measure.name, targets=targets)
+        prot = SloccqProtocol((measure, correct), 1)
+        errors = []
+        for keep in (None, ()):
+            with pytest.raises(QcatError, match=message) as err:
+                run_protocol(prot, start, keep=keep)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_converse_tree_ends_with_few_leaves(self, n):
@@ -364,6 +457,31 @@ class TestRetirement:
         achieved, prob = final_state(tree, conv.postselect)
         assert prob == pytest.approx(1.0, abs=1e-9)
         assert trace_distance(achieved, conv.target) < 1e-10
+
+    def test_unknown_keep_names_are_refused(self):
+        st = max_entangled(2, ("A", "B"))
+        prot = SloccqProtocol((identity_round("filter", "A", ALICE),), 1)
+        with pytest.raises(ProtocolError) as err:
+            run_protocol(prot, st, keep=["filtre", "filter", "align"])
+        assert str(err.value) == (
+            "keep names rounds the protocol does not have: ['align', 'filtre']"
+        )
+
+    def test_a_round_fan_out_is_refused_before_it_is_formed(self, monkeypatch):
+        st = max_entangled(2, ("A", "B"))
+        lay = qubit_reg("A", ALICE)
+        four = random_instrument(lay, rng(69), outcomes=4)
+        prot = SloccqProtocol((local_round("m4", ALICE, four),), 1)
+        monkeypatch.setattr(protocols, "MAX_LEAVES", 3)
+        calls = _count_instrument_calls(monkeypatch)
+        with pytest.raises(ProtocolError) as err:
+            run_protocol(prot, st)
+        assert str(err.value) == (
+            "round 'm4' would form up to 4 leaves, over the limit of 3"
+        )
+        assert not calls
+        monkeypatch.setattr(protocols, "MAX_LEAVES", 4)
+        assert len(run_protocol(prot, st).leaves) == 4
 
     def test_postselecting_a_retired_round_is_refused(self):
         st = max_entangled(2, ("A", "B"))
@@ -383,6 +501,136 @@ class TestRetirement:
             final_state(tree, [("m", "1")])
         kept = run_protocol(prot, st, keep=("m",))
         assert final_state(kept, [("m", "1")])[1] == pytest.approx(0.5, abs=1e-12)
+
+
+def _assert_same_mixture(tree, reference, postselect=None):
+    """The two trees give the same (postselected) state and probability."""
+    state, prob = final_state(tree, postselect)
+    ref_state, ref_prob = final_state(reference, postselect)
+    assert prob == pytest.approx(ref_prob, abs=1e-14)
+    assert trace_distance(state, ref_state) < 1e-14
+
+
+def _assert_same_leaves(tree, per_leaf, kept):
+    """``tree`` has the leaves of ``per_leaf``, the tree whose channel round
+    ``kept`` was kept, so that the round before it was retired leaf by leaf:
+    the same paths but for ``kept``, probabilities, branch counts and
+    states."""
+    assert len(tree.leaves) == len(per_leaf.leaves)
+    for leaf, ref in zip(tree.leaves, per_leaf.leaves):
+        assert leaf.path == tuple(step for step in ref.path if step != (kept, "ok"))
+        assert leaf.probability == pytest.approx(ref.probability, abs=1e-14)
+        assert len(leaf.state.branches) == len(ref.state.branches)
+        assert trace_distance(leaf.state, ref.state) < 1e-14
+
+
+def _count_instrument_calls(monkeypatch):
+    """The engine's ``apply_instrument`` calls from here on, one entry each."""
+    calls = []
+    real = protocols.apply_instrument
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "apply_instrument", counting)
+    return calls
+
+
+def _faint_instrument(gen, layout_in, layout_out, counts, faint):
+    """A random instrument with ``counts[i]`` Kraus operators for outcome
+    ``o<i>``, plus, if ``faint``, an outcome of probability about 1e-16,
+    below ``TOL.prob_floor``."""
+    din, dout = layout_in.total_dim, layout_out.total_dim
+    raw = [
+        [gen.normal(size=(dout, din)) + 1j * gen.normal(size=(dout, din)) for _ in range(c)]
+        for c in counts
+    ]
+    if faint:
+        raw.append([1e-8 * gen.normal(size=(dout, din)).astype(np.complex128)])
+    gram = sum(k.conj().T @ k for ops in raw for k in ops)
+    vals, vecs = np.linalg.eigh(gram)
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return Instrument(
+        [(f"o{i}", [k @ inv_sqrt for k in ops]) for i, ops in enumerate(raw)],
+        layout_in,
+        layout_out,
+    )
+
+
+def _ket(gen, dims, zero_m):
+    """A random ket over registers of ``dims``; with ``zero_m``, |0> on the
+    first register times a random ket on the rest."""
+    if zero_m:
+        return np.kron(np.eye(dims[0])[0], random_pure_vector(math.prod(dims[1:]), gen))
+    return random_pure_vector(math.prod(dims), gen)
+
+
+def _measure_correct_protocol(gen, lone=False):
+    """A kept two-outcome sampling round, Alice's broadcast measurement of M
+    (kept, discarded or moved to a new register), and Bob's correction of T
+    or of T and Y, selected by her outcome: a channel of one to three Kraus
+    operators, or a two-outcome instrument. The input mixes three branches of
+    different factor structures, and at some seeds a fourth of weight 2e-12.
+    With ``lone``, M is in |0> and measured in {|0>, its complement}, so one
+    outcome alone is kept."""
+    regs = {"M": (3, ALICE), "X": (2, ALICE), "T": (2, BOB), "Y": (2, BOB)}
+    layout = RegisterLayout(tuple(Register(k, d, p) for k, (d, p) in regs.items()))
+    structures = [
+        (("M", "T"), ("X",), ("Y",)),
+        (("M",), ("T", "Y"), ("X",)),
+        (("M", "X", "T", "Y"),),
+    ]
+    weights = gen.dirichlet(np.ones(3))
+    if gen.integers(2):  # a branch whose outputs fall below the floor at either step
+        structures.append(structures[0])
+        weights = np.append(weights * (1 - 2e-12), 2e-12)
+    start = QuantumState.from_branches(
+        layout,
+        [
+            EnsembleBranch(
+                float(w),
+                tuple(
+                    Factor(g, _ket(gen, [regs[k][0] for k in g], zero_m=lone and g[0] == "M"))
+                    for g in groups
+                ),
+            )
+            for w, groups in zip(weights, structures)
+        ],
+    )
+    sample = local_round(
+        "sample",
+        ALICE,
+        Instrument(
+            [("c0", [np.array([[0.6]])]), ("c1", [np.array([[0.8]])])], EMPTY_LAYOUT, EMPTY_LAYOUT
+        ),
+        targets=(),
+        broadcast=True,
+    )
+    m_in = RegisterLayout((Register("M", 3, ALICE),))
+    m_out = [m_in, EMPTY_LAYOUT, RegisterLayout((Register("O", 2, ALICE),))][int(gen.integers(3))]
+    counts = [int(c) for c in gen.integers(1, 3, size=int(gen.integers(2, 4)))]
+    while sum(counts) * m_out.total_dim < 3:  # the operators must span M
+        counts.append(1)
+    if lone:
+        zero = np.diag([1.0, 0.0, 0.0]).astype(np.complex128)
+        lone_inst = Instrument([("o0", [zero]), ("o1", [np.eye(3) - zero])], m_in, m_in)
+    measure = local_round(
+        "measure",
+        ALICE,
+        lone_inst if lone else _faint_instrument(gen, m_in, m_out, counts, faint=True),
+        broadcast=True,
+    )
+    # on T alone, or on T and Y, which some branches hold in two factors
+    t = RegisterLayout(tuple(Register(k, 2, BOB) for k in ("T", "Y")[: 1 + int(gen.integers(2))]))
+    fixes = {}
+    for label in measure.instrument.outcome_labels:
+        if gen.integers(4) == 0:
+            fixes[label] = _faint_instrument(gen, t, t, [1, 2], faint=False)
+        else:
+            fixes[label] = random_channel(t, t, gen, kraus_count=int(gen.integers(1, 4)))
+    correct = adaptive_round("correct", BOB, fixes, select_by="measure")
+    return SloccqProtocol((sample, measure, correct), 1), start
 
 
 class TestLedger:

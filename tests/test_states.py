@@ -28,7 +28,7 @@ from qcatalyst import (
 from qcatalyst import oracle, states
 from qcatalyst.catalysis import _audit, _execute, build_protocol
 from qcatalyst.pipelines import qutrit_pair_states
-from qcatalyst.registers import thin_svd
+from qcatalyst.registers import EMPTY_LAYOUT, thin_svd
 from qcatalyst.sampling import (
     random_channel,
     random_density_matrix,
@@ -569,6 +569,30 @@ class TestCoalesce:
             ),
         )
         assert coalesce(st) is st
+
+    def test_interleaved_classes_keep_their_first_branch_and_order(self):
+        gen = rng(38)
+        lay = layout_ab(3, 2)
+        a, c = random_pure_vector(3, gen), random_pure_vector(3, gen)
+        b = random_pure_vector(2, gen)
+        st = QuantumState.from_branches(
+            lay,
+            (
+                self._two_factor_branch(0.1, c, b),
+                self._two_factor_branch(0.2, a, b),
+                self._two_factor_branch(0.3, 1j * c, b),
+                self._two_factor_branch(0.4, -a, b),
+            ),
+        )
+        merged = coalesce(st)
+        assert [br.probability for br in merged.branches] == pytest.approx([0.4, 0.6])
+        assert merged.branches[0].factors is st.branches[0].factors
+        assert merged.branches[1].factors is st.branches[1].factors
+
+    def test_branches_without_factors_are_one_branch(self):
+        st = QuantumState(EMPTY_LAYOUT, (EnsembleBranch(0.25, ()), EnsembleBranch(0.75, ())))
+        (only,) = coalesce(st).branches
+        assert only.probability == pytest.approx(1.0, abs=1e-15)
 
     def test_dense_state_passes_through(self):
         gen = rng(37)

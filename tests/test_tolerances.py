@@ -170,18 +170,21 @@ def test_no_object_skips_its_constructor():
 
 def test_maps_are_applied_only_by_the_protocol_engine():
     # every protocol, the catalytic channels included, runs through
-    # run_protocol and its ownership and ledger checks
+    # run_protocol and its ownership and ledger checks; so does the combined
+    # measure-and-correct step, which states itself never calls (there,
+    # apply_channel is apply_instrument's one-outcome case)
     stray = []
     for name, tree in _modules().items():
-        if name == "states.py":
-            continue
         engine = _lines_of(tree, ast.FunctionDef, "run_protocol") if name == "protocols.py" else set()
         for node in ast.walk(tree):
             called = isinstance(node, ast.Call) and getattr(
                 node.func, "id", getattr(node.func, "attr", None)
             )
+            if name == "states.py" and called != "measure_and_correct":
+                continue
             if called == "apply_channel" or (
-                called == "apply_instrument" and node.lineno not in engine
+                called in ("apply_instrument", "measure_and_correct")
+                and node.lineno not in engine
             ):
                 stray.append(f"{name}:{node.lineno}: {called}")
     assert not stray, "maps applied outside run_protocol:\n" + "\n".join(stray)
