@@ -34,6 +34,7 @@ from .states import (
     KrausChannel,
     QuantumState,
     basis_product,
+    coalesce,
     distance_to,
     max_entangled,
     tensor_states,
@@ -659,7 +660,8 @@ def pipeline_schmidt(
                 )
             )
         else:
-            cert = sn_flagged_blocks(state, cut=cut)
+            # copies of one branch would read as overlapping blocks
+            cert = sn_flagged_blocks(coalesce(state), cut=cut)
             quantities.append(q_info("kind", "mixed"))
             quantities.append(q_info("sn-lower", cert.lower, cert.method))
             quantities.append(q_info("sn-upper", cert.upper, cert.method))

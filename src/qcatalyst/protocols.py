@@ -21,7 +21,10 @@ later round selects by it, and the leaves that only it told apart merge into
 one, coalesced, carrying their summed probability. A measurement whose
 outcome only the next round reads, and is retired there, runs with that
 round as one step (``states.measure_and_correct``), so its outcomes form no
-leaves. Every round runs on every leaf, so what a run sends and broadcasts
+leaves. Every map goes through the one kernel of ``states``, which weighs a
+widening operator before forming its product: once per branch for a round,
+twice for a combined step (the measurement, then the corrections it
+selects). Every round runs on every leaf, so what a run sends and broadcasts
 is read off the protocol itself (``quantum_dimension_used``,
 ``broadcast_rounds``). Schmidt number cannot
 grow under local processing and classical talk, and grows by at most a
@@ -44,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import types
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -181,7 +185,7 @@ def adaptive_round(
         kind=LOCAL,
         party=party,
         targets=targets,
-        instruments_by_outcome=dict(instruments_by_outcome),
+        instruments_by_outcome=types.MappingProxyType(dict(instruments_by_outcome)),
         select_by=select_by,
         broadcast=broadcast,
     )
@@ -424,9 +428,9 @@ def run_protocol(
     (a teleportation's Bell measurement and correction, say), runs with it as
     one ``measure_and_correct`` step per leaf, which forms no leaf per
     outcome; every other round applies its instrument to each leaf through
-    ``apply_instrument``. Before a round runs, the leaves it could form
-    (leaves times outcomes per leaf; none added by a combined step) are
-    bounded by ``MAX_LEAVES``.
+    ``apply_instrument``; both go through the one map kernel of ``states``.
+    Before a round runs, the leaves it could form (leaves times outcomes per
+    leaf; none added by a combined step) are bounded by ``MAX_LEAVES``.
     """
     if keep is not None:
         unknown = sorted(set(keep) - {rnd.name for rnd in protocol.rounds})
@@ -475,11 +479,11 @@ def run_protocol(
                 f"limit of {MAX_LEAVES}"
             )
         new_leaves = []
-        if i in fused:
-            nxt = rounds[i + 1]
-            for leaf in leaves:
-                _check_ownership(leaf.state.layout, rnd)
-                inst = _round_instrument(rnd, leaf.path)
+        for leaf in leaves:
+            _check_ownership(leaf.state.layout, rnd)
+            inst = _round_instrument(rnd, leaf.path)
+            if i in fused:
+                nxt = rounds[i + 1]
                 prob, state = measure_and_correct(
                     inst,
                     functools.partial(_corrections, rnd, nxt, leaf.path),
@@ -488,22 +492,12 @@ def run_protocol(
                     nxt.targets,
                 )
                 new_leaves.append(BranchLeaf(leaf.path, leaf.probability * prob, state))
-            leaves, spent = new_leaves, schedule[i + 1]
-        else:
-            for leaf in leaves:
-                _check_ownership(leaf.state.layout, rnd)
-                inst = _round_instrument(rnd, leaf.path)
-                for outcome, prob, state in apply_instrument(inst, leaf.state, rnd.targets):
-                    new_leaves.append(
-                        BranchLeaf(
-                            leaf.path + ((rnd.name, outcome),),
-                            leaf.probability * prob,
-                            state,
-                        )
-                    )
-            leaves, spent = new_leaves, schedule[i]
-            if spent:
-                leaves = _retire(leaves, spent)
+                continue
+            for outcome, prob, state in apply_instrument(inst, leaf.state, rnd.targets):
+                path = leaf.path + ((rnd.name, outcome),)
+                new_leaves.append(BranchLeaf(path, leaf.probability * prob, state))
+        spent = schedule[i + 1] if i in fused else schedule[i]
+        leaves = _retire(new_leaves, spent) if spent and i not in fused else new_leaves
         retired.extend(sorted(spent))
     return BranchTree(tuple(leaves), tuple(retired))
 
@@ -687,11 +681,13 @@ def bell_measurement_instrument(
     return Instrument(branches, layout_in, EMPTY_LAYOUT)
 
 
+@functools.lru_cache(maxsize=8)  # a process meets few dimensions
 def teleport_rounds(
     message: str, resource_here: str, resource_there: str, dim: int
-) -> list[ProtocolRound]:
+) -> tuple[ProtocolRound, ProtocolRound]:
     """Bell measurement at Alice plus conditioned correction at Bob;
-    consumes the shared maximally entangled resource pair."""
+    consumes the shared maximally entangled resource pair. Built and checked
+    once per labels and dimension: rounds and instruments are read-only."""
     measure = local_round(
         "teleport-measure",
         ALICE,
@@ -706,7 +702,7 @@ def teleport_rounds(
     correct = adaptive_round(
         "teleport-correct", BOB, corrections, select_by="teleport-measure"
     )
-    return [measure, correct]
+    return measure, correct
 
 
 # -- the shipping step shared by both compilers -----------------------------

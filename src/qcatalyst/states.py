@@ -10,22 +10,23 @@ ensemble.
 Maps are instruments: labelled lists of Kraus operators, checked once in the
 ``Instrument`` constructor, through which ``Instrument.from_json`` reads every
 map; a ``KrausChannel`` is the one-outcome instrument, in JSON as well.
-There are two application paths. ``apply_instrument`` returns one state per
-outcome, and ``apply_channel`` is its one-outcome case. The factors of a
-branch that touch the targets are merged and matricized once per instrument,
-and every Kraus operator of every outcome maps that matrix to a pure branch
-on the merged register group. A widening operator (more output than input
-levels) is first weighed through its ``K^dagger K``, formed once per
-instrument, and its product is not formed when that weight is below the
-floor. ``measure_and_correct`` runs a measurement, a correction selected by
-its outcome and the forgetting of both outcomes as one step: one product
-for all the measurement's operators, one batched ``matmul`` for the
-corrections, and the outcome kets coalesced as arrays. It gives the state
-that merging the per-outcome states of ``apply_instrument`` gives, with the
-same floor drops and sum checks. ``coalesce`` merges branches that are equal
-up to a phase on each factor, deciding by the factors' vector gaps
-(``TOL.coalesce_atol``); both it and ``measure_and_correct`` decide by one
-rule, ``_classes``.
+Every map reaches a state through one kernel, ``_products``. The factors of a
+branch that touch the targets are merged and matricized once
+(``_target_matrix``), and the Kraus operators, stacked once per instrument
+(``Instrument._stacked``), map that matrix to pure branches on the merged
+register group in one product. An output is kept when its weight and its
+probability reach the floor. Widening operators (more output than input
+levels) are weighed first, through their ``K^dagger K``, stacked once per
+instrument, and only the products that pass are formed.
+``apply_instrument`` calls the kernel once per branch and returns one state
+per outcome; ``apply_channel`` is its one-outcome case.
+``measure_and_correct`` runs a measurement, the correction its outcome
+selects and the forgetting of both outcomes as one step of two kernel calls
+per branch: the measurement, then one batched product for the corrections of
+all its kept outputs. It gives the state that merging the per-outcome states
+of ``apply_instrument`` gives, through ``coalesce``, which merges branches
+that are equal up to a phase on each factor, deciding by the factors' vector
+gaps (``TOL.coalesce_atol``).
 
 Spectral metrics of ensembles (trace distance, entropy, purity, support
 spectra) never form a D x D matrix. An ensemble with branch kets ``V`` (D x k)
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 from typing import Callable, Iterable, Sequence
@@ -492,7 +494,11 @@ def coalesce(state: QuantumState) -> QuantumState:
     and ``sum_g min_phi ||a_g - e^{i phi} b_g|| <= TOL.coalesce_atol``. The
     vector gaps bound the change of any trace distance linearly, which an
     overlap does not: an overlap of 1 - 1e-16 hides a gap of up to 1.4e-8.
-    A merged branch keeps the factors of the first branch of its class.
+    A branch joins the first earlier class whose first branch is within the
+    cutoff of it (``_phase_gaps``), or starts its own; the classes are formed
+    one at a time, each against every branch not yet placed, which gives the
+    same classes as visiting the branches in order. A merged branch keeps the
+    factors of the first branch of its class.
     """
     branches = state.branches
     groups: dict[tuple, list[int]] = {}
@@ -500,14 +506,18 @@ def coalesce(state: QuantumState) -> QuantumState:
         groups.setdefault(tuple(f.labels for f in br.factors), []).append(i)
     first = list(range(len(branches)))
     for members in groups.values():
-        if len(members) == 1:
-            continue
+        # rows[g][j] is the ket of factor g of the j-th member
         rows = [
             [branches[i].factors[g].vector for i in members]
             for g in range(len(branches[members[0]].factors))
         ]
-        for i, lead in zip(members, _classes(rows, np.arange(len(members)))):
-            first[i] = members[lead]
+        todo = np.arange(len(members))
+        while todo.size > 1:
+            lead, todo = todo[0], todo[1:]
+            same = _phase_gaps([r[lead] for r in rows], rows, todo) <= TOL.coalesce_atol
+            for j in todo[same].tolist():
+                first[members[j]] = members[lead]
+            todo = todo[~same]
     if first == list(range(len(branches))):
         return state
     probs = [0.0] * len(branches)
@@ -523,31 +533,6 @@ def coalesce(state: QuantumState) -> QuantumState:
     )
 
 
-def _classes(rows: Sequence, order: np.ndarray) -> np.ndarray:
-    """The coalescing rule: for the branches ``order`` lists, of one factor
-    structure, the first branch of each one's class, in the same order.
-    ``rows[g][i]`` is the ket of factor ``g`` of branch ``i``.
-
-    A branch joins the first earlier class whose first branch is within
-    ``TOL.coalesce_atol`` of it (``_phase_gaps``), or starts its own. The
-    classes are formed one at a time, each against every branch not yet
-    placed, which gives the same classes as visiting the branches in order.
-    """
-    if not rows:  # branches without factors are all one branch
-        return np.full(len(order), order[0])
-    first = np.empty(len(order), dtype=np.intp)
-    todo = np.arange(len(order))
-    while todo.size:
-        lead = first[todo[0]] = order[todo[0]]
-        todo = todo[1:]
-        if not todo.size:
-            break
-        same = _phase_gaps([r[lead] for r in rows], rows, order[todo]) <= TOL.coalesce_atol
-        first[todo[same]] = lead
-        todo = todo[~same]
-    return first
-
-
 def _phase_gaps(ref: Sequence[np.ndarray], rows: Sequence, among: np.ndarray) -> np.ndarray:
     """``sum_g ||a_g - e^{i phi_g} b_g||`` over the factors, for ``a`` the
     branch with factor kets ``ref`` and ``b`` each branch ``among`` those of
@@ -558,22 +543,15 @@ def _phase_gaps(ref: Sequence[np.ndarray], rows: Sequence, among: np.ndarray) ->
     The Gram form ``|a|^2 + |b|^2 - 2|<b|a>|`` of a squared term is exact up
     to rounding below ``8 n eps (|a|^2 + |b|^2)``. Past that margin the term
     surely exceeds the cutoff, so distinct factors are turned away by their
-    dot products; only near-parallel ones form their difference vectors.
-    ``rows[g]`` is a matrix with one ket per row, whose dot products are one
-    product, or a list of kets, which are dotted one by one so that distinct
-    large kets are never copied.
+    dot products, taken one by one so that distinct large kets are never
+    copied; only near-parallel ones form their difference vectors.
     """
     gap = np.zeros(len(among))
     alive = np.arange(len(among))
     for va, vb in zip(ref, rows):
         at = among[alive]
-        if isinstance(vb, np.ndarray):
-            overlap = np.conj(vb @ va.conj())[at]
-            norms = _sq_norms(vb)[at]
-        else:
-            overlap = np.array([np.vdot(vb[i], va) for i in at], dtype=np.complex128)
-            norms = np.array([np.vdot(vb[i], vb[i]).real for i in at])
-        norms += np.vdot(va, va).real
+        overlap = np.array([np.vdot(vb[i], va) for i in at], dtype=np.complex128)
+        norms = np.array([np.vdot(vb[i], vb[i]).real for i in at]) + np.vdot(va, va).real
         slack = 8 * va.size * np.finfo(np.float64).eps * norms
         near = np.flatnonzero(norms - 2 * np.abs(overlap) <= TOL.coalesce_atol**2 + slack)
         if not near.size:
@@ -581,7 +559,7 @@ def _phase_gaps(ref: Sequence[np.ndarray], rows: Sequence, among: np.ndarray) ->
         alive, overlap, at = alive[near], overlap[near], at[near]
         size = np.abs(overlap)
         phase = overlap / np.where(size > 0, size, 1.0)  # a zero overlap is never near
-        diff = vb[at] if isinstance(vb, np.ndarray) else np.array([vb[i] for i in at])
+        diff = np.array([vb[i] for i in at])
         diff *= -phase[:, None]
         diff += va
         gap[alive] += np.sqrt(_sq_norms(diff))
@@ -645,7 +623,7 @@ class Instrument:
                 raise ValidationError(f"outcome label {_brief(label)} is not a string")
             ops = []
             for k in kraus:
-                arr = np.array(k, dtype=np.complex128)
+                arr = np.asarray(k, dtype=np.complex128)
                 if arr.shape != shape:
                     raise ValidationError(
                         f"outcome {label!r}: Kraus operator shape {arr.shape}, "
@@ -655,7 +633,6 @@ class Instrument:
                     raise ValidationError(
                         f"outcome {label!r}: Kraus operator has non-finite entries"
                     )
-                arr.setflags(write=False)
                 ops.append(arr)
             if not ops:
                 raise ValidationError(f"outcome {label!r} has no Kraus operator")
@@ -665,11 +642,15 @@ class Instrument:
             raise ValidationError(f"duplicate instrument outcome labels: {labels}")
         if not parsed:
             raise ValidationError("instrument needs at least one branch")
-        self.branches = tuple(parsed)
+        # one read-only stack holds every operator; the outcomes hold views
+        stack = np.stack([k for _, ops in parsed for k in ops])
+        stack.setflags(write=False)
+        views = iter(stack)
+        self.branches = tuple((label, tuple(next(views) for _ in ops)) for label, ops in parsed)
         self.layout_in = layout_in
         self.layout_out = layout_out
-        self._grams = None  # see ``_widening_grams``
-        self._stack = None  # see ``_stacked``
+        self._stack = (stack, np.repeat(np.arange(len(parsed)), [len(ops) for _, ops in parsed]))
+        self._grams = None  # see ``_stacked``
         defect = self.trace_preservation_defect()
         if not defect <= TOL.trace_preservation_atol:
             raise ValidationError(
@@ -678,30 +659,20 @@ class Instrument:
 
     def trace_preservation_defect(self) -> float:
         """Largest entry of sum K^dagger K - I, as S^dagger S for S the stacked Kraus operators."""
-        s = np.concatenate([k for _, kraus in self.branches for k in kraus])
+        s = self._stack[0].reshape(-1, self.layout_in.total_dim)
         return float(np.max(np.abs(s.conj().T @ s - np.eye(self.layout_in.total_dim))))
 
-    def _widening_grams(self) -> tuple[tuple[np.ndarray | None, ...], ...]:
-        """``K^dagger K`` of each widening Kraus operator (more output than
-        input levels), ``None`` for the others, per outcome; formed on the
-        first call. A square or narrowing operator gets none: its Gram would
-        be as large as the operator or larger."""
-        if self._grams is None:
-            self._grams = tuple(
-                tuple(k.conj().T @ k if k.shape[0] > k.shape[1] else None for k in kraus)
-                for _, kraus in self.branches
-            )
-        return self._grams
-
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Every Kraus operator, outcome by outcome, as one (operators, out,
-        in) array, and the outcome index of each; formed on the first call."""
-        if self._stack is None:
-            self._stack = (
-                np.stack([k for _, kraus in self.branches for k in kraus]),
-                np.repeat(np.arange(len(self.branches)), [len(k) for _, k in self.branches]),
-            )
-        return self._stack
+        in) array, the outcome index of each, and, if the operators widen
+        (more output than input levels), their ``K^dagger K`` stacked the same
+        way, else ``None`` (a square or narrowing operator's Gram would be as
+        large as the operator or larger); the Grams are formed on the first
+        call."""
+        ops, owner = self._stack
+        if self._grams is None and ops.shape[1] > ops.shape[2]:
+            self._grams = ops.conj().transpose(0, 2, 1) @ ops
+        return ops, owner, self._grams
 
     @property
     def outcome_labels(self) -> tuple[str, ...]:
@@ -800,6 +771,39 @@ def _target_matrix(state: QuantumState, branch: EnsembleBranch, targets: list[st
     return rest, mat, extras
 
 
+def _products(ops: np.ndarray, grams: np.ndarray | None, mats: np.ndarray, prob):
+    """The one rule by which a map reaches a state. Operator ``ops[i]`` of a
+    stack (operators, out, in) acts on the target matrix ``mats`` (in x c) of
+    a branch of probability ``prob``, or, given one matrix per operator, on
+    ``mats[i]`` of probability ``prob[i]``. Returns the indices of the kept
+    products, their probabilities ``prob * weight`` and their kets,
+    normalized, one per row; the kets hold the kept rows only.
+
+    A product is kept when its weight and its probability both reach
+    ``TOL.prob_floor``. Widening operators (``grams``, their stacked ``K^dagger
+    K``) are weighed first, as ``<mat, K^dagger K mat>``, and only the products
+    of those that pass are formed.
+    """
+    floor = TOL.prob_floor
+    idx = None
+    if grams is not None:
+        ahead = np.einsum("...ij,...ij->...", mats.conj(), grams @ mats).real
+        idx = np.flatnonzero((ahead >= floor) & (prob * ahead >= floor))
+        ops, prob = ops[idx], prob if np.isscalar(prob) else prob[idx]
+        mats = mats[idx] if mats.ndim == 3 else mats
+    if mats.ndim == 2:  # one matrix for every operator: one product
+        out = ops.reshape(-1, ops.shape[2]) @ mats
+    else:
+        out = np.matmul(ops, mats)
+    out = out.reshape(len(ops), ops.shape[1] * mats.shape[-1])
+    weight = _sq_norms(out)
+    w = prob * weight
+    kept = np.flatnonzero((weight >= floor) & (w >= floor))
+    kets = out if len(kept) == len(out) else out[kept]
+    kets *= (1 / np.sqrt(weight[kept]))[:, None]  # a real scale, not a complex division
+    return kept if idx is None else idx[kept], w[kept], kets
+
+
 def apply_instrument(
     instrument: Instrument, state: QuantumState, targets: Sequence[str] | None = None
 ) -> list[tuple[str, float, QuantumState]]:
@@ -807,58 +811,53 @@ def apply_instrument(
     outcome with probability above the branch floor.
 
     Each branch has its target factors merged and matricized once
-    (``_target_matrix``); every Kraus operator of every outcome then acts on
-    that matrix. A widening operator's weight ``<mat, K^dagger K mat>`` is
-    read first, and below the floor its product is skipped; a kept product
-    is formed and weighed as any other. Output layout: untouched registers in
-    their original order, then the instrument's output registers. The outcome
-    probabilities must sum to 1 within ``TOL.outcome_sum_atol``; a channel,
-    the one-outcome instrument, must keep the trace within
-    ``TOL.channel_trace_atol``.
+    (``_target_matrix``), and the kernel ``_products`` applies every Kraus
+    operator of every outcome to that matrix, under its floor rule. Output
+    layout: untouched registers in their original order, then the
+    instrument's output registers. The outcome probabilities are checked by
+    ``_kept_outcomes``.
     """
     targets = _resolve_targets(state.layout, instrument.layout_in, targets)
     new_layout = _output_layout(state.layout, targets, instrument.layout_out)
-    # branch by branch, so one merged matrix is alive at a time; each
-    # outcome still collects its branches in state order
-    collected: list[list] = [[] for _ in instrument.branches]
-    grams = instrument._widening_grams()
-    for br in state.branches:
+    ops, owner, grams = instrument._stacked()
+    rows = []  # (outcome, probability, factors) of each kept output
+    for br in state.branches:  # branch by branch: one merged matrix is alive at a time
         rest, mat, extras = _target_matrix(state, br, targets)
         labels = instrument.layout_out.labels + extras
-        for hits, (_, kraus), gram in zip(collected, instrument.branches, grams):
-            for k, g in zip(kraus, gram):
-                if g is not None:  # weigh a widening product before forming it
-                    ahead = float(np.vdot(mat, g @ mat).real)
-                    if ahead < TOL.prob_floor or br.probability * ahead < TOL.prob_floor:
-                        continue
-                out = k @ mat
-                weight = float(np.linalg.norm(out) ** 2)
-                w = br.probability * weight
-                if weight < TOL.prob_floor or w < TOL.prob_floor:
-                    continue
-                if labels:
-                    vec = (out / np.sqrt(weight)).reshape(-1)
-                    hits.append((w, rest + (Factor(labels, vec),)))
-                else:  # a map into the trivial space leaves only a weight
-                    hits.append((w, rest))
-    results = []
-    for (label, _), hits in zip(instrument.branches, collected):
-        p = sum(w for w, _ in hits)
-        if p < TOL.prob_floor:
-            continue
-        branches = tuple(EnsembleBranch(w / p, factors) for w, factors in hits)
-        results.append((label, p, QuantumState(new_layout, branches)))
-    _check_total(sum(p for _, p, _ in results), instrument)
-    return results
+        kept, w, kets = _products(ops, grams, mat, br.probability)
+        for i, wi, ket in zip(owner[kept].tolist(), w.tolist(), kets):
+            # a map into the trivial space leaves only a weight
+            rows.append((i, wi, rest + (Factor(labels, ket),) if labels else rest))
+    p = _kept_outcomes(rows, [instrument])
+    rows.sort(key=lambda r: r[0])  # stable: each outcome's branches in state order
+    return [
+        (
+            instrument.branches[i][0],
+            p[i],
+            QuantumState(new_layout, tuple(EnsembleBranch(w / p[i], f) for _, w, f in group)),
+        )
+        for i, group in itertools.groupby(rows, key=lambda r: r[0])
+        if p[i]
+    ]
 
 
-def _check_total(total: float, instrument: Instrument) -> None:
-    """The kept outcome probabilities of ``instrument`` sum to 1 within
+def _kept_outcomes(rows: Sequence[tuple], instruments: Sequence[Instrument]) -> list[float]:
+    """The probability of each outcome of ``instruments``, numbered across
+    them in order, summed over the ``rows`` (outcome, probability, ...) in
+    their order, with every outcome below ``TOL.prob_floor`` dropped (0). The
+    kept outcomes of each instrument must sum to 1 within
     ``TOL.outcome_sum_atol``, or, for a channel, ``TOL.channel_trace_atol``."""
-    one = len(instrument.branches) == 1
-    atol = TOL.channel_trace_atol if one else TOL.outcome_sum_atol
-    if not abs(total - 1.0) <= atol:
-        raise ValidationError(f"instrument outcome probabilities sum to {total!r}")
+    p = [0.0] * sum(len(inst.branches) for inst in instruments)
+    for i, w, *_ in rows:
+        p[i] += w
+    p = [x if x >= TOL.prob_floor else 0.0 for x in p]
+    outcomes = iter(p)
+    for inst in instruments:
+        total = sum(itertools.islice(outcomes, len(inst.branches)))
+        atol = TOL.channel_trace_atol if len(inst.branches) == 1 else TOL.outcome_sum_atol
+        if not abs(total - 1.0) <= atol:
+            raise ValidationError(f"instrument outcome probabilities sum to {total!r}")
+    return p
 
 
 def _sq_norms(rows: np.ndarray) -> np.ndarray:
@@ -875,39 +874,6 @@ def apply_channel(
     ``apply_instrument``."""
     ((_, _, out),) = apply_instrument(channel, state, targets)
     return out
-
-
-@dataclasses.dataclass(frozen=True)
-class _Rows:
-    """The output branches that one input branch gives in
-    ``measure_and_correct``, one per row: the ``fixed`` factors, shared by
-    all rows, then one factor per entry of ``varying`` (labels, one ket per
-    row). ``keys`` (outcome pair, input branch, measurement operator,
-    correction operator) order the rows as the per-outcome path lists them."""
-
-    keys: tuple[np.ndarray, ...]
-    w: np.ndarray
-    fixed: tuple[Factor, ...]
-    varying: tuple[tuple[tuple[str, ...], np.ndarray], ...]
-
-    def structure(self) -> tuple:
-        return tuple(f.labels for f in self.fixed) + tuple(lab for lab, _ in self.varying)
-
-    def columns(self) -> list[np.ndarray]:
-        """The kets of each factor, one row per output branch."""
-        n = len(self.w)
-        fixed = [np.broadcast_to(f.vector, (n, f.vector.size)) for f in self.fixed]
-        return fixed + [kets for _, kets in self.varying]
-
-    def factors(self, i: int) -> tuple[Factor, ...]:
-        # a copy, so that a kept ket does not hold the whole array alive
-        return self.fixed + tuple(Factor(lab, kets[i].copy()) for lab, kets in self.varying)
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The integer ranges ``[s, s + l)``, concatenated."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
 
 
 def measure_and_correct(
@@ -930,164 +896,78 @@ def measure_and_correct(
     corrections, which share their input dimensions and output layout, as the
     instruments of one adaptive round do.
 
-    Each branch has its measured factors merged and matricized once
-    (``_target_matrix``), and all Kraus operators of the measurement act on
-    that matrix in one product; the selected corrections act on every kept
-    output in one batched ``matmul``. The floor drops and the probability-sum
-    checks are those of ``apply_instrument``, but a widening product is formed
-    before it is weighed. The output kets are coalesced as arrays
-    (``_classes``), so only the branches that remain become ``Factor``s.
+    Each branch takes two calls of the kernel ``_products``: the
+    measurement on its merged target matrix, then one batched product for the
+    corrections its kept outputs select, each on its own output. The outputs
+    are listed as the per-outcome path lists them.
     """
-    floor = TOL.prob_floor
     m_targets = _resolve_targets(state.layout, measurement.layout_in, measure_targets)
     mid = _output_layout(state.layout, m_targets, measurement.layout_out)
-    ops, owner = measurement._stacked()
-    flat = ops.reshape(-1, ops.shape[2])
-    measured = []  # per branch: rest, extras, kept operators, weights, kets
+    ops, owner, grams = measurement._stacked()
+    measured = []  # per branch: untouched factors, extras, kept operators, probabilities, kets
     for br in state.branches:
         rest, mat, extras = _target_matrix(state, br, m_targets)
-        out = (flat @ mat).reshape(len(ops), -1)
-        weight = _sq_norms(out)
-        w = br.probability * weight
-        kept = np.flatnonzero((weight >= floor) & (w >= floor))
-        kets = out if len(kept) == len(out) else out[kept]
-        kets *= (1 / np.sqrt(weight[kept]))[:, None]  # a real scale, not a complex division
-        measured.append((rest, extras, kept, w[kept], kets))
-    outcomes = measurement.outcome_labels
-    p = np.bincount(
-        np.concatenate([owner[kept] for _, _, kept, _, _ in measured]),
-        weights=np.concatenate([w for _, _, _, w, _ in measured]),
-        minlength=len(outcomes),
+        measured.append((rest, extras, *_products(ops, grams, mat, br.probability)))
+    p = np.array(
+        _kept_outcomes(
+            [r for _, _, kept, w, _ in measured for r in zip(owner[kept].tolist(), w.tolist())],
+            [measurement],
+        )
     )
-    live = np.flatnonzero(p >= floor)
-    _check_total(sum(p[live].tolist()), measurement)
+    live = np.flatnonzero(p)
 
-    # the selected corrections' operators in one stack; the outcome pair
-    # (m, o) is indexed by base[m] + o
-    chosen = corrections_for([outcomes[m] for m in live], mid)
+    chosen = corrections_for([measurement.branches[m][0] for m in live], mid)
     c_targets = _resolve_targets(mid, chosen[0].layout_in, correct_targets)
     new_layout = _output_layout(mid, c_targets, chosen[0].layout_out)
     stacks = [inst._stacked() for inst in chosen]
     c_ops = np.concatenate([s[0] for s in stacks])
-    counts = np.zeros(len(outcomes), dtype=np.intp)
-    counts[live] = [len(s[0]) for s in stacks]
-    starts = np.cumsum(counts) - counts
-    sizes = np.array([len(inst.branches) for inst in chosen])
-    base = np.zeros(len(outcomes), dtype=np.intp)
-    base[live] = np.cumsum(sizes) - sizes
-    pair_of_op = np.repeat(base[live], counts[live]) + np.concatenate([s[1] for s in stacks])
+    c_grams = None if stacks[0][2] is None else np.concatenate([s[2] for s in stacks])
+    # each correction operator's measurement outcome m, and its outcome pair
+    # (m, o), numbered in the order of the kept m and then of o
+    sizes = [len(inst.branches) for inst in chosen]
+    served = np.repeat(live, [len(s[0]) for s in stacks])
+    pair = np.concatenate([s[1] + b for s, b in zip(stacks, np.cumsum(sizes) - sizes)])
     cset = set(c_targets)
-    blocks: list[_Rows] = []
-    for b, (rest, extras, kept, w, kets) in enumerate(measured):
+    rows = []  # (pair, probability, factors) of each kept output
+    for rest, extras, kept, w, kets in measured:
         if not len(kept):
             continue
         ms = owner[kept]  # every kept operator's outcome is kept: p[m] >= w
         mid_labels = measurement.layout_out.labels + extras
         fixed, labels = _merged([f for f in rest if set(f.labels) & cset])
         corrected = bool(set(mid_labels) & cset)  # the measured ket is corrected
-        if corrected and labels:
-            merged = (fixed[None, :, None] * kets[:, None, :]).reshape(len(kets), -1)
-        elif corrected:
-            merged = kets
-        else:
-            merged = fixed[None, :]
-        if corrected:
-            labels = labels + list(mid_labels)
-        dims = [len(merged)] + [mid[lab].dim for lab in labels]
+        # each row's target matrix, merged as the per-outcome path merges it
+        merged = fixed[None, :, None] * (kets if corrected else np.ones((len(kets), 1)))[:, None, :]
+        labels += mid_labels if corrected else ()
+        dims = [len(kets)] + [mid[lab].dim for lab in labels]
         axes = [0] + [labels.index(t) + 1 for t in c_targets]
         mats = matricize(merged.reshape(-1), dims, axes).reshape(
-            len(merged), chosen[0].layout_in.total_dim, -1
+            len(kets), chosen[0].layout_in.total_dim, -1
         )
-        row = np.repeat(np.arange(len(ms)), counts[ms])
-        op = _ranges(starts[ms], counts[ms])
-        if not corrected:
-            mats = mats[0]
-        elif len(row) > len(mats):  # some outcome's correction has several operators
-            mats = mats[row]
-        out = np.matmul(c_ops[op], mats).reshape(len(op), -1)
-        weight = _sq_norms(out)
-        wc = (w / p[ms])[row] * weight
-        keep = np.flatnonzero((weight >= floor) & (wc >= floor))
-        if not len(keep):
-            continue
-        row, op = row[keep], op[keep]
-        out = out if len(keep) == len(out) else out[keep]
-        out *= (1 / np.sqrt(weight[keep]))[:, None]
-        varying = []
-        if mid_labels and not corrected:
-            varying.append((mid_labels, kets[row]))
-        out_labels = chosen[0].layout_out.labels + tuple(
-            lab for lab in labels if lab not in cset
+        row, op = np.nonzero(ms[:, None] == served)  # row by row, in operator order
+        c_kept, wc, out = _products(
+            c_ops[op], None if c_grams is None else c_grams[op], mats[row], (w / p[ms])[row]
         )
-        if out_labels:
-            varying.append((out_labels, out))
-        blocks.append(
-            _Rows(
-                keys=(pair_of_op[op], np.full(len(op), b), kept[row], op),
-                w=wc[keep],
-                fixed=tuple(f for f in rest if not set(f.labels) & cset),
-                varying=tuple(varying),
-            )
-        )
-
-    q = np.bincount(
-        np.concatenate([blk.keys[0] for blk in blocks] or [np.zeros(0, dtype=np.intp)]),
-        weights=np.concatenate([blk.w for blk in blocks] or [np.zeros(0)]),
-        minlength=int(sizes.sum()),
+        untouched = tuple(f for f in rest if not set(f.labels) & cset)
+        out_labels = chosen[0].layout_out.labels + tuple(lab for lab in labels if lab not in cset)
+        for r, k, wj, ket in zip(row[c_kept].tolist(), pair[op[c_kept]].tolist(), wc.tolist(), out):
+            # copies, so that a kept ket does not hold the whole array alive
+            factors = untouched
+            if mid_labels and not corrected:
+                factors += (Factor(mid_labels, kets[r].copy()),)
+            if out_labels:
+                factors += (Factor(out_labels, ket.copy()),)
+            rows.append((k, wj, factors))
+    q = _kept_outcomes(rows, chosen)
+    # each kept pair's rows in input order, as the per-outcome path lists them
+    rows = sorted((r for r in rows if q[r[0]]), key=lambda r: r[0])
+    pq = (p[np.repeat(live, sizes)] * q).tolist()  # each pair's leaf probability
+    leaves = np.flatnonzero(q)
+    total = sum(pq[k] for k in leaves)  # one leaf: pq / total is 1, and a leaf is not coalesced
+    out = QuantumState(
+        new_layout, tuple(EnsembleBranch(pq[k] / total * (w / q[k]), f) for k, w, f in rows)
     )
-    totals = np.add.reduceat(np.where(q >= floor, q, 0.0), base[live])
-    for total, inst in zip(totals.tolist(), chosen):
-        _check_total(total, inst)
-
-    # the rows of the kept pairs, in the order the per-outcome path lists them
-    keys = [np.concatenate([blk.keys[k] for blk in blocks]) for k in range(4)]
-    order = np.lexsort(keys[::-1])
-    order = order[q[keys[0][order]] >= floor]
-    wc = np.concatenate([blk.w for blk in blocks]) / q[keys[0]]
-    pq = p[np.repeat(live, sizes)] * q  # each pair's leaf probability
-    leaves = np.flatnonzero(q >= floor)
-    if len(leaves) == 1:
-        total = float(pq[leaves[0]])
-        rows, probs = order, wc[order]
-    else:
-        total = sum(float(x) for x in pq[leaves])
-        rows, probs = _coalesce_rows(blocks, order, pq[keys[0]] / total * wc)
-    offsets = np.cumsum([len(blk.w) for blk in blocks])
-    at = np.searchsorted(offsets, rows, side="right")
-    return total, QuantumState(
-        new_layout,
-        tuple(
-            EnsembleBranch(float(pr), blocks[i].factors(r - offsets[i] + len(blocks[i].w)))
-            for i, r, pr in zip(at, rows, probs)
-        ),
-    )
-
-
-def _coalesce_rows(
-    blocks: Sequence[_Rows], order: np.ndarray, probs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``coalesce`` on the rows of ``blocks``, numbered across them, taken as
-    branches in ``order`` with probabilities ``probs``: the first row of each
-    class, in that order, and the class's summed probability."""
-    n = len(probs)
-    rank = np.full(n, -1)
-    rank[order] = np.arange(len(order))
-    first = np.arange(n)
-    offsets = np.cumsum([len(blk.w) for blk in blocks]) - [len(blk.w) for blk in blocks]
-    groups: dict[tuple, list[int]] = {}
-    for i, blk in enumerate(blocks):
-        groups.setdefault(blk.structure(), []).append(i)
-    for members in groups.values():
-        ids = np.concatenate([offsets[i] + np.arange(len(blocks[i].w)) for i in members])
-        cols = blocks[members[0]].columns()
-        if len(members) > 1:
-            cols = [np.concatenate(c) for c in zip(*(blocks[i].columns() for i in members))]
-        sel = np.argsort(rank[ids])
-        sel = sel[rank[ids[sel]] >= 0]
-        first[ids[sel]] = ids[_classes(cols, sel)]
-    sums = np.bincount(first[order], weights=probs[order], minlength=n)
-    reps = order[np.unique(rank[first[order]])]
-    return reps, sums[reps]
+    return total, out if len(leaves) == 1 else coalesce(out)
 
 
 # -- comparisons -----------------------------------------------------------

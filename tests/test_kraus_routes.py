@@ -137,9 +137,23 @@ def test_channel_checks_run_in_the_instrument_constructor():
         assert str(chan_err.value) == str(inst_err.value)
 
 
-def test_widening_products_are_weighed_before_they_are_formed():
+class _Formed(np.ndarray):
+    """An operator stack that logs the operators of every product formed
+    from it (``np.matmul`` and ``@`` are ufuncs, so they come here)."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _Formed.log.append(np.asarray(inputs[0]))
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def test_widening_products_are_weighed_before_they_are_formed(monkeypatch):
     # outcome weights 2e-12 and 5e-13 sit either side of the 1e-12 floor, and
-    # "nil" annihilates the state; every operator widens A (2) to X (3)
+    # "nil" annihilates the state; every operator widens A (2) to X (3). The
+    # kernel forms the products of "small" and "bulk" only: no product of
+    # "tiny" or "nil" is formed, not even to be dropped
     layout = RegisterLayout((Register("A", 2, ALICE), Register("B", 3, BOB)))
     gen = rng(45)
     factors = (Factor(("A",), np.array([1.0, 0.0])), Factor(("B",), random_pure_vector(3, gen)))
@@ -159,7 +173,18 @@ def test_widening_products_are_weighed_before_they_are_formed():
         RegisterLayout((Register("A", 2, ALICE),)),
         out,
     )
+    ops, owner, grams = inst._stacked()
+    monkeypatch.setattr(inst, "_stacked", lambda: (ops.view(_Formed), owner, grams))
+    monkeypatch.setattr(_Formed, "log", [])
     ens = apply_instrument(inst, state, ["A"])
+    formed = [
+        i
+        for k in _Formed.log
+        for product in k.reshape(-1, *ops.shape[1:])
+        for i, op in enumerate(ops)
+        if np.array_equal(product, op)
+    ]
+    assert formed == [0, 3]
     den = oracle.apply_instrument(inst, state.densify(), ["A"])
     assert [o for o, _, _ in ens] == [o for o, _, _ in den] == ["small", "bulk"]
     for (_, p_e, s_e), (_, p_d, s_d) in zip(ens, den):

@@ -99,6 +99,26 @@ class TestPipelineVerdicts:
         assert quantity(rep, "sn-lower").value == 2
         assert quantity(rep, "sn-upper").value == 2
 
+    @pytest.mark.parametrize("written", ["once", "quarters", "phases"])
+    def test_schmidt_reads_the_state_not_how_it_is_written(self, written):
+        # 1/2 |00><00| + 1/2 Phi on levels {1, 2}, with |00> written once, as
+        # two quarter-weight copies, or as copies with phases +1 and -1: one
+        # density operator, whose Schmidt number is 2
+        zero = np.eye(9, dtype=np.complex128)[0]
+        phi = (np.eye(9)[4] + np.eye(9)[8]).astype(np.complex128) / np.sqrt(2)
+        copies = {
+            "once": [(0.5, zero)],
+            "quarters": [(0.25, zero), (0.25, zero)],
+            "phases": [(0.25, zero), (0.25, -zero)],
+        }[written]
+        state = QuantumState.from_branches(
+            RegisterLayout.build([("A", 3, ALICE), ("B", 3, BOB)]),
+            [EnsembleBranch(p, (Factor(("A", "B"), v),)) for p, v in copies + [(0.5, phi)]],
+        )
+        rep = pipeline_schmidt(state)
+        assert rep.verdict == "verified"
+        assert quantity(rep, "sn-lower").value == quantity(rep, "sn-upper").value == 2
+
 
 class TestCorruption:
     # a perturbation far above tolerance must flip every pipeline

@@ -392,6 +392,45 @@ class TestRetirement:
         if all(len(m.branches) == 1 for m in correct.instruments_by_outcome.values()):
             _assert_same_leaves(tree, per_leaf, "correct")
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_both_routes_keep_the_same_rows_at_the_floor(self, seed, monkeypatch):
+        # an operator sqrt(2e-11) |0><0| on the first outcome of the
+        # measurement and of every correction puts rows on either side of the
+        # 1e-12 floor at both steps; the combined step (keep=("sample",))
+        # hands the kernel the same rows as the per-outcome path (keep=None)
+        # and keeps the same ones
+        prot, start = _measure_correct_protocol(rng(720 + seed))
+        sample, measure, correct = prot.rounds
+        fixes = {k: _edged(v, 2e-11) for k, v in correct.instruments_by_outcome.items()}
+        prot = SloccqProtocol(
+            (
+                sample,
+                local_round("measure", ALICE, _edged(measure.instrument, 2e-11), broadcast=True),
+                adaptive_round("correct", BOB, fixes, select_by="measure"),
+            ),
+            1,
+        )
+        calls = []
+        real = states_module._products
+
+        def recording(ops, *args):
+            kept = real(ops, *args)
+            calls.append((len(ops), kept[1]))
+            return kept
+
+        monkeypatch.setattr(states_module, "_products", recording)
+        every = run_protocol(prot, start)
+        offered, kept = sum(n for n, _ in calls), np.sort(np.concatenate([w for _, w in calls]))
+        calls.clear()
+        tree = run_protocol(prot, start, keep=("sample",))
+        assert sum(n for n, _ in calls) == offered > len(kept)
+        assert kept[0] < 1e-11  # rows just above the floor are kept
+        np.testing.assert_allclose(
+            np.sort(np.concatenate([w for _, w in calls])), kept, rtol=1e-12, atol=0
+        )
+        for outcome in ("c0", "c1"):
+            _assert_same_mixture(tree, every, [("sample", outcome)])
+
     def test_converse_teleport_forms_no_leaf_per_outcome(self, monkeypatch):
         # at n=2 the per-outcome path makes 140 apply_instrument calls and
         # forms 2 * 8**2 leaves at the Bell round; every round's leaf bound,
@@ -556,6 +595,19 @@ def _faint_instrument(gen, layout_in, layout_out, counts, faint):
         layout_in,
         layout_out,
     )
+
+
+def _edged(inst, eps):
+    """``inst`` with one more Kraus operator on its first outcome, ``sqrt(eps)
+    |0><0|``, and every operator scaled by ``sqrt(1 - eps)`` on ``|0>``, so that
+    the trace is kept."""
+    edge = np.zeros((inst.layout_out.total_dim, inst.layout_in.total_dim), dtype=np.complex128)
+    edge[0, 0] = math.sqrt(eps)
+    scale = np.ones(inst.layout_in.total_dim)
+    scale[0] = math.sqrt(1 - eps)
+    branches = [(label, [k * scale for k in kraus]) for label, kraus in inst.branches]
+    branches[0][1].append(edge)
+    return Instrument(branches, inst.layout_in, inst.layout_out)
 
 
 def _ket(gen, dims, zero_m):

@@ -4,8 +4,9 @@ only ``registers`` compares against the dense cap, only
 every ket cut names the ``TOL`` entry its rank is counted at, no object is
 built around its
 constructor with ``__new__``, outside ``states`` only
-``protocols.run_protocol`` applies a map, and the dense routes stay in
-``oracle``.
+``protocols.run_protocol`` applies a map, inside it only the kernel
+``_products`` multiplies a stacked map onto a state, and the dense routes
+stay in ``oracle``.
 
 The source is parsed, not imported: a float literal below 1e-3 anywhere in
 ``src/qcatalyst`` outside the ``Tolerances`` class body is a cutoff written
@@ -188,6 +189,39 @@ def test_maps_are_applied_only_by_the_protocol_engine():
             ):
                 stray.append(f"{name}:{node.lineno}: {called}")
     assert not stray, "maps applied outside run_protocol:\n" + "\n".join(stray)
+
+
+def test_one_kernel_applies_every_map():
+    # in states a stacked map reaches a state in one place, the kernel
+    # _products: a function that reads Instrument._stacked hands the
+    # operators to it and neither multiplies them onto a state nor weighs an
+    # output against TOL.prob_floor itself (outcome sums go through
+    # _kept_outcomes); besides the kernel, only the marginal's factor split
+    # both multiplies matrices and compares with the floor
+    def product(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)) or (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) in ("matmul", "dot", "einsum", "tensordot", "vdot")
+        )
+
+    def floor(node):
+        return isinstance(node, ast.Attribute) and node.attr == "prob_floor"
+
+    readers, both, stray = set(), set(), []
+    for fn in ast.walk(_modules()["states.py"]):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        if any(map(product, nodes)) and any(map(floor, nodes)):
+            both.add(fn.name)
+        if fn.name != "_stacked" and any(
+            isinstance(n, ast.Attribute) and n.attr == "_stacked" for n in nodes
+        ):
+            readers.add(fn.name)
+            stray += [f"{fn.name}:{n.lineno}" for n in nodes if product(n) or floor(n)]
+    assert {"apply_instrument", "measure_and_correct"} <= readers
+    assert not stray, "maps applied or weighed outside the kernel:\n" + "\n".join(stray)
+    assert both == {"_products", "_split_factor"}
 
 
 def test_the_dense_routes_stay_in_the_oracle():
