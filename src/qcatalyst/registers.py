@@ -9,9 +9,8 @@ past ``DENSE_CAP`` squared entries before it is allocated. The D x D layer
 benchmark's tracer patches it by name, which keeps it here. ``TOL`` holds
 every tolerance, floor and relative rank cutoff the package compares against,
 ``numerical_rank`` is the one place a relative rank cutoff is applied, and
-``thin_svd`` the one place a matrix is factored by SVD: ket cuts, the pencil
-and square marginal splits. A rectangular marginal split needs no SVD;
-``states`` takes it from the reduced state of the short side.
+``thin_svd`` the one place a matrix is factored by SVD: ket cuts and the
+pencil (a marginal split in ``states`` takes the ``eigh`` of a reduced state).
 ``svd_across_cut`` is the one cut of a ket: it takes the ket and its layout,
 and counts the Schmidt rank at the ``TOL`` entry its caller names
 (``rank_rtol`` in certificates, ``protocol_rank_rtol`` in protocol compilers,

@@ -42,10 +42,9 @@ probability sums, trace preservation, purity, the floor below which a branch
 or outcome is dropped) is an entry of ``TOL``.
 
 A marginal splits each factor that straddles the kept and dropped registers
-(``_split_factor``). A rectangular split goes through the reduced state of
-its short side, decomposed once per factor and cut and kept on the factor,
-so the marginals on the two sides of one cut share one ``eigh``; a square
-split calls ``thin_svd`` each time.
+(``_split_factor``) through one ``eigh`` per factor and cut, of the reduced
+state of its short side or, on a square cut, of its first register's side,
+kept on the factor for the marginals on both sides of the cut.
 """
 
 from __future__ import annotations
@@ -72,12 +71,11 @@ from .registers import (
     eigh_descending,
     matricize,
     require_dense,
-    thin_svd,
 )
 
 @dataclasses.dataclass(frozen=True)
 class Factor:
-    """Pure vector over an ordered group of register labels."""
+    """Pure vector over an ordered group of register labels, copied unless read-only."""
 
     labels: tuple[str, ...]
     vector: np.ndarray
@@ -87,8 +85,10 @@ class Factor:
     )
 
     def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=np.complex128).reshape(-1)
-        vec.setflags(write=False)
+        vec = base = np.asarray(self.vector, dtype=np.complex128).reshape(-1)
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        vec = _frozen(vec.copy()) if isinstance(base, np.ndarray) else vec
         object.__setattr__(self, "vector", vec)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -100,6 +100,15 @@ class EnsembleBranch:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, read-only with every array it views: a ``Factor`` takes it as is."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        base.setflags(write=False)
+        base = base.base
+    return arr
 
 
 def _merged(factors: Sequence[Factor]) -> tuple[np.ndarray, list[str]]:
@@ -314,41 +323,33 @@ class QuantumState:
         """Marginal of one pure factor: weighted pure sub-factors on ``keep``,
         heaviest first, each of weight at least ``TOL.prob_floor``.
 
-        The factor's K x D matricization ``M`` (kept rows, dropped columns)
-        has the reduced state ``M M^dagger``. A square ``M`` is split by
-        ``thin_svd``: weights ``s_j^2``, kets the left singular vectors. A
-        rectangular one goes through the reduced state of its short side,
-        which carries every nonzero weight (Schmidt). That state is ``S
-        S^dagger`` for ``S`` the matricization with the short side as rows;
-        it is decomposed once per factor and cut, whichever side is asked for
-        first, and its eigenpairs of eigenvalue at least the floor are kept on
-        the factor. With K < D they are the options. With K > D, ``M = S^T``
-        up to a row order, so each kept eigenvector ``w_j`` maps to the kept
-        ket ``M conj(w_j)``, normalized, of weight ``||M conj(w_j)||^2``. No
-        square root is taken.
+        One side of the cut, the short one or on a square cut the one holding
+        ``f.labels[0]``, has its reduced state ``S S^dagger`` (``S`` the
+        matricization with that side as rows) decomposed once per factor and
+        cut; its eigenpairs of eigenvalue at least the floor, kept on the
+        factor, are that side's options (Schmidt). The other side's
+        matricization ``M`` is ``S^T`` up to a row order, so each eigenvector
+        ``w_j`` gives the ket ``M conj(w_j)``, normalized, of weight ``||M
+        conj(w_j)||^2``. No square root is taken, and the kets are read-only
+        columns of an array that holds the kept options only.
         """
         dims = [self.layout[lab].dim for lab in f.labels]
         rows = math.prod(self.layout[lab].dim for lab in keep)
         cols = f.vector.size // rows
-        if rows == cols:
-            mat = matricize(f.vector, dims, [f.labels.index(lab) for lab in keep])
-            kets, s, _ = thin_svd(mat)
-            weights = s**2
-        else:
-            short = keep if rows < cols else [lab for lab in f.labels if lab not in keep]
-            key = (tuple(short), tuple(dims))
-            if key not in f._cuts:
-                s_mat = matricize(f.vector, dims, [f.labels.index(lab) for lab in short])
-                lam, vecs = np.linalg.eigh(s_mat @ s_mat.conj().T)
-                del s_mat  # a long side matricizes again; hold one copy at a time
-                top = lam >= TOL.prob_floor
-                f._cuts[key] = (lam[top][::-1], vecs[:, top][:, ::-1])
-            weights, kets = f._cuts[key]
-            if rows > cols:
-                mat = matricize(f.vector, dims, [f.labels.index(lab) for lab in keep])
-                kets = mat @ kets.conj()
-                weights = np.linalg.norm(kets, axis=0) ** 2
-                kets = kets / np.sqrt(weights)
+        drop = [lab for lab in f.labels if lab not in keep]
+        short = keep if rows < cols or (rows == cols and f.labels[0] in keep) else drop
+        key = (tuple(short), tuple(dims))
+        if key not in f._cuts:
+            s_mat = matricize(f.vector, dims, [f.labels.index(lab) for lab in short])
+            lam, vecs = np.linalg.eigh(s_mat @ s_mat.conj().T)
+            del s_mat  # a long side matricizes again; hold one copy at a time
+            top = lam >= TOL.prob_floor
+            f._cuts[key] = (lam[top][::-1], _frozen(vecs[:, top][:, ::-1]))
+        weights, kets = f._cuts[key]
+        if short is drop:
+            kets = matricize(f.vector, dims, [f.labels.index(lab) for lab in keep]) @ kets.conj()
+            weights = np.linalg.norm(kets, axis=0) ** 2
+            kets = _frozen(kets / np.sqrt(weights))
         return [
             (float(w), Factor(tuple(keep), kets[:, j]))
             for j, w in enumerate(weights)
@@ -801,7 +802,7 @@ def _products(ops: np.ndarray, grams: np.ndarray | None, mats: np.ndarray, prob)
     kept = np.flatnonzero((weight >= floor) & (w >= floor))
     kets = out if len(kept) == len(out) else out[kept]
     kets *= (1 / np.sqrt(weight[kept]))[:, None]  # a real scale, not a complex division
-    return kept if idx is None else idx[kept], w[kept], kets
+    return kept if idx is None else idx[kept], w[kept], _frozen(kets)
 
 
 def apply_instrument(
@@ -954,9 +955,9 @@ def measure_and_correct(
             # copies, so that a kept ket does not hold the whole array alive
             factors = untouched
             if mid_labels and not corrected:
-                factors += (Factor(mid_labels, kets[r].copy()),)
+                factors += (Factor(mid_labels, _frozen(kets[r].copy())),)
             if out_labels:
-                factors += (Factor(out_labels, ket.copy()),)
+                factors += (Factor(out_labels, _frozen(ket.copy())),)
             rows.append((k, wj, factors))
     q = _kept_outcomes(rows, chosen)
     # each kept pair's rows in input order, as the per-outcome path lists them

@@ -26,7 +26,7 @@ from qcatalyst import (
     sn_flagged_blocks,
     tensor_states,
 )
-from qcatalyst import catalysis, cli, oracle, pipelines, protocols, registers
+from qcatalyst import catalysis, cli, oracle, pipelines, protocols
 from qcatalyst.pipelines import (
     pipeline_lemma1,
     pipeline_obs1,
@@ -302,13 +302,22 @@ def test_one_schmidt_analysis_per_protocol(monkeypatch, report, verdict, analyse
 
 
 @pytest.mark.parametrize(
-    "argv", [["theorem", "--n", "3"], ["lemma1", "--n", "4"]], ids=["theorem", "lemma1"]
+    "argv",
+    [
+        ["theorem", "--n", "3"],
+        ["lemma1", "--n", "4"],
+        ["lemma1", "--n", "4", "--mode", "explicit-flags"],
+        ["obs1", "--n", "4"],
+    ],
+    ids=["theorem", "lemma1", "lemma1-explicit-flags", "obs1"],
 )
 def test_the_output_cap_refuses_before_any_svd(monkeypatch, capsys, argv):
-    def no_svd(mat):
-        raise AssertionError("an SVD ran before the output cap refused")
+    # no decomposition at all, neither an SVD nor the eigh of a marginal split
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("a decomposition ran before the output cap refused")
 
-    monkeypatch.setattr(registers, "thin_svd", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", no_decomposition)
+    monkeypatch.setattr(np.linalg, "eigh", no_decomposition)
     assert cli.main(argv) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "refused"

@@ -25,10 +25,10 @@ from qcatalyst import (
     tensor_states,
     trace_distance,
 )
-from qcatalyst import oracle, states
+from qcatalyst import oracle
 from qcatalyst.catalysis import _audit, _execute, build_protocol
 from qcatalyst.pipelines import qutrit_pair_states
-from qcatalyst.registers import EMPTY_LAYOUT, thin_svd
+from qcatalyst.registers import EMPTY_LAYOUT
 from qcatalyst.sampling import (
     random_channel,
     random_density_matrix,
@@ -91,6 +91,31 @@ class TestConstruction:
         st = basis_product(layout_ab(2, 3), (1, 2))
         vec = st.to_vector()
         assert vec[1 * 3 + 2] == pytest.approx(1.0)
+
+    def test_a_write_to_the_callers_array_leaves_the_factor_unchanged(self):
+        v = np.zeros(4, dtype=np.complex128)
+        v[0] = 1
+        view = v[:]
+        view.setflags(write=False)  # read-only, but v can still be written
+        factors = [Factor(("A", "B"), v), Factor(("A", "B"), view)]
+        v[3] = 1
+        for f in factors:
+            assert f.vector.tolist() == [1, 0, 0, 0]
+            assert not f.vector.flags.writeable
+
+    def test_a_read_only_array_is_taken_without_a_copy(self):
+        # the package's kets come in read-only, so no hot path copies them
+        v = np.zeros(4, dtype=np.complex128)
+        v[2] = 1
+        v.setflags(write=False)
+        assert np.shares_memory(Factor(("A", "B"), v).vector, v)
+        unitary = KrausChannel.from_unitary(random_unitary(4, rng(24)), layout_ab())
+        (branch,) = apply_channel(unitary, basis_product(layout_ab(), (1, 0))).branches
+        base = branch.factors[0].vector
+        assert base.base is not None  # a view of the kernel's output, not a copy
+        while isinstance(base, np.ndarray):
+            assert not base.flags.writeable
+            base = base.base
 
 
 class TestRepresentations:
@@ -168,8 +193,8 @@ class TestRepresentations:
 
 
 class TestSplitRoute:
-    """A rectangular factor split goes through the reduced state of its short
-    side; a square one keeps ``thin_svd``."""
+    """A factor split goes through the reduced state of its short side, or of
+    the side of its first register when the cut is square."""
 
     @staticmethod
     def single_factor(kept, dropped, rank, gen):
@@ -195,11 +220,20 @@ class TestSplitRoute:
         rhs = partial_trace(st.densify(), ["D"]).entries
         np.testing.assert_allclose(marg.densify().entries, rhs, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("rank", ["one", "full"])
-    @pytest.mark.parametrize("kept, dropped", [(81, 729), (729, 81)])
+    @pytest.mark.parametrize(
+        "kept, dropped, rank",
+        [
+            (81, 729, "one"),
+            (81, 729, "full"),
+            (729, 81, "one"),
+            (729, 81, "full"),
+            (729, 729, "one"),
+        ],
+    )
     def test_benchmark_shaped_splits_match_the_reduced_state(self, kept, dropped, rank):
-        # the whole 59049-dim state is past the dense cap, so the reference is
-        # the reduced state summed over the dropped index of the ket
+        # the whole state is past the dense cap, so the reference is the
+        # reduced state summed over the dropped index of the ket; 729 x 729 of
+        # rank one is the explicit-flags n=3 split
         st = self.single_factor(kept, dropped, rank, rng(27))
         marg = st.marginal(["K"])
         self.check_options(marg, rank, kept, dropped)
@@ -207,40 +241,45 @@ class TestSplitRoute:
         rhs = np.einsum("id,jd->ij", psi, psi.conj())
         np.testing.assert_allclose(marg.densify().entries, rhs, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("kept, dropped", [(3, 5), (5, 3)])
+    @pytest.mark.parametrize("kept, dropped", [(3, 5), (5, 3), (5, 5)])
     def test_weights_are_cut_at_the_probability_floor(self, kept, dropped):
-        # Schmidt weights 1e-11 and 1e-13 sit either side of the 1e-12 floor
+        # Schmidt weights 1e-11 and 1e-13 sit either side of the 1e-12 floor,
+        # on the decomposed side of the cut and on the side mapped from it
         gen = rng(28)
         weights = np.array([1 - 1e-11 - 1e-13, 1e-11, 1e-13])
         core = np.zeros((kept, dropped), dtype=np.complex128)
         core[range(3), range(3)] = np.sqrt(weights)
         psi = random_unitary(kept, gen) @ core @ random_unitary(dropped, gen).T
         lay = RegisterLayout((Register("K", kept, ALICE), Register("D", dropped, BOB)))
-        marg = QuantumState.pure(lay, psi.reshape(-1)).marginal(["K"])
-        probs = np.array([br.probability for br in marg.branches])
-        np.testing.assert_allclose(probs, weights[:2], rtol=0, atol=1e-15)
+        st = QuantumState.pure(lay, psi.reshape(-1))
+        for side in ("K", "D"):
+            probs = np.array([br.probability for br in st.marginal([side]).branches])
+            np.testing.assert_allclose(probs, weights[:2], rtol=0, atol=1e-15)
 
-    def test_square_split_is_the_direct_thin_svd_split(self):
-        st = self.single_factor(9, 9, "full", rng(29))
-        f = st.branches[0].factors[0]
-        options = st._split_factor(f, ["K"])
-        u, s, _ = thin_svd(f.vector.reshape(9, 9))
-        assert len(options) == s.size
-        for j, (w, fo) in enumerate(options):
-            assert w == float(s[j] ** 2)
-            assert np.array_equal(fo.vector, u[:, j])
+    @pytest.mark.parametrize("rank", ["one", "full"])
+    def test_a_marginal_keeps_no_decomposition_alive(self, rank):
+        # a ket views at most the kept options of its cut: at rank one, no
+        # array larger than itself
+        st = self.single_factor(27, 27, rank, rng(29))
+        for side in ("K", "D"):
+            marg = st.marginal([side])
+            for br in marg.branches:
+                vec = base = br.factors[0].vector
+                while isinstance(base, np.ndarray):
+                    assert base.nbytes <= vec.nbytes * len(marg.branches)
+                    base = base.base
 
-    @pytest.mark.parametrize(
-        "kept, dropped, calls", [(9, 81, 0), (81, 9, 0), (27, 27, 1)]
-    )
+    @pytest.mark.parametrize("kept, dropped, calls", [(9, 81, 0), (81, 9, 0)])
     def test_only_square_splits_call_thin_svd(self, monkeypatch, kept, dropped, calls):
+        # no split calls it, nor any SVD; the square case is in TestShortSideReuse
         seen = []
+        real = np.linalg.svd
 
-        def counting(mat):
+        def counting(mat, **kwargs):
             seen.append(mat.shape)
-            return np.linalg.svd(mat, full_matrices=False)
+            return real(mat, **kwargs)
 
-        monkeypatch.setattr(states, "thin_svd", counting)
+        monkeypatch.setattr(np.linalg, "svd", counting)
         self.single_factor(kept, dropped, "full", rng(30)).marginal(["K"])
         assert len(seen) == calls
 
@@ -261,8 +300,8 @@ class TestShortSideReuse:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         return seen
 
-    def test_either_order_gives_the_same_marginals(self, monkeypatch):
-        short_dim, long_dim = 27, 243
+    def check_either_order(self, monkeypatch, short_dim, long_dim):
+        # "S" is the short side, or the first register of a square factor
         psi = random_pure_vector(short_dim * long_dim, rng(31))
         lay = RegisterLayout((Register("S", short_dim, ALICE), Register("L", long_dim, BOB)))
         mat = psi.reshape(short_dim, long_dim)
@@ -285,11 +324,25 @@ class TestShortSideReuse:
                 np.testing.assert_allclose(
                     margs[side].densify().entries, want, rtol=0, atol=1e-14
                 )
-        # the short side's options are the eigenpairs of S S^dagger as they are
+        # the decomposed side's options are the eigenpairs of S S^dagger as they are
         lam, vecs = np.linalg.eigh(reduced["S"])
         for j, br in enumerate(got["S"].branches):
             assert br.probability == float(lam[::-1][j])
             assert np.array_equal(br.factors[0].vector, vecs[:, ::-1][:, j])
+        return QuantumState.pure(lay, psi), got
+
+    def test_either_order_gives_the_same_marginals(self, monkeypatch):
+        self.check_either_order(monkeypatch, 27, 243)
+
+    def test_a_square_factor_takes_one_eigh_for_both_sides(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a square split ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        st, margs = self.check_either_order(monkeypatch, 27, 27)
+        for side, dropped in (("S", ["L"]), ("L", ["S"])):
+            want = partial_trace(st.densify(), dropped).entries
+            np.testing.assert_allclose(margs[side].densify().entries, want, rtol=0, atol=1e-14)
 
     def test_the_cut_is_told_apart_by_its_register_dims(self):
         # one factor on the same labels, read under two layouts of the same size

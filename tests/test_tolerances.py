@@ -1,8 +1,8 @@
 """Every numerical cutoff of the package is an entry of ``registers.TOL``,
 only ``registers`` compares against the dense cap, only
-``registers.thin_svd`` calls an SVD routine and only three routines call it,
-every ket cut names the ``TOL`` entry its rank is counted at, no object is
-built around its
+``registers.thin_svd`` calls an SVD routine and only two routines call it
+(the ket cut ``svd_across_cut`` and the pencil), every ket cut names the
+``TOL`` entry its rank is counted at, no object is built around its
 constructor with ``__new__``, outside ``states`` only
 ``protocols.run_protocol`` applies a map, inside it only the kernel
 ``_products`` multiplies a stacked map onto a state, and the dense routes
@@ -125,11 +125,10 @@ def test_every_svd_goes_through_thin_svd():
 
 def test_kets_are_cut_only_by_svd_across_cut():
     # a ket's Schmidt rank and supports come from one routine; thin_svd is
-    # also called where a marginal splits a square factor and in the pencil,
-    # and nowhere else
+    # also called in the pencil, and nowhere else (a marginal split takes an
+    # eigh)
     allowed = {
         "registers.py": ("svd_across_cut",),
-        "states.py": ("_split_factor",),
         "entanglement.py": ("_pencil_rank_one_elements",),
     }
 
