@@ -14,21 +14,25 @@ checks.
 A channel is the one-outcome instrument and is passed to a round as it is;
 protocol JSON writes every round map in the instrument format.
 
-Execution enumerates every outcome path exactly, producing a tree of leaves
-(path, probability, pure-or-ensemble state), unless ``keep`` names the rounds
-whose outcomes the caller reads: then each other outcome is retired once no
-later round selects by it, and the leaves that only it told apart merge into
-one, coalesced, carrying their summed probability. A measurement whose
-outcome only the next round reads, and is retired there, runs with that
-round as one step (``states.measure_and_correct``), so its outcomes form no
-leaves. Every map goes through the one kernel of ``states``, which weighs a
-widening operator before forming its product: once per branch for a round,
-twice for a combined step (the measurement, then the corrections it
-selects). Every round runs on every leaf, so what a run sends and broadcasts
-is read off the protocol itself (``quantum_dimension_used``,
-``broadcast_rounds``). Schmidt number cannot
-grow under local processing and classical talk, and grows by at most a
-factor of the total sent dimension, which ``ledger_bound`` turns into the
+A run is planned, then executed. Every leaf of a run shares the input's
+layout as the rounds change it, so ``_plan`` checks each round once, on that
+layout, before any map runs: ownership of what it touches and sends, the
+registers it creates, and an instrument for every outcome its selector can
+give. It lists the run's steps: a round, or a measurement whose outcome only
+the next round reads and which is retired there, paired with that round
+(``states.measure_and_correct``), so that its outcomes form no leaves. The
+execution then enumerates every outcome path exactly, producing a tree of
+leaves (path, probability, pure-or-ensemble state), unless ``keep`` names the
+rounds whose outcomes the caller reads: then each other outcome is retired
+once no later round selects by it, and the leaves that only it told apart
+merge into one, coalesced, carrying their summed probability. Every map goes
+through the one kernel of ``states``, which weighs a widening operator before
+forming its product: once per branch for a round, twice for a combined step
+(the measurement, then the corrections it selects). Every round runs on
+every leaf, so what a run sends and broadcasts is read off the protocol
+itself (``quantum_dimension_used``, ``broadcast_rounds``). Schmidt number
+cannot grow under local processing and classical talk, and grows by at most
+a factor of the total sent dimension, which ``ledger_bound`` turns into the
 certified cap.
 
 Two compilers build protocols that ship a mixture state of bipartite pure
@@ -49,6 +53,7 @@ import functools
 import math
 import types
 from collections.abc import Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +75,8 @@ from .states import (
     Instrument,
     KrausChannel,
     QuantumState,
+    _output_layout,
+    _resolve_targets,
     apply_instrument,
     coalesce,
     malformed_json,
@@ -304,112 +311,119 @@ class BranchTree:
     retired: tuple[str, ...] = ()  # rounds whose outcomes no path records
 
 
-def _check_ownership(layout: RegisterLayout, rnd: ProtocolRound) -> None:
-    for lab in rnd.targets:
-        owner = layout.party_of(lab)
-        if owner != rnd.party:
-            raise ProtocolError(
-                f"round {rnd.name!r}: party {rnd.party} cannot touch register "
-                f"{lab!r} owned by {owner}"
-            )
+class _Step(NamedTuple):
+    """One step of a planned run: a round, or a fixed measurement with the
+    adaptive round that alone reads it (``then``), which applies
+    ``corrections[m]`` after the measurement's ``m``-th outcome; the most
+    outcomes a leaf branches into; and the rounds whose outcomes are spent
+    once the step has run."""
+
+    rnd: ProtocolRound
+    then: ProtocolRound | None
+    corrections: list[Instrument] | None
+    fan_out: int
+    spent: tuple[str, ...]
 
 
-def _round_instrument(rnd: ProtocolRound, path) -> Instrument:
-    """The instrument ``rnd`` applies on ``path``; it may create registers
-    only for the round's party."""
-    inst = rnd.instrument
-    if inst is None:
-        outcome = next((o for name, o in path if name == rnd.select_by), None)
-        if outcome is None:
-            raise ProtocolError(
-                f"round {rnd.name!r} selects by {rnd.select_by!r} which has no "
-                f"recorded outcome"
-            )
-        inst = rnd.instruments_by_outcome.get(outcome)
-        if inst is None:
-            raise ProtocolError(
-                f"round {rnd.name!r} has no instrument for outcome "
-                f"{outcome!r} of {rnd.select_by!r}"
-            )
-    for reg in inst.layout_out.registers:
-        if reg.party != rnd.party:
-            raise ProtocolError(
-                f"round {rnd.name!r} would create register "
-                f"{reg.label!r} for {reg.party}"
-            )
-    return inst
-
-
-def _retirement_schedule(
-    protocol: SloccqProtocol, keep: Sequence[str] | None
-) -> list[set[str]]:
-    """For each round, the rounds whose outcomes are spent once it has run:
-    none that ``keep`` names, and none while a later round selects by them.
-    ``keep=None`` retires nothing."""
-    schedule: list[set[str]] = [set() for _ in protocol.rounds]
-    if keep is None:
-        return schedule
+def _plan(
+    protocol: SloccqProtocol, layout: RegisterLayout, keep: Sequence[str] | None
+) -> tuple[list[_Step], RegisterLayout]:
+    """Check a run of ``protocol`` on an input over ``layout`` before any map
+    runs, each round once, on the layout all leaves share (the maps of a
+    round share their output layout), and return its steps and the layout
+    it ends on. An outcome is spent once no later round selects by it,
+    unless ``keep`` names its round (``keep=None`` spends none)."""
+    rounds = protocol.rounds
+    if keep is not None:
+        unknown = sorted(set(keep) - {rnd.name for rnd in rounds})
+        if unknown:
+            raise ProtocolError(f"keep names rounds the protocol does not have: {unknown}")
     last_read: dict[str, int] = {}
-    for i, rnd in enumerate(protocol.rounds):
+    for i, rnd in enumerate(rounds):
         if rnd.kind == LOCAL:
             last_read[rnd.name] = i
         if rnd.select_by is not None:
             last_read[rnd.select_by] = i
+    spent: list[set[str]] = [set() for _ in rounds]
     for name, i in last_read.items():
-        if name not in keep:
-            schedule[i].add(name)
-    return schedule
+        if keep is not None and name not in keep:
+            spent[i].add(name)
+    outcomes: dict[str, list[str]] = {}  # the outcomes each local round can give
+    steps: list[_Step] = []
+    for i, rnd in enumerate(rounds):
+        if rnd.kind == SEND:
+            if rnd.register not in layout:
+                raise ProtocolError(
+                    f"round {rnd.name!r} sends unknown register {rnd.register!r}"
+                )
+            reg = layout[rnd.register]
+            if reg.party != rnd.party:
+                raise ProtocolError(
+                    f"round {rnd.name!r}: {rnd.party} does not own {rnd.register!r}"
+                )
+            if reg.dim != rnd.dim:
+                raise ProtocolError(
+                    f"round {rnd.name!r} declared dimension {rnd.dim} but "
+                    f"{rnd.register!r} has dimension {reg.dim}"
+                )
+            layout = layout.with_party(rnd.register, rnd.to_party)
+            steps.append(_Step(rnd, None, None, 1, ()))
+            continue
+        for lab in rnd.targets:
+            owner = layout.party_of(lab)
+            if owner != rnd.party:
+                raise ProtocolError(
+                    f"round {rnd.name!r}: party {rnd.party} cannot touch register "
+                    f"{lab!r} owned by {owner}"
+                )
+        if rnd.instrument is not None:
+            maps = [rnd.instrument]
+        else:
+            maps = []
+            for outcome in outcomes[rnd.select_by]:
+                if outcome not in rnd.instruments_by_outcome:
+                    raise ProtocolError(
+                        f"round {rnd.name!r} has no instrument for outcome "
+                        f"{outcome!r} of {rnd.select_by!r}"
+                    )
+                maps.append(rnd.instruments_by_outcome[outcome])
+        for reg in maps[0].layout_out.registers:  # shared by the round's maps
+            if reg.party != rnd.party:
+                raise ProtocolError(
+                    f"round {rnd.name!r} would create register "
+                    f"{reg.label!r} for {reg.party}"
+                )
+        targets = _resolve_targets(layout, maps[0].layout_in, rnd.targets)
+        layout = _output_layout(layout, targets, maps[0].layout_out)
+        outcomes[rnd.name] = list(dict.fromkeys(o for inst in maps for o in inst.outcome_labels))
+        prev = steps[-1].rnd if steps else None
+        if (
+            prev is not None
+            and prev.instrument is not None
+            and rnd.select_by == prev.name
+            and spent[i] == {prev.name, rnd.name}
+        ):
+            steps[-1] = _Step(prev, rnd, maps, 1, tuple(sorted(spent[i])))
+        else:
+            fan_out = max(len(inst.branches) for inst in maps)
+            steps.append(_Step(rnd, None, None, fan_out, tuple(sorted(spent[i]))))
+    return steps, layout
 
 
-def _retire(leaves: list[BranchLeaf], spent: set[str]) -> list[BranchLeaf]:
+def _retire(leaves: list[BranchLeaf], spent: Sequence[str]) -> list[BranchLeaf]:
     """Forget the outcomes of the ``spent`` rounds: the leaves left with the
     same path merge into one (measuring and forgetting an outcome is the
     same channel as never reading it)."""
     groups: dict[tuple, list[BranchLeaf]] = {}
     for leaf in leaves:
         path = tuple(step for step in leaf.path if step[0] not in spent)
-        groups.setdefault((path, leaf.state.layout), []).append(leaf)
+        groups.setdefault(path, []).append(leaf)
     merged = []
-    for (path, _), group in groups.items():
-        if len(group) == 1:
-            merged.append(BranchLeaf(path, group[0].probability, group[0].state))
-        else:
-            state, probability = _mix_leaves(group)
-            merged.append(BranchLeaf(path, probability, state))
+    for path, group in groups.items():
+        one = group[0]
+        state, probability = (one.state, one.probability) if len(group) == 1 else _mix_leaves(group)
+        merged.append(BranchLeaf(path, probability, state))
     return merged
-
-
-def _corrections(
-    measure: ProtocolRound,
-    correct: ProtocolRound,
-    path,
-    outcomes: list[str],
-    layout: RegisterLayout,
-) -> list[Instrument]:
-    """The instruments ``correct`` applies once ``measure`` has given each of
-    ``outcomes`` on ``path``, leaving a state on ``layout``."""
-    _check_ownership(layout, correct)
-    return [_round_instrument(correct, path + ((measure.name, o),)) for o in outcomes]
-
-
-def _fused_pairs(rounds: Sequence[ProtocolRound], schedule: list[set[str]]) -> set[int]:
-    """The rounds that run together with the round after them, as one
-    ``measure_and_correct`` step: each has a fixed instrument, its outcome is
-    read only by the next round's ``select_by``, and both outcomes are spent
-    once that round has run."""
-    return {
-        i
-        for i, (rnd, nxt) in enumerate(zip(rounds, rounds[1:]))
-        if rnd.instrument is not None
-        and nxt.select_by == rnd.name
-        and schedule[i + 1] == {rnd.name, nxt.name}
-    }
-
-
-def _fan_out(rnd: ProtocolRound) -> int:
-    """The most outcomes any instrument of a local round has."""
-    maps = [rnd.instrument] if rnd.instrument is not None else rnd.instruments_by_outcome.values()
-    return max(len(inst.branches) for inst in maps)
 
 
 def run_protocol(
@@ -417,62 +431,28 @@ def run_protocol(
     initial: QuantumState,
     keep: Sequence[str] | None = None,
 ) -> BranchTree:
-    """Enumerate all outcome paths of the protocol on the given input.
+    """Enumerate all outcome paths of the protocol on the given input, once
+    ``_plan`` has checked the whole run, before any map runs.
 
     With ``keep=None`` every outcome path is a leaf. Otherwise ``keep`` names
     the rounds whose outcomes the caller reads (a postselection, say), and
-    naming a round the protocol does not have is refused. Every other outcome
-    is retired once no later round selects by it (see ``_retire``), and
-    ``final_state`` refuses to postselect on it. A round whose outcome only
-    the next round reads, and which is retired with that round's outcome
-    (a teleportation's Bell measurement and correction, say), runs with it as
-    one ``measure_and_correct`` step per leaf, which forms no leaf per
-    outcome; every other round applies its instrument to each leaf through
-    ``apply_instrument``; both go through the one map kernel of ``states``.
-    Before a round runs, the leaves it could form (leaves times outcomes per
-    leaf; none added by a combined step) are bounded by ``MAX_LEAVES``.
+    naming a round the protocol does not have is refused. Every other
+    outcome is retired once no later round selects by it (see ``_retire``),
+    and ``final_state`` refuses to postselect on it. A round whose outcome
+    only the next round reads, and which is retired with that round's
+    outcome (a teleportation's Bell measurement and correction, say), runs
+    with it as one ``measure_and_correct`` step per leaf, which forms no
+    leaf per outcome; every other round applies its instrument to each leaf
+    through ``apply_instrument``; both go through the one map kernel of
+    ``states``. Before a step runs, the leaves it could form (leaves times
+    outcomes per leaf; none added by a combined step) are bounded by
+    ``MAX_LEAVES``.
     """
-    if keep is not None:
-        unknown = sorted(set(keep) - {rnd.name for rnd in protocol.rounds})
-        if unknown:
-            raise ProtocolError(f"keep names rounds the protocol does not have: {unknown}")
-    schedule = _retirement_schedule(protocol, keep)
-    rounds = protocol.rounds
-    fused = _fused_pairs(rounds, schedule)
+    steps, _ = _plan(protocol, initial.layout, keep)
     leaves = [BranchLeaf((), 1.0, initial)]
     retired: list[str] = []
-    for i, rnd in enumerate(rounds):
-        if i - 1 in fused:
-            continue  # ran with the round before it
-        if rnd.kind == SEND:
-            new_leaves = []
-            for leaf in leaves:
-                if rnd.register not in leaf.state.layout.labels:
-                    raise ProtocolError(
-                        f"round {rnd.name!r} sends unknown register "
-                        f"{rnd.register!r}"
-                    )
-                reg = leaf.state.layout[rnd.register]
-                if reg.party != rnd.party:
-                    raise ProtocolError(
-                        f"round {rnd.name!r}: {rnd.party} does not own "
-                        f"{rnd.register!r}"
-                    )
-                if reg.dim != rnd.dim:
-                    raise ProtocolError(
-                        f"round {rnd.name!r} declared dimension {rnd.dim} but "
-                        f"{rnd.register!r} has dimension {reg.dim}"
-                    )
-                new_leaves.append(
-                    BranchLeaf(
-                        leaf.path,
-                        leaf.probability,
-                        leaf.state.with_party(rnd.register, rnd.to_party),
-                    )
-                )
-            leaves = new_leaves
-            continue
-        bound = len(leaves) * (1 if i in fused else _fan_out(rnd))
+    for rnd, then, corrections, fan_out, spent in steps:
+        bound = len(leaves) * fan_out
         if bound > MAX_LEAVES:
             raise ProtocolError(
                 f"round {rnd.name!r} would form up to {bound} leaves, over the "
@@ -480,44 +460,37 @@ def run_protocol(
             )
         new_leaves = []
         for leaf in leaves:
-            _check_ownership(leaf.state.layout, rnd)
-            inst = _round_instrument(rnd, leaf.path)
-            if i in fused:
-                nxt = rounds[i + 1]
+            if rnd.kind == SEND:
+                state = leaf.state.with_party(rnd.register, rnd.to_party)
+                new_leaves.append(BranchLeaf(leaf.path, leaf.probability, state))
+            elif then is not None:
                 prob, state = measure_and_correct(
-                    inst,
-                    functools.partial(_corrections, rnd, nxt, leaf.path),
-                    leaf.state,
-                    rnd.targets,
-                    nxt.targets,
+                    rnd.instrument, corrections, leaf.state, rnd.targets, then.targets
                 )
                 new_leaves.append(BranchLeaf(leaf.path, leaf.probability * prob, state))
-                continue
-            for outcome, prob, state in apply_instrument(inst, leaf.state, rnd.targets):
-                path = leaf.path + ((rnd.name, outcome),)
-                new_leaves.append(BranchLeaf(path, leaf.probability * prob, state))
-        spent = schedule[i + 1] if i in fused else schedule[i]
-        leaves = _retire(new_leaves, spent) if spent and i not in fused else new_leaves
-        retired.extend(sorted(spent))
+            else:
+                inst = rnd.instrument
+                if inst is None:
+                    inst = rnd.instruments_by_outcome[dict(leaf.path)[rnd.select_by]]
+                for outcome, prob, state in apply_instrument(inst, leaf.state, rnd.targets):
+                    path = leaf.path + ((rnd.name, outcome),)
+                    new_leaves.append(BranchLeaf(path, leaf.probability * prob, state))
+        leaves = _retire(new_leaves, spent) if spent else new_leaves
+        retired.extend(spent)
     return BranchTree(tuple(leaves), tuple(retired))
 
 
 def _mix_leaves(leaves: Sequence[BranchLeaf]) -> tuple[QuantumState, float]:
     """The probability-weighted mixture of the leaves' states, coalesced, and
-    the total probability the leaves carry."""
+    the total probability the leaves carry. The leaves of a run share their
+    layout (``_plan``)."""
     total = sum(leaf.probability for leaf in leaves)
-    layout = leaves[0].state.layout
-    branches: list[EnsembleBranch] = []
-    for leaf in leaves:
-        st = leaf.state
-        if st.layout.labels != layout.labels:
-            raise ProtocolError("leaves ended on different register sets")
-        st = st.permuted(layout.labels)
-        for br in st.branches:
-            branches.append(
-                EnsembleBranch(leaf.probability / total * br.probability, br.factors)
-            )
-    return coalesce(QuantumState(layout, branches=tuple(branches))), total
+    branches = tuple(
+        EnsembleBranch(leaf.probability / total * br.probability, br.factors)
+        for leaf in leaves
+        for br in leaf.state.branches
+    )
+    return coalesce(QuantumState(leaves[0].state.layout, branches)), total
 
 
 def final_state(

@@ -21,12 +21,14 @@ instrument, and only the products that pass are formed.
 ``apply_instrument`` calls the kernel once per branch and returns one state
 per outcome; ``apply_channel`` is its one-outcome case.
 ``measure_and_correct`` runs a measurement, the correction its outcome
-selects and the forgetting of both outcomes as one step of two kernel calls
-per branch: the measurement, then one batched product for the corrections of
-all its kept outputs. It gives the state that merging the per-outcome states
-of ``apply_instrument`` gives, through ``coalesce``, which merges branches
-that are equal up to a phase on each factor, deciding by the factors' vector
-gaps (``TOL.coalesce_atol``).
+selects (one instrument per measurement outcome, in outcome order) and the
+forgetting of both outcomes as one step of two kernel calls per branch: the
+measurement, then one batched product for the corrections of all its kept
+outputs. It gives the state that merging the per-outcome states of
+``apply_instrument`` gives, through ``coalesce``, which merges branches that
+are equal up to a phase on each factor, deciding by the factors' vector gaps
+(``TOL.coalesce_atol``). Neither map route knows parties: ``protocols``
+checks who may touch a register, once per run, before any map is applied.
 
 Spectral metrics of ensembles (trace distance, entropy, purity, support
 spectra) never form a D x D matrix. An ensemble with branch kets ``V`` (D x k)
@@ -54,7 +56,7 @@ import dataclasses
 import itertools
 import json
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -879,7 +881,7 @@ def apply_channel(
 
 def measure_and_correct(
     measurement: Instrument,
-    corrections_for: Callable[[list[str], RegisterLayout], list[Instrument]],
+    corrections: Sequence[Instrument],
     state: QuantumState,
     measure_targets: Sequence[str],
     correct_targets: Sequence[str],
@@ -892,10 +894,9 @@ def measure_and_correct(
     merged: their summed probability and their mixture, coalesced when there
     are two or more leaves. Measuring, correcting and forgetting the outcome
     is one channel (deferred measurement, Nielsen & Chuang sec. 4.4).
-    ``corrections_for(outcomes, layout)`` is called once, with the kept
-    outcomes in order and the layout of their states, and returns their
-    corrections, which share their input dimensions and output layout, as the
-    instruments of one adaptive round do.
+    ``corrections[m]`` is the correction after the measurement's ``m``-th
+    outcome; the corrections share their input dimensions and output layout,
+    as the instruments of one adaptive round do.
 
     Each branch takes two calls of the kernel ``_products``: the
     measurement on its merged target matrix, then one batched product for the
@@ -917,7 +918,7 @@ def measure_and_correct(
     )
     live = np.flatnonzero(p)
 
-    chosen = corrections_for([measurement.branches[m][0] for m in live], mid)
+    chosen = [corrections[m] for m in live]
     c_targets = _resolve_targets(mid, chosen[0].layout_in, correct_targets)
     new_layout = _output_layout(mid, c_targets, chosen[0].layout_out)
     stacks = [inst._stacked() for inst in chosen]

@@ -542,6 +542,109 @@ class TestRetirement:
         assert final_state(kept, [("m", "1")])[1] == pytest.approx(0.5, abs=1e-12)
 
 
+class TestPlan:
+    """``run_protocol`` checks a run once, on the layout all its leaves
+    share, before any map runs."""
+
+    @pytest.mark.parametrize("keep", [None, ["filter"]])
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            (
+                identity_round("bad", "B1", ALICE, dim=3),
+                "round 'bad': party Alice cannot touch register 'B1' owned by Bob",
+            ),
+            (
+                send_round("bad", ALICE, "nowhere", BOB, 2),
+                "round 'bad' sends unknown register 'nowhere'",
+            ),
+        ],
+        ids=["foreign", "unknown-send"],
+    )
+    def test_a_run_is_refused_before_any_map_runs(self, last, message, keep, monkeypatch):
+        protocol, rho = _class_run("converse", 1)
+        bad = SloccqProtocol(protocol.rounds + (last,), 2 * protocol.dimension_budget)
+        calls = _count_kernel_calls(monkeypatch)
+        with pytest.raises(ProtocolError) as err:
+            run_protocol(bad, rho, keep=keep)
+        assert str(err.value) == message
+        assert not calls
+
+    @pytest.mark.parametrize("keep", [None, ("sample",)])
+    def test_an_outcome_of_probability_zero_needs_an_instrument(self, keep, monkeypatch):
+        # the lone measurement never gives o1 on this input, yet a correction
+        # round with no instrument for o1 is refused
+        prot, start = _measure_correct_protocol(rng(708), lone=True)
+        assert all(("measure", "o1") not in leaf.path for leaf in run_protocol(prot, start).leaves)
+        sample, measure, correct = prot.rounds
+        fixes = dict(correct.instruments_by_outcome)
+        del fixes["o1"]
+        prot = SloccqProtocol(
+            (sample, measure, adaptive_round("correct", BOB, fixes, select_by="measure")), 1
+        )
+        calls = _count_kernel_calls(monkeypatch)
+        with pytest.raises(ProtocolError) as err:
+            run_protocol(prot, start, keep=keep)
+        assert str(err.value) == "round 'correct' has no instrument for outcome 'o1' of 'measure'"
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "name, n, keep",
+        [
+            ("converse", 1, None),
+            ("converse", 1, ["filter"]),
+            ("converse", 2, None),
+            ("converse", 2, ["filter"]),
+            ("obs1-prep", 2, None),
+            ("obs1-prep", 3, None),
+            ("obs3-flip", 0, None),
+            ("catalytic", 2, None),
+        ],
+    )
+    def test_every_leaf_ends_on_the_planned_layout(self, name, n, keep):
+        # _retire groups leaves by path alone and _mix_leaves mixes them on
+        # one layout: both rely on this
+        protocol, start = _class_run(name, n)
+        _, layout = protocols._plan(protocol, start.layout, keep)
+        tree = run_protocol(protocol, start, keep=keep)
+        assert tree.leaves
+        assert all(leaf.state.layout == layout for leaf in tree.leaves)
+
+
+def _class_run(name, n):
+    """A protocol the package runs and its input: the converse of ``theorem
+    --n n``, the obs1 catalyst preparation, obs3's flip protocol, or the
+    catalytic channels of the copy-cycling protocol on rho and its
+    catalyst."""
+    if name == "converse":
+        fam = separation_family(n)
+        conv = construct_converse(fam.protocol.rho, fam.protocol.target, fam.d_enough)
+        protocol, start = conv.protocol, fam.protocol.rho
+    elif name == "obs3-flip":
+        protocol, start = _flip_protocol(), _bit_flip_task()[1]
+    else:
+        rho, sigma = qutrit_pair_states()
+        cat = build_protocol(rho, sigma, n)
+        if name == "obs1-prep":
+            protocol, start = compile_catalyst_prep(cat.catalyst).protocol, rho
+        else:
+            protocol, start = cat.local_protocol, tensor_states(rho, cat.catalyst)
+    return protocol, start
+
+
+def _count_kernel_calls(monkeypatch):
+    """The calls of the map kernel ``states._products`` from here on."""
+    calls = []
+    real = states_module._products
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(states_module, "_products", counting)
+    return calls
+
+
 def _assert_same_mixture(tree, reference, postselect=None):
     """The two trees give the same (postselected) state and probability."""
     state, prob = final_state(tree, postselect)
